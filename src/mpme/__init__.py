@@ -46,7 +46,6 @@ from .experiments import (
 from .optim import OptimConfig, OptimResult, maximize
 from .prior_nix import (
     NixHyperparams,
-    NixPosterior,
     VarianceMode,
     learn_nix,
     nix_log_marginal_likelihood,
@@ -59,7 +58,7 @@ from .prior_uni import (
     uni_log_marginal_likelihood,
     uni_map,
 )
-from .special import QuadratureConfig, integrate_adaptive, owen_q
+from .special import QuadratureConfig, integrate_adaptive
 from .verify import SUITES, SuiteResult, grid_map_argmax, numeric_marginal, run_suite
 
 __version__ = "0.1.0"
@@ -87,7 +86,6 @@ __all__ = [
     "pooled_variance",
     "sample_estimator_std",
     "NixHyperparams",
-    "NixPosterior",
     "VarianceMode",
     "nix_posterior_update",
     "nix_log_marginal_likelihood",
@@ -102,7 +100,6 @@ __all__ = [
     "maximize",
     "QuadratureConfig",
     "integrate_adaptive",
-    "owen_q",
     "SyntheticConfig",
     "GroundTruth",
     "BenchmarkResult",

@@ -10,26 +10,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .core import (
-    DataError,
-    Method,
-    NumericalError,
-    SufficientStats,
-    sufficient_stats,
-)
+from .core import DataError, Method, NumericalError, sufficient_stats
 from .dataio import DataFormat, dump_json, load_dataset
-from .estimators import sample_estimate
 from .experiments import (
+    METHOD_NAMES,
     SyntheticConfig,
     bootstrap_benchmark_detailed,
+    estimate_populations,
     prune_outliers,
     run_benchmark_detailed,
 )
-from .prior_nix import VarianceMode, learn_nix, nix_map
-from .prior_uni import learn_uni, uni_map
 from .verify import SUITES, run_suite
 
 __all__ = ["cli_main", "run"]
@@ -44,22 +38,15 @@ _EXAMPLES = {
     2: ((9.5, 10.5), (1.9, 2.1)),
 }
 
-_METHOD_NAMES = {
-    "sample": Method.SAMPLE_EST,
-    "nix": Method.MPME_NIX,
-    "nix-unbiased": Method.MPME_NIX_UNBIASED,
-    "uni": Method.MPME_UNI,
-}
-
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
     methods = []
     for name in text.split(","):
         name = name.strip()
-        if name not in _METHOD_NAMES:
-            known = ", ".join(sorted(_METHOD_NAMES))
+        if name not in METHOD_NAMES:
+            known = ", ".join(sorted(METHOD_NAMES))
             raise argparse.ArgumentTypeError(f"unknown method {name!r}; known: {known}")
-        methods.append(_METHOD_NAMES[name])
+        methods.append(METHOD_NAMES[name])
     return tuple(methods)
 
 
@@ -96,70 +83,25 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _estimate_rows(stats_list, estimates) -> list[dict]:
-    rows = []
-    for stats, est in zip(stats_list, estimates):
-        rows.append(
-            {
-                "population": stats.id,
-                "n": stats.stats.n,
-                "mean": stats.stats.mean,
-                "var_unbiased": stats.stats.var_unbiased,
-                "mu": est.mu,
-                "sigma_sq": est.sigma_sq,
-            }
-        )
-    return rows
-
-
-class _NamedStats:
-    """Pairs a population id with its sufficient statistics."""
-
-    __slots__ = ("id", "stats")
-
-    def __init__(self, id: str, stats: SufficientStats):
-        self.id = id
-        self.stats = stats
-
-
 def _cmd_estimate(args) -> int:
     dataset = load_dataset(args.input, args.format)
-    named = [_NamedStats(p.id, sufficient_stats(p)) for p in dataset.populations]
-    stats_list = [ns.stats for ns in named]
+    ids = [p.id for p in dataset.populations]
+    stats_list = [sufficient_stats(p) for p in dataset.populations]
 
     removed_ids: list[str] = []
     learn_stats = stats_list
     if args.prune_outliers is not None:
-        kept, removed = prune_outliers(stats_list, args.prune_outliers)
-        learn_stats = kept
-        removed_set = {id(s) for s in removed}
-        removed_ids = [ns.id for ns in named if id(ns.stats) in removed_set]
+        learn_stats, removed = prune_outliers(stats_list, args.prune_outliers)
+        # Pruning goes by sample mean alone, so equal statistics share a fate.
+        removed_set = set(removed)
+        removed_ids = [pid for pid, s in zip(ids, stats_list) if s in removed_set]
         if removed_ids:
             print(f"pruned populations: {', '.join(removed_ids)}", file=sys.stderr)
 
-    hyper_doc = None
-    if args.prior == "sample":
-        method = Method.SAMPLE_EST
-        estimates = [sample_estimate(s) for s in stats_list]
-    elif args.prior == "nix":
-        mode = VarianceMode.UNBIASED if args.unbiased_variance else VarianceMode.BIASED
-        method = Method.MPME_NIX_UNBIASED if args.unbiased_variance else Method.MPME_NIX
-        hyper = learn_nix(learn_stats)
-        hyper_doc = {
-            "mu0": hyper.mu0,
-            "kappa0": hyper.kappa0,
-            "nu0": hyper.nu0,
-            "sigma0_sq": hyper.sigma0_sq,
-        }
-        estimates = [nix_map(s, hyper, variance_mode=mode) for s in stats_list]
-    else:  # uni
-        method = Method.MPME_UNI
-        hyper = learn_uni(learn_stats)
-        hyper_doc = {"a": hyper.a, "b": hyper.b, "c": hyper.c, "d": hyper.d}
-        estimates = [
-            uni_map(s, hyper, use_unbiased_variance=args.unbiased_variance)
-            for s in stats_list
-        ]
+    name = "nix-unbiased" if args.prior == "nix" and args.unbiased_variance else args.prior
+    method = METHOD_NAMES[name]
+    estimates, hypers = estimate_populations([method], stats_list, learn_stats)
+    hyper = hypers.get(args.prior)
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -173,34 +115,50 @@ def _cmd_estimate(args) -> int:
             "seed": args.seed,
         },
         "method": method.value,
-        "hyperparameters": hyper_doc,
+        "hyperparameters": None if hyper is None else asdict(hyper),
         "pruned": removed_ids,
-        "estimates": _estimate_rows(named, estimates),
+        "estimates": [
+            {
+                "population": pid,
+                "n": s.n,
+                "mean": s.mean,
+                "var_unbiased": s.var_unbiased,
+                "mu": est.mu,
+                "sigma_sq": est.sigma_sq,
+            }
+            for pid, s, est in zip(ids, stats_list, estimates[method])
+        ],
     }
     _emit(dump_json(report), args.output)
     return 0
 
 
-def _method_report_doc(result) -> dict:
+def _benchmark_report(command: str, config: dict, result, population_ids=None) -> dict:
+    """The report shared by ``synth`` and ``bootstrap``."""
+    truth = {} if population_ids is None else {"population": population_ids}
+    truth.update(mu=list(result.truth.mu), sigma=list(result.truth.sigma))
     return {
-        method.value: {
-            "eps_mu": report.eps_mu,
-            "eps_sigma_sq": report.eps_sigma_sq,
-            "per_population_mu_rmse": list(report.per_population_mu_rmse),
-            "per_population_var_rmse": list(report.per_population_var_rmse),
-            "trials": report.trials,
-        }
-        for method, report in sorted(result.reports.items(), key=lambda kv: kv[0].value)
-    }
-
-
-def _hyper_doc(result) -> dict:
-    return {
-        "nix": [
-            {"mu0": h.mu0, "kappa0": h.kappa0, "nu0": h.nu0, "sigma0_sq": h.sigma0_sq}
-            for h in result.nix_hypers
-        ],
-        "uni": [{"a": h.a, "b": h.b, "c": h.c, "d": h.d} for h in result.uni_hypers],
+        "schema": REPORT_SCHEMA,
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "truth": truth,
+        "reports": {
+            method.value: {
+                "eps_mu": report.eps_mu,
+                "eps_sigma_sq": report.eps_sigma_sq,
+                "per_population_mu_rmse": list(report.per_population_mu_rmse),
+                "per_population_var_rmse": list(report.per_population_var_rmse),
+                "trials": report.trials,
+            }
+            for method, report in sorted(result.reports.items(), key=lambda kv: kv[0].value)
+        },
+        "hyperparameters": {
+            "nix": [asdict(h) for h in result.nix_hypers],
+            "uni": [asdict(h) for h in result.uni_hypers],
+        },
+        "failed_trials": len(result.failures),
+        "failures": list(result.failures),
     }
 
 
@@ -221,31 +179,18 @@ def _cmd_synth(args) -> int:
         prune_k=args.prune_outliers if args.prune_outliers is not None else 5.0,
         threads=_resolve_threads(args),
     )
-    report = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "command": "synth",
-        "config": {
-            "example": args.example,
-            "populations": args.pops,
-            "samples_per_population": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "methods": [m.value for m in args.methods],
-            "mu_range": list(mu_range),
-            "sigma_range": list(sigma_range),
-            "prune_outliers": args.prune_outliers,
-        },
-        "truth": {
-            "mu": list(result.truth.mu),
-            "sigma": list(result.truth.sigma),
-        },
-        "reports": _method_report_doc(result),
-        "hyperparameters": _hyper_doc(result),
-        "failed_trials": len(result.failures),
-        "failures": list(result.failures),
+    config = {
+        "example": args.example,
+        "populations": args.pops,
+        "samples_per_population": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
+        "methods": [m.value for m in args.methods],
+        "mu_range": list(mu_range),
+        "sigma_range": list(sigma_range),
+        "prune_outliers": args.prune_outliers,
     }
-    _emit(dump_json(report), args.output)
+    _emit(dump_json(_benchmark_report("synth", config, result)), args.output)
     return 0
 
 
@@ -259,28 +204,15 @@ def _cmd_bootstrap(args) -> int:
         methods=args.methods,
         threads=_resolve_threads(args),
     )
-    report = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "command": "bootstrap",
-        "config": {
-            "input": str(args.input),
-            "subsample": args.subsample,
-            "trials": args.trials,
-            "seed": args.seed,
-            "methods": [m.value for m in args.methods],
-        },
-        "truth": {
-            "population": [p.id for p in dataset.populations],
-            "mu": list(result.truth.mu),
-            "sigma": list(result.truth.sigma),
-        },
-        "reports": _method_report_doc(result),
-        "hyperparameters": _hyper_doc(result),
-        "failed_trials": len(result.failures),
-        "failures": list(result.failures),
+    config = {
+        "input": str(args.input),
+        "subsample": args.subsample,
+        "trials": args.trials,
+        "seed": args.seed,
+        "methods": [m.value for m in args.methods],
     }
-    _emit(dump_json(report), args.output)
+    ids = [p.id for p in dataset.populations]
+    _emit(dump_json(_benchmark_report("bootstrap", config, result, ids)), args.output)
     return 0
 
 
@@ -311,7 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--unbiased-variance",
         action="store_true",
-        help="report the unbiased posterior variance instead of the MAP mode",
+        help="with --prior nix, report the unbiased posterior variance instead of "
+        "the MAP mode; sample and uni always report the unbiased plug-in",
     )
     est.add_argument("--prune-outliers", type=float, metavar="K", default=None)
     est.add_argument("--seed", type=int, default=0, help="recorded in the report")
@@ -328,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--methods",
         type=_parse_methods,
         default=(Method.SAMPLE_EST, Method.MPME_NIX),
-        help="comma-separated: sample,nix,nix-unbiased,uni",
+        help="comma-separated: " + ",".join(METHOD_NAMES),
     )
     synth.add_argument("--prune-outliers", type=float, metavar="K", default=None)
     synth.add_argument("--threads", type=_positive_int, default=None)

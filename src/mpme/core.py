@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class MpmeError(Exception):
@@ -57,8 +57,6 @@ class Method(Enum):
     """Identifies which estimator produced a :class:`MomentEstimate`."""
 
     SAMPLE_EST = "sample"
-    POOLED_MEAN = "pooled-mean"
-    POOLED_VAR = "pooled-var"
     MPME_NIX = "mpme-nix"
     MPME_NIX_UNBIASED = "mpme-nix-unbiased"
     MPME_UNI = "mpme-uni"
@@ -152,21 +150,14 @@ class MomentEstimate:
             raise DataError(f"invalid estimate: method = {self.method!r}")
 
 
-def _mean(xs: Sequence[float]) -> float:
-    return math.fsum(xs) / len(xs)
-
-
 @dataclass(frozen=True)
 class ErrorReport:
-    """Benchmark errors: mean-over-populations RMSE for mu and sigma^2.
+    """Benchmark errors: per-population RMSEs for mu and sigma^2.
 
-    ``eps_mu`` and ``eps_sigma_sq`` must equal the mean of the
-    corresponding per-population RMSE lists; this is validated to one
-    part in 1e12 on construction.
+    ``eps_mu`` and ``eps_sigma_sq`` are the means of the corresponding
+    per-population RMSE lists.
     """
 
-    eps_mu: float
-    eps_sigma_sq: float
     per_population_mu_rmse: tuple[float, ...]
     per_population_var_rmse: tuple[float, ...]
     trials: int
@@ -184,32 +175,18 @@ class ErrorReport:
             self.per_population_mu_rmse
         ) != len(self.per_population_var_rmse):
             raise DataError("per-population RMSE lists must be non-empty, equal length")
-        for name, eps, pp in (
-            ("eps_mu", self.eps_mu, self.per_population_mu_rmse),
-            ("eps_sigma_sq", self.eps_sigma_sq, self.per_population_var_rmse),
+        for name, pp in (
+            ("eps_mu", self.per_population_mu_rmse),
+            ("eps_sigma_sq", self.per_population_var_rmse),
         ):
             _check_finite(pp, name)
             if any(v < 0 for v in pp):
                 raise DataError(f"{name} per-population RMSE must be >= 0")
-            m = _mean(pp)
-            if abs(eps - m) > 1e-12 * max(abs(eps), abs(m), 1e-300):
-                raise DataError(
-                    f"{name} = {eps!r} does not equal the mean {m!r} of its "
-                    f"per-population RMSE list"
-                )
 
-    @classmethod
-    def from_per_population(
-        cls,
-        mu_rmse: Sequence[float],
-        var_rmse: Sequence[float],
-        trials: int,
-    ) -> "ErrorReport":
-        """Build a report, deriving the aggregate eps values from the lists."""
-        return cls(
-            eps_mu=_mean(mu_rmse),
-            eps_sigma_sq=_mean(var_rmse),
-            per_population_mu_rmse=tuple(mu_rmse),
-            per_population_var_rmse=tuple(var_rmse),
-            trials=trials,
-        )
+    @property
+    def eps_mu(self) -> float:
+        return math.fsum(self.per_population_mu_rmse) / len(self.per_population_mu_rmse)
+
+    @property
+    def eps_sigma_sq(self) -> float:
+        return math.fsum(self.per_population_var_rmse) / len(self.per_population_var_rmse)

@@ -29,6 +29,9 @@ from .prior_uni import UniHyperparams, learn_uni, uni_map
 from .special import QuadratureConfig
 
 __all__ = [
+    "ESTIMATORS",
+    "METHOD_NAMES",
+    "estimate_populations",
     "SyntheticConfig",
     "GroundTruth",
     "BenchmarkResult",
@@ -43,9 +46,50 @@ __all__ = [
     "standin_dataset",
 ]
 
-BENCHMARK_METHODS = frozenset(
-    {Method.SAMPLE_EST, Method.MPME_NIX, Method.MPME_NIX_UNBIASED, Method.MPME_UNI}
-)
+# The one table of estimators: each method's short name, the prior it
+# learns (None for none) and its MAP rule.  The rules name their functions
+# at call time, so a function replaced on this module is the one called.
+ESTIMATORS = {
+    Method.SAMPLE_EST: ("sample", None, lambda s, hyper: sample_estimate(s)),
+    Method.MPME_NIX: ("nix", "nix", lambda s, hyper: nix_map(s, hyper, VarianceMode.BIASED)),
+    Method.MPME_NIX_UNBIASED: (
+        "nix-unbiased",
+        "nix",
+        lambda s, hyper: nix_map(s, hyper, VarianceMode.UNBIASED),
+    ),
+    Method.MPME_UNI: ("uni", "uni", lambda s, hyper: uni_map(s, hyper)),
+}
+
+METHOD_NAMES = {name: method for method, (name, _, _) in ESTIMATORS.items()}
+
+
+def estimate_populations(
+    methods,
+    stats_list: Sequence[SufficientStats],
+    learn_stats: Sequence[SufficientStats],
+    optim_cfg: OptimConfig | None = None,
+    quad_cfg: QuadratureConfig | None = None,
+) -> tuple[dict[Method, list[MomentEstimate]], dict[str, NixHyperparams | UniHyperparams]]:
+    """Estimate every population's moments by each requested method.
+
+    Each prior the methods need is learned once, from ``learn_stats``;
+    every method's MAP rule is then applied to each of ``stats_list``.
+    Returns the estimates by method and the learned hyperparameters by
+    prior name (``"nix"``, ``"uni"``).
+    """
+    hypers: dict[str, NixHyperparams | UniHyperparams] = {}
+    estimates: dict[Method, list[MomentEstimate]] = {}
+    # Table order fixes which prior is learned first, and with it which
+    # failure a trial reports when both fail.
+    for method in [m for m in ESTIMATORS if m in methods]:
+        _, prior, map_rule = ESTIMATORS[method]
+        if prior == "nix" and prior not in hypers:
+            hypers[prior] = learn_nix(learn_stats, optim_cfg)
+        elif prior == "uni" and prior not in hypers:
+            hypers[prior] = learn_uni(learn_stats, optim_cfg, quad_cfg)
+        estimates[method] = [map_rule(s, hypers.get(prior)) for s in stats_list]
+    return estimates, hypers
+
 
 _MAX_SEED = 2**64
 
@@ -163,7 +207,7 @@ def error_report(
     true_var = np.asarray(truth.sigma) ** 2
     mu_rmse = np.sqrt(np.mean((mu_hat - true_mu) ** 2, axis=0))
     var_rmse = np.sqrt(np.mean((var_hat - true_var) ** 2, axis=0))
-    return ErrorReport.from_per_population(mu_rmse, var_rmse, trials)
+    return ErrorReport(mu_rmse, var_rmse, trials)
 
 
 def prune_outliers(
@@ -226,8 +270,7 @@ class _TrialSpec:
 class _TrialOutcome:
     trial: int
     estimates: Mapping[Method, list[MomentEstimate]] | None
-    nix_hyper: NixHyperparams | None = None
-    uni_hyper: UniHyperparams | None = None
+    hypers: Mapping[str, NixHyperparams | UniHyperparams] | None = None
     failure: str | None = None
 
 
@@ -250,29 +293,13 @@ def _run_trial(spec: _TrialSpec, trial: int) -> _TrialOutcome:
     learn_stats = stats_list
     if spec.prune:
         learn_stats, _ = prune_outliers(stats_list, spec.prune_k)
-    estimates: dict[Method, list[MomentEstimate]] = {}
-    nix_hyper = uni_hyper = None
     try:
-        if Method.SAMPLE_EST in spec.methods:
-            estimates[Method.SAMPLE_EST] = [sample_estimate(s) for s in stats_list]
-        if spec.methods & {Method.MPME_NIX, Method.MPME_NIX_UNBIASED}:
-            nix_hyper = learn_nix(learn_stats, spec.optim_cfg)
-            if Method.MPME_NIX in spec.methods:
-                estimates[Method.MPME_NIX] = [
-                    nix_map(s, nix_hyper, VarianceMode.BIASED) for s in stats_list
-                ]
-            if Method.MPME_NIX_UNBIASED in spec.methods:
-                estimates[Method.MPME_NIX_UNBIASED] = [
-                    nix_map(s, nix_hyper, VarianceMode.UNBIASED) for s in stats_list
-                ]
-        if Method.MPME_UNI in spec.methods:
-            uni_hyper = learn_uni(learn_stats, spec.optim_cfg, spec.quad_cfg)
-            estimates[Method.MPME_UNI] = [
-                uni_map(s, uni_hyper) for s in stats_list
-            ]
+        estimates, hypers = estimate_populations(
+            spec.methods, stats_list, learn_stats, spec.optim_cfg, spec.quad_cfg
+        )
     except NumericalError as exc:
         return _TrialOutcome(trial, None, failure=f"trial {trial}: {exc}")
-    return _TrialOutcome(trial, estimates, nix_hyper, uni_hyper)
+    return _TrialOutcome(trial, estimates, hypers)
 
 
 @dataclass
@@ -297,10 +324,6 @@ def _check_methods(methods) -> frozenset:
     methods = frozenset(methods)
     if not methods:
         raise DataError("no methods requested")
-    bad = methods - BENCHMARK_METHODS
-    if bad:
-        names = ", ".join(sorted(m.value for m in bad))
-        raise DataError(f"unsupported benchmark methods: {names}")
     return methods
 
 
@@ -326,8 +349,8 @@ def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> Benc
     return BenchmarkResult(
         reports=reports,
         truth=truth,
-        nix_hypers=[o.nix_hyper for o in good if o.nix_hyper is not None],
-        uni_hypers=[o.uni_hyper for o in good if o.uni_hyper is not None],
+        nix_hypers=[o.hypers["nix"] for o in good if "nix" in o.hypers],
+        uni_hypers=[o.hypers["uni"] for o in good if "uni" in o.hypers],
         failures=failures,
         trials_requested=trials,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
@@ -20,13 +20,8 @@ from .core import DataError, QuadratureError
 
 __all__ = [
     "QuadratureConfig",
-    "QuadResult",
     "integrate_adaptive",
-    "log_gamma",
-    "std_normal_cdf",
     "log_normal_cdf_diff",
-    "owen_q",
-    "scaled_inv_chi_sq_logpdf",
 ]
 
 
@@ -52,11 +47,6 @@ class QuadratureConfig:
             raise DataError(
                 f"max_subdivisions = {self.max_subdivisions!r}, need integer >= 1"
             )
-
-
-class QuadResult(NamedTuple):
-    value: float
-    error: float
 
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1], symmetric).
@@ -189,24 +179,6 @@ def integrate_adaptive(
         a, b = new_a, new_b
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Raises
-    ------
-    DataError
-        If ``x`` is not a positive finite real (domain error).
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DataError(f"domain error: log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, accurate to ~1e-16 absolute over the real line."""
-    return float(_sp.ndtr(x))
-
-
 def log_normal_cdf_diff(lo, hi, width=None):
     """log(Phi(hi) - Phi(lo)) without cancellation, elementwise.
 
@@ -258,109 +230,6 @@ def log_normal_cdf_diff(lo, hi, width=None):
         # so the difference is too; the log-space subtraction above would
         # produce nan for these.
         out = np.where(np.isneginf(log_hi), -np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def owen_q(f: int, t: float, delta: float, r: float, cfg: QuadratureConfig | None = None) -> QuadResult:
-    """Integral of the normalized chi density against a shifted normal CDF.
-
-    Computes
-
-    .. math::
-
-        Q_f(t, \\delta; 0, R) = \\int_0^R
-            \\frac{\\sqrt{2\\pi}\\, y^{f-1} \\varphi(y)}
-                 {\\Gamma(f/2)\\, 2^{(f-2)/2}}
-            \\, \\Phi\\!\\left(\\frac{t y}{\\sqrt{f}} - \\delta\\right) dy,
-
-    where the y-density integrates to one over (0, inf).  ``t`` may be
-    +/-inf (the CDF factor saturates); ``r`` may be +inf, handled by the
-    substitution ``y = u / (1 - u)``.
-
-    Returns
-    -------
-    QuadResult
-        The value together with the quadrature error estimate.
-    """
-    if not isinstance(f, (int, np.integer)) or f < 1:
-        raise DataError(f"degrees of freedom f = {f!r}, need integer >= 1")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
-        raise DataError(f"delta = {delta!r}, need finite real")
-    if math.isnan(t):
-        raise DataError("t must not be NaN")
-    if not (r > 0):
-        raise DataError(f"upper limit r = {r!r}, need > 0")
-    log_norm = -_sp.gammaln(f / 2) - (f - 2) / 2 * math.log(2.0)
-    sqrt_f = math.sqrt(f)
-
-    def chi_part(y):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ll = np.where(y > 0, (f - 1) * np.log(y), -np.inf if f > 1 else 0.0)
-            return ll - 0.5 * y * y + log_norm
-
-    def cdf_part(y):
-        with np.errstate(invalid="ignore", over="ignore"):
-            arg = t * y / sqrt_f - delta
-            # t = +/-inf saturates the CDF for every y > 0
-            arg = np.where(np.isnan(arg), math.copysign(1, t) * np.inf, arg)
-        return _sp.ndtr(arg)
-
-    if math.isinf(r):
-        def integrand(u):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                y = u / (1.0 - u)
-                ll = chi_part(y) - 2.0 * np.log1p(-u)
-                return np.exp(ll) * cdf_part(y)
-        lo, hi = 0.0, 1.0
-    else:
-        def integrand(y):
-            return np.exp(chi_part(y)) * cdf_part(y)
-        lo, hi = 0.0, float(r)
-
-    value, err = integrate_adaptive(integrand, lo, hi, cfg)
-    return QuadResult(float(value[0]), float(err[0]))
-
-
-def scaled_inv_chi_sq_logpdf(sigma_sq, nu: float, sigma0_sq: float):
-    """Log density of the scaled inverse chi-squared distribution.
-
-    Parameters
-    ----------
-    sigma_sq : float or ndarray
-        Evaluation points, all > 0.
-    nu : float
-        Degrees of freedom, > 0.
-    sigma0_sq : float
-        Scale, > 0.
-
-    Notes
-    -----
-    The density is
-
-    .. math::
-
-        p(\\sigma^2) = \\frac{(\\nu \\sigma_0^2 / 2)^{\\nu/2}}{\\Gamma(\\nu/2)}
-            \\, (\\sigma^2)^{-(1 + \\nu/2)}
-            \\, e^{-\\nu \\sigma_0^2 / (2 \\sigma^2)},
-
-    with mode at ``nu * sigma0_sq / (nu + 2)``.
-    """
-    if not (nu > 0 and math.isfinite(nu)):
-        raise DataError(f"nu = {nu!r}, need finite > 0")
-    if not (sigma0_sq > 0 and math.isfinite(sigma0_sq)):
-        raise DataError(f"sigma0_sq = {sigma0_sq!r}, need finite > 0")
-    x = np.asarray(sigma_sq, dtype=float)
-    if not np.all(x > 0):
-        raise DataError("sigma_sq must be > 0 everywhere")
-    half_nu = 0.5 * nu
-    out = (
-        half_nu * math.log(half_nu * sigma0_sq)
-        - _sp.gammaln(half_nu)
-        - (half_nu + 1.0) * np.log(x)
-        - half_nu * sigma0_sq / x
-    )
     if out.ndim == 0:
         return float(out)
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special as _sp
@@ -20,7 +20,7 @@ from scipy import stats as _st
 from .core import DataError, NumericalError, SufficientStats
 from .prior_nix import NixHyperparams, nix_posterior_update
 from .prior_uni import UniHyperparams
-from .special import QuadratureConfig, owen_q
+from .special import QuadratureConfig, integrate_adaptive
 
 __all__ = [
     "numeric_marginal",
@@ -28,6 +28,8 @@ __all__ = [
     "likelihood_windows",
     "nix_posterior_windows",
     "nix_prior_density",
+    "QuadResult",
+    "owen_q",
     "uni_log_marginal_via_q",
     "SuiteResult",
     "suite_nix_likelihood",
@@ -196,6 +198,71 @@ def grid_map_argmax(
         )
     i, j = np.unravel_index(int(np.argmax(lp)), lp.shape)
     return float(mu[i]), float(s2[j])
+
+
+class QuadResult(NamedTuple):
+    value: float
+    error: float
+
+
+def owen_q(f: int, t: float, delta: float, r: float, cfg: QuadratureConfig | None = None) -> QuadResult:
+    """Integral of the normalized chi density against a shifted normal CDF.
+
+    Computes
+
+    .. math::
+
+        Q_f(t, \\delta; 0, R) = \\int_0^R
+            \\frac{\\sqrt{2\\pi}\\, y^{f-1} \\varphi(y)}
+                 {\\Gamma(f/2)\\, 2^{(f-2)/2}}
+            \\, \\Phi\\!\\left(\\frac{t y}{\\sqrt{f}} - \\delta\\right) dy,
+
+    where the y-density integrates to one over (0, inf).  ``t`` may be
+    +/-inf (the CDF factor saturates); ``r`` may be +inf, handled by the
+    substitution ``y = u / (1 - u)``.
+
+    Returns
+    -------
+    QuadResult
+        The value together with the quadrature error estimate.
+    """
+    if not isinstance(f, (int, np.integer)) or f < 1:
+        raise DataError(f"degrees of freedom f = {f!r}, need integer >= 1")
+    if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
+        raise DataError(f"delta = {delta!r}, need finite real")
+    if math.isnan(t):
+        raise DataError("t must not be NaN")
+    if not (r > 0):
+        raise DataError(f"upper limit r = {r!r}, need > 0")
+    log_norm = -_sp.gammaln(f / 2) - (f - 2) / 2 * math.log(2.0)
+    sqrt_f = math.sqrt(f)
+
+    def chi_part(y):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ll = np.where(y > 0, (f - 1) * np.log(y), -np.inf if f > 1 else 0.0)
+            return ll - 0.5 * y * y + log_norm
+
+    def cdf_part(y):
+        with np.errstate(invalid="ignore", over="ignore"):
+            arg = t * y / sqrt_f - delta
+            # t = +/-inf saturates the CDF for every y > 0
+            arg = np.where(np.isnan(arg), math.copysign(1, t) * np.inf, arg)
+        return _sp.ndtr(arg)
+
+    if math.isinf(r):
+        def integrand(u):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                y = u / (1.0 - u)
+                ll = chi_part(y) - 2.0 * np.log1p(-u)
+                return np.exp(ll) * cdf_part(y)
+        lo, hi = 0.0, 1.0
+    else:
+        def integrand(y):
+            return np.exp(chi_part(y)) * cdf_part(y)
+        lo, hi = 0.0, float(r)
+
+    value, err = integrate_adaptive(integrand, lo, hi, cfg)
+    return QuadResult(float(value[0]), float(err[0]))
 
 
 def uni_log_marginal_via_q(

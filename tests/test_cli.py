@@ -6,9 +6,10 @@ import pytest
 
 import mpme.cli as cli
 from mpme.cli import cli_main
-from mpme.core import NumericalError, PopulationSample
-from mpme.dataio import DatasetFile, save_dataset
-from mpme.experiments import standin_dataset
+import mpme.experiments as experiments
+from mpme.core import NumericalError, PopulationSample, sufficient_stats
+from mpme.dataio import DatasetFile, load_dataset, save_dataset
+from mpme.experiments import METHOD_NAMES, estimate_populations, standin_dataset
 from mpme.verify import SuiteResult
 
 
@@ -107,6 +108,28 @@ def test_estimate_uni_prior(tmp_path, capsys):
         assert h["c"] <= row["sigma_sq"] <= h["d"]
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--prior", "sample"], "sample"),
+        (["--prior", "nix"], "nix"),
+        (["--prior", "nix", "--unbiased-variance"], "nix-unbiased"),
+        (["--prior", "uni"], "uni"),
+    ],
+    ids=["sample", "nix", "nix-unbiased", "uni"],
+)
+def test_estimate_matches_shared_estimators(clustered_csv, capsys, flags, name):
+    # The CLI and the benchmark harness compute one estimator per name.
+    assert cli_main(["estimate", "--input", str(clustered_csv)] + flags) == 0
+    doc = json.loads(capsys.readouterr().out)
+    method = METHOD_NAMES[name]
+    assert doc["method"] == method.value
+    stats = [sufficient_stats(p) for p in load_dataset(clustered_csv).populations]
+    estimates, _ = estimate_populations([method], stats, stats)
+    rows = [(row["mu"], row["sigma_sq"]) for row in doc["estimates"]]
+    assert rows == [(e.mu, e.sigma_sq) for e in estimates[method]]
+
+
 def test_estimate_prune_reports_to_stderr(tmp_path, capsys):
     rng = np.random.default_rng(1)
     pops = [
@@ -154,7 +177,7 @@ def test_estimate_numerical_failure_exits_3(clustered_csv, monkeypatch, capsys):
     def broken(stats_list, optim_cfg=None):
         raise NumericalError("forced failure")
 
-    monkeypatch.setattr(cli, "learn_nix", broken)
+    monkeypatch.setattr(experiments, "learn_nix", broken)
     assert cli_main(["estimate", "--input", str(clustered_csv), "--prior", "nix"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -72,8 +72,7 @@ def test_method_enum_wire_values():
     assert Method.MPME_NIX.value == "mpme-nix"
     assert Method.MPME_NIX_UNBIASED.value == "mpme-nix-unbiased"
     assert Method.MPME_UNI.value == "mpme-uni"
-    assert Method.POOLED_MEAN.value == "pooled-mean"
-    assert Method.POOLED_VAR.value == "pooled-var"
+    assert len(Method) == 4
 
 
 def test_moment_estimate_validation():
@@ -86,10 +85,26 @@ def test_moment_estimate_validation():
 
 
 def test_error_report_aggregation():
-    rep = ErrorReport.from_per_population(
-        mu_rmse=[0.1, 0.3], var_rmse=[0.2, 0.6], trials=7
+    rep = ErrorReport(
+        per_population_mu_rmse=[0.1, 0.3], per_population_var_rmse=[0.2, 0.6], trials=7
     )
     assert rep.eps_mu == pytest.approx(0.2, rel=1e-15)
     assert rep.eps_sigma_sq == pytest.approx(0.4, rel=1e-15)
     assert rep.trials == 7
     assert np.allclose(rep.per_population_mu_rmse, (0.1, 0.3))
+
+
+@pytest.mark.parametrize(
+    "mu_rmse, var_rmse, trials",
+    [
+        ([0.1], [0.2], 0),
+        ([], [], 1),
+        ([0.1, 0.2], [0.2], 1),
+        ([math.nan], [0.2], 1),
+        ([0.1], [math.inf], 1),
+        ([-0.1], [0.2], 1),
+    ],
+)
+def test_error_report_validation(mu_rmse, var_rmse, trials):
+    with pytest.raises(DataError):
+        ErrorReport(mu_rmse, var_rmse, trials)

@@ -166,12 +166,27 @@ def test_run_benchmark_bit_identical_across_threads():
 
 
 def test_run_benchmark_rejects_bad_methods():
-    with pytest.raises(DataError, match="unsupported benchmark methods"):
-        run_benchmark(_cfg(), [Method.POOLED_MEAN])
     with pytest.raises(DataError, match="no methods requested"):
         run_benchmark(_cfg(), [])
     with pytest.raises(DataError):
         run_benchmark(_cfg(), [Method.SAMPLE_EST], threads=0)
+
+
+def test_nix_learned_once_per_trial_for_both_nix_methods(monkeypatch):
+    calls = []
+    original = experiments.learn_nix
+
+    def counting(stats_list, optim_cfg=None):
+        calls.append(len(stats_list))
+        return original(stats_list, optim_cfg)
+
+    monkeypatch.setattr(experiments, "learn_nix", counting)
+    result = run_benchmark_detailed(
+        _cfg(populations=6), [Method.MPME_NIX, Method.MPME_NIX_UNBIASED]
+    )
+    assert calls == [6, 6, 6]
+    assert len(result.nix_hypers) == 3
+    assert set(result.reports) == {Method.MPME_NIX, Method.MPME_NIX_UNBIASED}
 
 
 def test_run_benchmark_aborts_when_too_many_trials_fail(monkeypatch):

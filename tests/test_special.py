@@ -4,38 +4,11 @@ import numpy as np
 import pytest
 
 from mpme.core import DataError, QuadratureError
-from mpme.special import (
-    QuadratureConfig,
-    integrate_adaptive,
-    log_gamma,
-    log_normal_cdf_diff,
-    owen_q,
-    scaled_inv_chi_sq_logpdf,
-    std_normal_cdf,
-)
+from mpme.special import QuadratureConfig, integrate_adaptive, log_normal_cdf_diff
+from mpme.verify import owen_q
 
 # Expected values below were frozen from a 60-120 decimal-digit
 # arbitrary-precision evaluation of the defining formulas.
-
-
-def test_std_normal_cdf_frozen():
-    assert std_normal_cdf(1.0) == pytest.approx(0.84134474606854294859, rel=1e-15)
-    assert std_normal_cdf(-3.5) == pytest.approx(0.00023262907903552503635, rel=1e-13)
-    assert std_normal_cdf(0.0) == 0.5
-    assert std_normal_cdf(math.inf) == 1.0
-    assert std_normal_cdf(-math.inf) == 0.0
-
-
-def test_log_gamma_frozen():
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
-    assert log_gamma(1) == 0.0
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-def test_log_gamma_domain(bad):
-    with pytest.raises(DataError):
-        log_gamma(bad)
 
 
 def test_log_normal_cdf_diff_frozen():
@@ -160,6 +133,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(max_subdivisions=2.5)
 
 
+# owen_q lives in verify, its only user; its frozen values stay beside the
+# other quadrature tests.
+
+
 def test_owen_q_frozen():
     assert owen_q(3, 1.5, 0.5, 2.0).value == pytest.approx(
         0.52959299849229960573, rel=1e-10
@@ -199,40 +176,3 @@ def test_owen_q_validation():
         owen_q(3, 1.0, 0.0, 0.0)
     with pytest.raises(DataError):
         owen_q(3, 1.0, 0.0, -2.0)
-
-
-def test_scaled_inv_chi_sq_logpdf_frozen():
-    assert scaled_inv_chi_sq_logpdf(1.0, 1.0, 1.0) == pytest.approx(
-        -1.4189385332046727418, rel=1e-14
-    )
-    assert scaled_inv_chi_sq_logpdf(2.0, 3.0, 1.5) == pytest.approx(
-        -1.5206903894401249053, rel=1e-14
-    )
-
-
-def test_scaled_inv_chi_sq_logpdf_mode():
-    nu, s0 = 4.0, 2.5
-    mode = nu * s0 / (nu + 2.0)
-    at_mode = scaled_inv_chi_sq_logpdf(mode, nu, s0)
-    assert at_mode > scaled_inv_chi_sq_logpdf(mode * 1.01, nu, s0)
-    assert at_mode > scaled_inv_chi_sq_logpdf(mode * 0.99, nu, s0)
-
-
-def test_scaled_inv_chi_sq_logpdf_normalized():
-    # Tail mass above the cutoff decays like x**-2.5 and is ~3e-9 at 1e6.
-    value, _ = integrate_adaptive(
-        lambda x: np.exp(scaled_inv_chi_sq_logpdf(x, 3.0, 1.5)), 1e-8, 1e6
-    )
-    assert value[0] == pytest.approx(1.0, abs=1e-7)
-
-
-def test_scaled_inv_chi_sq_logpdf_vector_and_validation():
-    out = scaled_inv_chi_sq_logpdf(np.array([1.0, 2.0]), 3.0, 1.5)
-    assert out.shape == (2,)
-    assert out[1] == pytest.approx(-1.5206903894401249053, rel=1e-14)
-    with pytest.raises(DataError):
-        scaled_inv_chi_sq_logpdf(1.0, 0.0, 1.0)
-    with pytest.raises(DataError):
-        scaled_inv_chi_sq_logpdf(1.0, 1.0, -1.0)
-    with pytest.raises(DataError):
-        scaled_inv_chi_sq_logpdf(0.0, 1.0, 1.0)
