@@ -47,7 +47,8 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
             known = ", ".join(sorted(METHOD_NAMES))
             raise argparse.ArgumentTypeError(f"unknown method {name!r}; known: {known}")
         methods.append(METHOD_NAMES[name])
-    return tuple(methods)
+    # A repeated name runs once, so the recorded config lists it once.
+    return tuple(dict.fromkeys(methods))
 
 
 def _parse_format(name: str) -> DataFormat:
@@ -80,7 +81,10 @@ def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _cmd_estimate(args) -> int:
@@ -112,7 +116,6 @@ def _cmd_estimate(args) -> int:
             "prior": args.prior,
             "unbiased_variance": bool(args.unbiased_variance),
             "prune_outliers": args.prune_outliers,
-            "seed": args.seed,
         },
         "method": method.value,
         "hyperparameters": None if hyper is None else asdict(hyper),
@@ -175,8 +178,7 @@ def _cmd_synth(args) -> int:
     result = run_benchmark_detailed(
         cfg,
         args.methods,
-        prune=args.prune_outliers is not None,
-        prune_k=args.prune_outliers if args.prune_outliers is not None else 5.0,
+        prune_k=args.prune_outliers,
         threads=_resolve_threads(args),
     )
     config = {
@@ -247,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the MAP mode; sample and uni always report the unbiased plug-in",
     )
     est.add_argument("--prune-outliers", type=float, metavar="K", default=None)
-    est.add_argument("--seed", type=int, default=0, help="recorded in the report")
     est.add_argument("--output", default=None, help="output path; default stdout")
     est.set_defaults(handler=_cmd_estimate)
 

@@ -152,6 +152,8 @@ def _parse_json(text: str, origin: str) -> DatasetFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{origin}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise DataError(f"{origin}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("populations"), list):
         raise DataError(f"{origin}: expected an object with a 'populations' list")
     schema = doc.get("schema", DATASET_SCHEMA)
@@ -167,13 +169,20 @@ def _parse_json(text: str, origin: str) -> DatasetFile:
             raise DataError(
                 f"{origin}: populations[{i}] must be an object with 'id' and 'values'"
             )
-        vals = entry["values"]
-        for j, v in enumerate(vals):
+        values = []
+        for j, v in enumerate(entry["values"]):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise DataError(
                     f"{origin}: invalid datum at populations[{i}].values[{j}]: {v!r}"
                 )
-        pops.append(PopulationSample(id=entry["id"], values=tuple(float(v) for v in vals)))
+            try:
+                values.append(float(v))
+            except OverflowError:
+                raise DataError(
+                    f"{origin}: invalid datum at populations[{i}].values[{j}]: "
+                    "integer too large for a float"
+                ) from None
+        pops.append(PopulationSample(id=entry["id"], values=tuple(values)))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataError(f"{origin}: metadata must be an object of strings")
@@ -192,8 +201,9 @@ def load_dataset(path, format: DataFormat | None = None) -> DatasetFile:
     Raises
     ------
     DataError
-        Malformed rows (with line number), duplicate population ids, or
-        any population with fewer than two values.
+        An unreadable or non-UTF-8 file, malformed rows (with line
+        number), duplicate population ids, or any population with fewer
+        than two values.
     """
     path = Path(path)
     fmt = format or _infer_format(path)
@@ -201,6 +211,10 @@ def load_dataset(path, format: DataFormat | None = None) -> DatasetFile:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     if fmt is DataFormat.CSV:
         return _parse_csv(text, str(path))
     return _parse_json(text, str(path))

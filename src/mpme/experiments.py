@@ -23,10 +23,8 @@ from .core import (
     sufficient_stats,
 )
 from .estimators import sample_estimate
-from .optim import OptimConfig
 from .prior_nix import NixHyperparams, VarianceMode, learn_nix, nix_map
 from .prior_uni import UniHyperparams, learn_uni, uni_map
-from .special import QuadratureConfig
 
 __all__ = [
     "ESTIMATORS",
@@ -67,8 +65,6 @@ def estimate_populations(
     methods,
     stats_list: Sequence[SufficientStats],
     learn_stats: Sequence[SufficientStats],
-    optim_cfg: OptimConfig | None = None,
-    quad_cfg: QuadratureConfig | None = None,
 ) -> tuple[dict[Method, list[MomentEstimate]], dict[str, NixHyperparams | UniHyperparams]]:
     """Estimate every population's moments by each requested method.
 
@@ -84,9 +80,9 @@ def estimate_populations(
     for method in [m for m in ESTIMATORS if m in methods]:
         _, prior, map_rule = ESTIMATORS[method]
         if prior == "nix" and prior not in hypers:
-            hypers[prior] = learn_nix(learn_stats, optim_cfg)
+            hypers[prior] = learn_nix(learn_stats)
         elif prior == "uni" and prior not in hypers:
-            hypers[prior] = learn_uni(learn_stats, optim_cfg, quad_cfg)
+            hypers[prior] = learn_uni(learn_stats)
         estimates[method] = [map_rule(s, hypers.get(prior)) for s in stats_list]
     return estimates, hypers
 
@@ -256,10 +252,7 @@ def induced_correlation(sigma: float, sigma0: float) -> float:
 @dataclass(frozen=True)
 class _TrialSpec:
     methods: frozenset
-    optim_cfg: OptimConfig | None
-    quad_cfg: QuadratureConfig | None
-    prune: bool
-    prune_k: float
+    prune_k: float | None = None
     synth: SyntheticConfig | None = None
     dataset: tuple[tuple[float, ...], ...] | None = None
     n_sub: int = 0
@@ -291,12 +284,10 @@ def _trial_stats(spec: _TrialSpec, trial: int) -> list[SufficientStats]:
 def _run_trial(spec: _TrialSpec, trial: int) -> _TrialOutcome:
     stats_list = _trial_stats(spec, trial)
     learn_stats = stats_list
-    if spec.prune:
+    if spec.prune_k is not None:
         learn_stats, _ = prune_outliers(stats_list, spec.prune_k)
     try:
-        estimates, hypers = estimate_populations(
-            spec.methods, stats_list, learn_stats, spec.optim_cfg, spec.quad_cfg
-        )
+        estimates, hypers = estimate_populations(spec.methods, stats_list, learn_stats)
     except NumericalError as exc:
         return _TrialOutcome(trial, None, failure=f"trial {trial}: {exc}")
     return _TrialOutcome(trial, estimates, hypers)
@@ -359,10 +350,8 @@ def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> Benc
 def run_benchmark_detailed(
     cfg: SyntheticConfig,
     methods,
-    optim_cfg: OptimConfig | None = None,
-    quad_cfg: QuadratureConfig | None = None,
-    prune: bool = False,
-    prune_k: float = 5.0,
+    *,
+    prune_k: float | None = None,
     threads: int | None = None,
 ) -> BenchmarkResult:
     """Paired Monte Carlo benchmark over synthetic data.
@@ -371,26 +360,26 @@ def run_benchmark_detailed(
     A trial whose prior learning fails is excluded from all methods'
     aggregates; more than 5% failed trials aborts the run.  Results are
     bit-identical for any ``threads`` value.
+
+    With ``prune_k`` set, each trial learns its priors only from the
+    populations :func:`prune_outliers` keeps at that ``k``, and still
+    estimates every population; ``None`` turns pruning off.
     """
     methods = _check_methods(methods)
     truth, _ = generate_synthetic(cfg, 0)
-    spec = _TrialSpec(methods, optim_cfg, quad_cfg, prune, prune_k, synth=cfg)
+    spec = _TrialSpec(methods, prune_k, synth=cfg)
     return _execute(spec, cfg.trials, truth, threads)
 
 
 def run_benchmark(
     cfg: SyntheticConfig,
     methods,
-    optim_cfg: OptimConfig | None = None,
-    quad_cfg: QuadratureConfig | None = None,
-    prune: bool = False,
-    prune_k: float = 5.0,
+    *,
+    prune_k: float | None = None,
     threads: int | None = None,
 ) -> dict[Method, ErrorReport]:
     """Like :func:`run_benchmark_detailed` but returning only the reports."""
-    return run_benchmark_detailed(
-        cfg, methods, optim_cfg, quad_cfg, prune, prune_k, threads
-    ).reports
+    return run_benchmark_detailed(cfg, methods, prune_k=prune_k, threads=threads).reports
 
 
 def bootstrap_benchmark_detailed(
@@ -399,8 +388,7 @@ def bootstrap_benchmark_detailed(
     trials: int,
     seed: int,
     methods,
-    optim_cfg: OptimConfig | None = None,
-    quad_cfg: QuadratureConfig | None = None,
+    *,
     threads: int | None = None,
 ) -> BenchmarkResult:
     """Subsampling benchmark against full-sample moments as ground truth.
@@ -429,14 +417,7 @@ def bootstrap_benchmark_detailed(
         sigma=tuple(math.sqrt(s.var_unbiased) for s in full),
     )
     spec = _TrialSpec(
-        methods,
-        optim_cfg,
-        quad_cfg,
-        prune=False,
-        prune_k=5.0,
-        dataset=tuple(p.values for p in dataset),
-        n_sub=n_sub,
-        seed=seed,
+        methods, dataset=tuple(p.values for p in dataset), n_sub=n_sub, seed=seed
     )
     return _execute(spec, trials, truth, threads)
 
@@ -447,13 +428,12 @@ def bootstrap_benchmark(
     trials: int,
     seed: int,
     methods,
-    optim_cfg: OptimConfig | None = None,
-    quad_cfg: QuadratureConfig | None = None,
+    *,
     threads: int | None = None,
 ) -> dict[Method, ErrorReport]:
     """Like :func:`bootstrap_benchmark_detailed` but returning only the reports."""
     return bootstrap_benchmark_detailed(
-        dataset, n_sub, trials, seed, methods, optim_cfg, quad_cfg, threads
+        dataset, n_sub, trials, seed, methods, threads=threads
     ).reports
 
 

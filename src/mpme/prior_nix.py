@@ -32,7 +32,7 @@ from .core import (
     OptimizationError,
     SufficientStats,
 )
-from .optim import OptimConfig, OptimResult, maximize
+from .optim import maximize
 
 __all__ = [
     "NixHyperparams",
@@ -168,10 +168,7 @@ def _hyper_from_point(z) -> NixHyperparams:
     )
 
 
-def learn_nix(
-    stats_list: Sequence[SufficientStats],
-    optim_cfg: OptimConfig | None = None,
-) -> NixHyperparams:
+def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
     """Learn NIX hyperparameters by type-II maximum likelihood.
 
     Maximizes the marginal likelihood over (mu0, log kappa0, log nu0,
@@ -202,7 +199,7 @@ def learn_nix(
         # scale-appropriate floor instead of log(0).
         s0_init = 1e-12 * max(1.0, mu0_init * mu0_init)
     init = [mu0_init, 0.0, 0.0, math.log(s0_init)]
-    result = maximize(objective, init, optim_cfg or OptimConfig())
+    result = maximize(objective, init)
     if not result.converged:
         raise OptimizationError(
             "learn_nix did not converge",

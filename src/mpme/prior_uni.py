@@ -25,9 +25,9 @@ from .core import (
     OptimizationError,
     SufficientStats,
 )
-from .optim import OptimConfig, maximize
+from .optim import maximize
 from .prior_nix import _stats_arrays
-from .special import QuadratureConfig, integrate_adaptive, log_normal_cdf_diff
+from .special import integrate_adaptive, log_normal_cdf_diff
 
 __all__ = [
     "UniHyperparams",
@@ -64,7 +64,6 @@ def _log_sigma_integrals(
     xbar: np.ndarray,
     var: np.ndarray,
     hyper: UniHyperparams,
-    cfg: QuadratureConfig,
 ) -> np.ndarray:
     """Per-population log of the sigma^2 integral over [c, d].
 
@@ -131,15 +130,13 @@ def _log_sigma_integrals(
     def integrand(u):
         return np.exp(log_f(u + t_lo) - safe_shift[:, None])
 
-    value, _err = integrate_adaptive(integrand, 0.0, dt, cfg)
+    value, _err = integrate_adaptive(integrand, 0.0, dt)
     with np.errstate(divide="ignore"):
         return safe_shift + np.log(value)
 
 
 def uni_log_marginal_likelihood(
-    stats_list: Sequence[SufficientStats],
-    hyper: UniHyperparams,
-    cfg: QuadratureConfig | None = None,
+    stats_list: Sequence[SufficientStats], hyper: UniHyperparams
 ) -> float:
     """Log marginal likelihood of all populations under the box prior.
 
@@ -156,9 +153,8 @@ def uni_log_marginal_likelihood(
     QuadratureError
         If adaptive quadrature fails to converge; carries partial results.
     """
-    cfg = cfg or QuadratureConfig()
     n, xbar, var = _stats_arrays(stats_list)
-    log_int = _log_sigma_integrals(n, xbar, var, hyper, cfg)
+    log_int = _log_sigma_integrals(n, xbar, var, hyper)
     log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
     if np.any(np.isneginf(log_int)):
         dead = [i for i in range(len(n)) if np.isneginf(log_int[i])]
@@ -188,11 +184,7 @@ def _box_from_point(z) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
-def learn_uni(
-    stats_list: Sequence[SufficientStats],
-    optim_cfg: OptimConfig | None = None,
-    quad_cfg: QuadratureConfig | None = None,
-) -> UniHyperparams:
+def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     """Learn the box bounds by type-II maximum likelihood.
 
     Optimizes over (m, log w, log c, log(d - c)) with a = m - w/2 and
@@ -227,7 +219,6 @@ def learn_uni(
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
-    quad_cfg = quad_cfg or QuadratureConfig()
     n, xbar, var = _stats_arrays(stats_list)
 
     se = np.sqrt(var / n)
@@ -249,12 +240,12 @@ def learn_uni(
         hyper = UniHyperparams(a=a, b=b, c=c, d=d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            return uni_log_marginal_likelihood(stats_list, hyper, quad_cfg)
+            return uni_log_marginal_likelihood(stats_list, hyper)
 
     scale_w = max(span, 2.0 * pad)
     scale_v = v0
 
-    result = maximize(objective, init, optim_cfg or OptimConfig())
+    result = maximize(objective, init)
     a, b, c, d = _box_from_point(result.point)
     if (b - a) < 1e-6 * scale_w or (d - c) < 1e-6 * scale_v:
         collapsed = (b - a, d - c)

@@ -20,7 +20,7 @@ from scipy import stats as _st
 from .core import DataError, NumericalError, SufficientStats
 from .prior_nix import NixHyperparams, nix_posterior_update
 from .prior_uni import UniHyperparams
-from .special import QuadratureConfig, integrate_adaptive
+from .special import integrate_adaptive
 
 __all__ = [
     "numeric_marginal",
@@ -205,7 +205,7 @@ class QuadResult(NamedTuple):
     error: float
 
 
-def owen_q(f: int, t: float, delta: float, r: float, cfg: QuadratureConfig | None = None) -> QuadResult:
+def owen_q(f: int, t: float, delta: float, r: float) -> QuadResult:
     """Integral of the normalized chi density against a shifted normal CDF.
 
     Computes
@@ -261,14 +261,12 @@ def owen_q(f: int, t: float, delta: float, r: float, cfg: QuadratureConfig | Non
             return np.exp(chi_part(y)) * cdf_part(y)
         lo, hi = 0.0, float(r)
 
-    value, err = integrate_adaptive(integrand, lo, hi, cfg)
+    value, err = integrate_adaptive(integrand, lo, hi)
     return QuadResult(float(value[0]), float(err[0]))
 
 
 def uni_log_marginal_via_q(
-    stats_list: Sequence[SufficientStats],
-    hyper: UniHyperparams,
-    cfg: QuadratureConfig | None = None,
+    stats_list: Sequence[SufficientStats], hyper: UniHyperparams
 ) -> float:
     """UNI log marginal likelihood through the truncated-Q decomposition.
 
@@ -294,10 +292,10 @@ def uni_log_marginal_via_q(
         r_c = math.sqrt(scatter / hyper.c)
         r_d = math.sqrt(scatter / hyper.d)
         comb = (
-            owen_q(f, t_b, 0.0, r_c, cfg).value
-            - owen_q(f, t_a, 0.0, r_c, cfg).value
-            - owen_q(f, t_b, 0.0, r_d, cfg).value
-            + owen_q(f, t_a, 0.0, r_d, cfg).value
+            owen_q(f, t_b, 0.0, r_c).value
+            - owen_q(f, t_a, 0.0, r_c).value
+            - owen_q(f, t_b, 0.0, r_d).value
+            + owen_q(f, t_a, 0.0, r_d).value
         )
         if comb <= 0:
             return -math.inf

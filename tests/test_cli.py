@@ -174,7 +174,7 @@ def test_estimate_data_errors_exit_2(tmp_path, capsys):
 
 
 def test_estimate_numerical_failure_exits_3(clustered_csv, monkeypatch, capsys):
-    def broken(stats_list, optim_cfg=None):
+    def broken(stats_list):
         raise NumericalError("forced failure")
 
     monkeypatch.setattr(experiments, "learn_nix", broken)
@@ -198,6 +198,34 @@ def test_synth_sample_only_report(capsys):
     assert rep["eps_mu"] > 0
     assert len(rep["per_population_mu_rmse"]) == 4
     assert doc["failed_trials"] == 0
+
+
+def test_synth_repeated_method_recorded_once(capsys):
+    code = cli_main(
+        ["synth", "--pops", "4", "--n", "5", "--trials", "1", "--methods", "sample,sample"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["methods"] == ["sample"]
+    assert list(doc["reports"]) == ["sample"]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    code = cli_main(
+        ["synth", "--pops", "4", "--n", "5", "--trials", "1", "--methods", "sample",
+         "--output", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "cannot write" in err
+
+
+def test_estimate_has_no_seed_option(clustered_csv, capsys):
+    argv = ["estimate", "--input", str(clustered_csv), "--prior", "sample"]
+    assert cli_main(argv + ["--seed", "1"]) == 1
+    assert cli_main(argv) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)["config"]
 
 
 def test_synth_example_2_ranges(capsys):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mpme.cli import cli_main
 from mpme.core import DataError, PopulationSample
 from mpme.dataio import (
     DATASET_SCHEMA,
@@ -159,6 +160,27 @@ def test_json_error_messages(tmp_path):
     path.write_text('{"populations": [{"id": "a", "values": [1.0, 2.0]}], "metadata": 3}')
     with pytest.raises(DataError, match="metadata"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "name, payload, match",
+    [
+        ("bytes.csv", b"population,value\na,\xff\xfe", "not UTF-8"),
+        (
+            "huge.json",
+            b'{"populations": [{"id": "a", "values": [1.0, ' + b"9" * 400 + b"]}]}",
+            r"populations\[0\]\.values\[1\]",
+        ),
+        ("digits.json", b'{"populations": [' + b"1" * 5000 + b"]}", "invalid JSON"),
+    ],
+)
+def test_malformed_bytes_are_data_errors(tmp_path, capsys, name, payload, match):
+    path = tmp_path / name
+    path.write_bytes(payload)
+    with pytest.raises(DataError, match=match):
+        load_dataset(path)
+    assert cli_main(["estimate", "--input", str(path), "--prior", "sample"]) == 2
+    assert "data error" in capsys.readouterr().err
 
 
 def test_json_schema_tag_optional_on_load(tmp_path):

@@ -176,9 +176,9 @@ def test_nix_learned_once_per_trial_for_both_nix_methods(monkeypatch):
     calls = []
     original = experiments.learn_nix
 
-    def counting(stats_list, optim_cfg=None):
+    def counting(stats_list):
         calls.append(len(stats_list))
-        return original(stats_list, optim_cfg)
+        return original(stats_list)
 
     monkeypatch.setattr(experiments, "learn_nix", counting)
     result = run_benchmark_detailed(
@@ -189,8 +189,37 @@ def test_nix_learned_once_per_trial_for_both_nix_methods(monkeypatch):
     assert set(result.reports) == {Method.MPME_NIX, Method.MPME_NIX_UNBIASED}
 
 
+def test_pruning_learns_from_kept_populations_and_scores_all(monkeypatch):
+    calls = []
+    original = experiments.learn_nix
+
+    def counting(stats_list):
+        calls.append(len(stats_list))
+        return original(stats_list)
+
+    monkeypatch.setattr(experiments, "learn_nix", counting)
+    cfg = _cfg(populations=8, trials=4, seed=3)
+    methods = [Method.SAMPLE_EST, Method.MPME_NIX]
+    plain = run_benchmark_detailed(cfg, methods)
+    assert calls == [8] * 4
+    calls.clear()
+    pruned = run_benchmark_detailed(cfg, methods, prune_k=0.5)
+    assert len(calls) == 4 and all(c <= 8 for c in calls) and min(calls) < 8
+    for result in (plain, pruned):
+        for report in result.reports.values():
+            assert len(report.per_population_mu_rmse) == 8
+            assert len(report.per_population_var_rmse) == 8
+
+
+def test_benchmark_settings_are_keyword_only():
+    with pytest.raises(TypeError):
+        run_benchmark(_cfg(), [Method.SAMPLE_EST], 5.0)
+    with pytest.raises(TypeError):
+        bootstrap_benchmark(standin_dataset(), 5, 2, 0, [Method.SAMPLE_EST], 1)
+
+
 def test_run_benchmark_aborts_when_too_many_trials_fail(monkeypatch):
-    def broken(stats_list, optim_cfg=None):
+    def broken(stats_list):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(experiments, "learn_nix", broken)
