@@ -121,15 +121,22 @@ def sufficient_stats(sample: PopulationSample) -> SufficientStats:
     Raises
     ------
     DataError
-        If the sample has fewer than two values.
+        If the sample has fewer than two values, or values so large that
+        their sum or squared deviations overflow a float.
     """
     n = len(sample.values)
     if n < 2:
         raise DataError(
             f"insufficient sample: population {sample.id!r} has n = {n}, need n >= 2"
         )
-    mean = math.fsum(sample.values) / n
-    ss = math.fsum((v - mean) ** 2 for v in sample.values)
+    try:
+        mean = math.fsum(sample.values) / n
+        ss = math.fsum((v - mean) ** 2 for v in sample.values)
+    except OverflowError:
+        raise DataError(
+            f"invalid datum: population {sample.id!r} has values whose sum or "
+            "squared deviations overflow a float"
+        ) from None
     return SufficientStats(n=n, mean=mean, var_unbiased=ss / (n - 1))
 
 

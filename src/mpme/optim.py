@@ -73,39 +73,58 @@ def _check_value(fx: float, x: np.ndarray) -> float:
 
 
 def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig):
-    """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged, values_per_iter)."""
+    """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged, values_per_iter).
+
+    Vertices and values are kept as Python floats, which is several times
+    cheaper than small-array arithmetic for the few dimensions used here;
+    each vertex is handed to ``neg_f`` as an array.  The centroid is a
+    sequential sum from 0.0 divided by ``dim``, as ``mean(axis=0)``
+    computes it, so every vertex keeps the bits of the array arithmetic.
+    """
     dim = len(x0)
-    simplex = [x0.copy()]
+
+    def evaluate(v):
+        x = np.array(v)
+        return _check_value(neg_f(x), x)
+
+    simplex = [x0.tolist()]
     for i in range(dim):
-        v = x0.copy()
+        v = x0.tolist()
         v[i] += scale * max(1.0, abs(v[i]))
         simplex.append(v)
-    simplex = np.array(simplex)
-    values = np.array([_check_value(neg_f(v), v) for v in simplex])
+    values = [evaluate(v) for v in simplex]
 
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
     best_per_iter = []
     iterations = 0
     converged = False
     for iterations in range(cfg.max_iters + 1):
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
+        # A stable sort: tied vertices keep their order.
+        order = sorted(range(dim + 1), key=values.__getitem__)
+        simplex = [simplex[k] for k in order]
+        values = [values[k] for k in order]
+        best = simplex[0]
         best_per_iter.append(values[0])
-        diameter = np.max(np.abs(simplex[1:] - simplex[0]))
-        finite = np.isfinite(values)
-        spread = values[-1] - values[0] if finite.all() else math.inf
+        diameter = max([abs(p - b) for v in simplex[1:] for p, b in zip(v, best)])
+        # The values are sorted, so the ends are finite only if all are.
+        finite = math.isfinite(values[0]) and math.isfinite(values[-1])
+        spread = values[-1] - values[0] if finite else math.inf
         if diameter < cfg.x_tol or spread < cfg.f_tol:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
 
-        centroid = simplex[:-1].mean(axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = _check_value(neg_f(xr), xr)
+        centroid = [0.0] * dim
+        for v in simplex[:-1]:
+            centroid = [c + p for c, p in zip(centroid, v)]
+        centroid = [c / dim for c in centroid]
+        worst = simplex[-1]
+        xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
+        fr = evaluate(xr)
         if fr < values[0]:
-            xe = centroid + gamma * (xr - centroid)
-            fe = _check_value(neg_f(xe), xe)
+            xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
+            fe = evaluate(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
             else:
@@ -114,18 +133,18 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig
             simplex[-1], values[-1] = xr, fr
         else:
             if fr < values[-1]:
-                xc = centroid + beta * (xr - centroid)
+                xc = [c + beta * (r - c) for c, r in zip(centroid, xr)]
             else:
-                xc = centroid - beta * (centroid - simplex[-1])
-            fc = _check_value(neg_f(xc), xc)
+                xc = [c - beta * (c - w) for c, w in zip(centroid, worst)]
+            fc = evaluate(xc)
             if fc < min(fr, values[-1]):
                 simplex[-1], values[-1] = xc, fc
             else:
                 for k in range(1, dim + 1):
-                    simplex[k] = simplex[0] + delta * (simplex[k] - simplex[0])
-                    values[k] = _check_value(neg_f(simplex[k]), simplex[k])
-    i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best], iterations, converged, best_per_iter
+                    simplex[k] = [b + delta * (p - b) for b, p in zip(best, simplex[k])]
+                    values[k] = evaluate(simplex[k])
+    i_best = min(range(dim + 1), key=values.__getitem__)
+    return np.array(simplex[i_best]), values[i_best], iterations, converged, best_per_iter
 
 
 def maximize(

@@ -109,7 +109,28 @@ def _stats_arrays(stats_list: Sequence[SufficientStats]):
     return n, xbar, var
 
 
-def _nix_log_marginal(n, xbar, var, mu0, kappa0, nu0, sigma0_sq) -> float:
+class _NixData:
+    """The hyperparameter-free parts of the NIX marginal for one dataset.
+
+    ``n`` takes few distinct values, so every term that depends on a
+    population only through ``n`` is evaluated per distinct size and
+    gathered back through ``size_index``.
+    """
+
+    __slots__ = ("n", "xbar", "scatter", "half_n", "half_n_log_pi",
+                 "sizes", "half_sizes", "lgamma_half_sizes", "size_index")
+
+    def __init__(self, n, xbar, var):
+        self.n, self.xbar = n, xbar
+        self.scatter = (n - 1.0) * var
+        self.half_n = 0.5 * n
+        self.half_n_log_pi = self.half_n * _LOG_PI
+        self.sizes, self.size_index = np.unique(n, return_inverse=True)
+        self.half_sizes = 0.5 * self.sizes
+        self.lgamma_half_sizes = _sp.gammaln(self.half_sizes)
+
+
+def _nix_log_marginal(data: _NixData, mu0, kappa0, nu0, sigma0_sq) -> float:
     """Sum over populations of the closed-form log marginal likelihood.
 
     Algebraically equal to
@@ -122,24 +143,30 @@ def _nix_log_marginal(n, xbar, var, mu0, kappa0, nu0, sigma0_sq) -> float:
     near-cancelling logarithm: the lgamma difference goes through betaln
     and the (nu0/2) log ratio through log1p.  This keeps the value exact
     in the flat large-kappa0 / large-nu0 regime the optimizer explores.
+
+    prior_ss can underflow to 0 while the optimizer probes the
+    sigma0_sq -> 0 corner; the resulting -inf (or NaN at a = 0) is the
+    honest value there and is handled by the caller, which also decides
+    how numpy reports the division by zero.
     """
     prior_ss = nu0 * sigma0_sq
-    half_n = 0.5 * n
-    between = n * (mu0 - xbar) ** 2 / (1.0 + n / kappa0)
-    a = (n - 1.0) * var + between
-    # prior_ss can underflow to 0 while the optimizer probes the
-    # sigma0_sq -> 0 corner; the resulting -inf (or NaN at a = 0) is the
-    # honest value there and is handled by the caller.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (
-            _sp.gammaln(half_n)
-            - _sp.betaln(0.5 * nu0, half_n)
-            - 0.5 * np.log1p(n / kappa0)
-            - 0.5 * nu0 * np.log1p(a / prior_ss)
-            - half_n * np.log(prior_ss + a)
-            - half_n * _LOG_PI
-        )
-    return float(np.sum(terms))
+    ratio = data.sizes / kappa0
+    # Gathering is exact and the terms keep their left-to-right order, so
+    # every population's term has the bits it has when evaluated on its own.
+    size_terms = (
+        data.lgamma_half_sizes
+        - _sp.betaln(0.5 * nu0, data.half_sizes)
+        - 0.5 * np.log1p(ratio)
+    )[data.size_index]
+    between = data.n * (mu0 - data.xbar) ** 2 / (1.0 + ratio)[data.size_index]
+    a = data.scatter + between
+    terms = (
+        size_terms
+        - 0.5 * nu0 * np.log1p(a / prior_ss)
+        - data.half_n * np.log(prior_ss + a)
+        - data.half_n_log_pi
+    )
+    return float(np.add.reduce(terms))
 
 
 def nix_log_marginal_likelihood(
@@ -150,10 +177,11 @@ def nix_log_marginal_likelihood(
     Factorizes over populations; each term integrates the Gaussian
     likelihood against the prior in closed form.
     """
-    n, xbar, var = _stats_arrays(stats_list)
-    return _nix_log_marginal(
-        n, xbar, var, hyper.mu0, hyper.kappa0, hyper.nu0, hyper.sigma0_sq
-    )
+    data = _NixData(*_stats_arrays(stats_list))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _nix_log_marginal(
+            data, hyper.mu0, hyper.kappa0, hyper.nu0, hyper.sigma0_sq
+        )
 
 
 _LOG_CLIP = 700.0
@@ -185,12 +213,13 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
     if len(stats_list) < 2:
         raise DataError("learn_nix needs at least 2 populations")
     n, xbar, var = _stats_arrays(stats_list)
+    data = _NixData(n, xbar, var)
 
     def objective(z):
         kappa0 = math.exp(min(max(z[1], -_LOG_CLIP), _LOG_CLIP))
         nu0 = math.exp(min(max(z[2], -_LOG_CLIP), _LOG_CLIP))
         sigma0_sq = math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP))
-        return _nix_log_marginal(n, xbar, var, z[0], kappa0, nu0, sigma0_sq)
+        return _nix_log_marginal(data, z[0], kappa0, nu0, sigma0_sq)
 
     mu0_init = float(np.mean(xbar))
     s0_init = float(np.mean(var))
@@ -199,7 +228,8 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
         # scale-appropriate floor instead of log(0).
         s0_init = 1e-12 * max(1.0, mu0_init * mu0_init)
     init = [mu0_init, 0.0, 0.0, math.log(s0_init)]
-    result = maximize(objective, init)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = maximize(objective, init)
     if not result.converged:
         raise OptimizationError(
             "learn_nix did not converge",

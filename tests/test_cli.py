@@ -173,6 +173,14 @@ def test_estimate_data_errors_exit_2(tmp_path, capsys):
     )
 
 
+def test_estimate_overflowing_values_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("population,value\na,1\na,1e308\nb,1\nb,-1e308\n")
+    assert cli_main(["estimate", "--input", str(path), "--prior", "sample"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'a'" in err
+
+
 def test_estimate_numerical_failure_exits_3(clustered_csv, monkeypatch, capsys):
     def broken(stats_list):
         raise NumericalError("forced failure")

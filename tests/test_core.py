@@ -108,3 +108,15 @@ def test_error_report_aggregation():
 def test_error_report_validation(mu_rmse, var_rmse, trials):
     with pytest.raises(DataError):
         ErrorReport(mu_rmse, var_rmse, trials)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1e308, 1e308), (1.0, 1e308)],
+    ids=["mean-overflow", "variance-overflow"],
+)
+def test_sufficient_stats_overflow_is_data_error(values):
+    # Finite inputs whose sum (fsum) or squared deviation ((v - mean) ** 2)
+    # overflows: a data error naming the population, not an OverflowError.
+    with pytest.raises(DataError, match="'huge'.*overflow"):
+        sufficient_stats(PopulationSample(id="huge", values=values))

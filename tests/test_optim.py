@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpme.core import DataError, NumericalError
-from mpme.optim import OptimConfig, OptimResult, maximize
+from mpme.optim import OptimConfig, OptimResult, _check_value, _nelder_mead, maximize
 
 
 def test_maximize_quadratic():
@@ -109,3 +109,94 @@ def test_optim_config_validation():
         OptimConfig(initial_simplex_scale=0.0)
     with pytest.raises(DataError):
         OptimConfig(max_iters=10.5)
+
+
+def _reference_nelder_mead(neg_f, x0, scale, cfg):
+    # The array arrangement the float loop replaced; it must keep its bits.
+    dim = len(x0)
+    simplex = [x0.copy()]
+    for i in range(dim):
+        v = x0.copy()
+        v[i] += scale * max(1.0, abs(v[i]))
+        simplex.append(v)
+    simplex = np.array(simplex)
+    values = np.array([_check_value(neg_f(v), v) for v in simplex])
+    best_per_iter = []
+    iterations = 0
+    converged = False
+    for iterations in range(cfg.max_iters + 1):
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+        best_per_iter.append(values[0])
+        diameter = np.max(np.abs(simplex[1:] - simplex[0]))
+        spread = values[-1] - values[0] if np.isfinite(values).all() else math.inf
+        if diameter < cfg.x_tol or spread < cfg.f_tol:
+            converged = True
+            break
+        if iterations == cfg.max_iters:
+            break
+        centroid = simplex[:-1].mean(axis=0)
+        xr = centroid + 1.0 * (centroid - simplex[-1])
+        fr = _check_value(neg_f(xr), xr)
+        if fr < values[0]:
+            xe = centroid + 2.0 * (xr - centroid)
+            fe = _check_value(neg_f(xe), xe)
+            if fe < fr:
+                simplex[-1], values[-1] = xe, fe
+            else:
+                simplex[-1], values[-1] = xr, fr
+        elif fr < values[-2]:
+            simplex[-1], values[-1] = xr, fr
+        else:
+            if fr < values[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid - 0.5 * (centroid - simplex[-1])
+            fc = _check_value(neg_f(xc), xc)
+            if fc < min(fr, values[-1]):
+                simplex[-1], values[-1] = xc, fc
+            else:
+                for k in range(1, dim + 1):
+                    simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
+                    values[k] = _check_value(neg_f(simplex[k]), simplex[k])
+    i_best = int(np.argmin(values))
+    return simplex[i_best], values[i_best], iterations, converged, best_per_iter
+
+
+def _recording(f):
+    seen = []
+
+    def neg_f(x):
+        assert isinstance(x, np.ndarray)
+        seen.append(x.tobytes())  # keeps the sign of zero
+        return -float(f(x))
+
+    return neg_f, seen
+
+
+@pytest.mark.parametrize(
+    "f, x0",
+    [
+        (lambda x: -((x[0] - 3.0) ** 4), [10.0]),
+        (lambda x: -abs(x[0]) - 2.0 * abs(x[1]), [0.0, -0.0]),
+        (lambda x: -math.inf if x[0] < 0 else -((x[0] - 0.5) ** 2), [2.0]),
+        (lambda x: min(0.0, -abs(x[0])) + 0.0 * x[1], [0.0, 1.0]),
+        (
+            lambda x: -((1.0 - x[0]) ** 2 + 5.0 * (x[1] - x[0] ** 2) ** 2 + x[2] ** 2 + abs(x[3])),
+            [-1.2, 1.0, 0.0, -0.0],
+        ),
+    ],
+    ids=["quartic", "signed-zero", "neg-inf", "plateau", "rosenbrock-4d"],
+)
+@pytest.mark.parametrize("max_iters", [3, 2000])
+def test_nelder_mead_keeps_bits(f, x0, max_iters):
+    cfg = OptimConfig(max_iters=max_iters)
+    x0 = np.array(x0)
+    neg_f, seen = _recording(f)
+    got = _nelder_mead(neg_f, x0, 0.1, cfg)
+    ref_f, ref_seen = _recording(f)
+    want = _reference_nelder_mead(ref_f, x0, 0.1, cfg)
+    assert seen == ref_seen
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:4] == want[1:4]
+    assert got[4] == want[4]

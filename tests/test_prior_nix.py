@@ -1,12 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
+from scipy import special as sp
 
 from mpme.core import DataError, Method, NumericalError, SufficientStats
 from mpme.prior_nix import (
     NixHyperparams,
     VarianceMode,
+    _NixData,
+    _nix_log_marginal,
+    _stats_arrays,
     learn_nix,
     nix_log_marginal_likelihood,
     nix_map,
@@ -183,3 +189,97 @@ def test_nix_map_variance_approaches_prior_scale_in_nu0():
         for v in (1.0, 10.0, 100.0, 1000.0)
     ]
     assert gaps == sorted(gaps, reverse=True)
+
+
+def _reference_log_marginal(n, xbar, var, mu0, kappa0, nu0, sigma0_sq):
+    # The per-population arrangement the kernel replaced: every term on
+    # every population, summed with np.sum.  The kernel must keep its bits.
+    prior_ss = nu0 * sigma0_sq
+    half_n = 0.5 * n
+    between = n * (mu0 - xbar) ** 2 / (1.0 + n / kappa0)
+    a = (n - 1.0) * var + between
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (
+            sp.gammaln(half_n)
+            - sp.betaln(0.5 * nu0, half_n)
+            - 0.5 * np.log1p(n / kappa0)
+            - 0.5 * nu0 * np.log1p(a / prior_ss)
+            - half_n * np.log(prior_ss + a)
+            - half_n * math.log(math.pi)
+        )
+    return float(np.sum(terms))
+
+
+def _mixed_size_stats(zero_var_at=None):
+    # n from 2 to 8 plus one large population, in shuffled order.
+    rng = np.random.default_rng(11)
+    sizes = list(rng.integers(2, 9, size=300)) + [5000]
+    stats = []
+    for i, n in enumerate(sizes):
+        x = 3.0 + rng.standard_normal(int(n))
+        stats.append(_stats(int(n), float(x.mean()), float(x.var(ddof=1))))
+    if zero_var_at is not None:
+        stats[0] = _stats(4, zero_var_at, 0.0)
+    return stats
+
+
+def _kernel_pair(stats, mu0, kappa0, nu0, sigma0_sq):
+    arrays = _stats_arrays(stats)
+    # At exp(+-700) some quotients overflow, as they always did; only the
+    # values are compared here.
+    with np.errstate(all="ignore"):
+        got = _nix_log_marginal(_NixData(*arrays), mu0, kappa0, nu0, sigma0_sq)
+        want = _reference_log_marginal(*arrays, mu0, kappa0, nu0, sigma0_sq)
+    return got, want
+
+
+# The optimizer clips log-hyperparameters to +-700.
+_EDGE = pytest.mark.parametrize(
+    "value", [math.exp(-700.0), 1.0, math.exp(700.0)], ids=["tiny", "one", "huge"]
+)
+_EDGE_NAMES = ("kappa0", "nu0", "sigma0_sq")
+
+
+@pytest.mark.parametrize("mu0", [3.0, -40.0], ids=["near", "far"])
+@pytest.mark.parametrize("name", _EDGE_NAMES)
+@_EDGE
+def test_kernel_keeps_bits_at_extreme_hyperparameters(mu0, name, value):
+    hyper = {"kappa0": 0.37, "nu0": 12.5, "sigma0_sq": 0.8, name: value}
+    got, want = _kernel_pair(_mixed_size_stats(), mu0, **hyper)
+    assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mu0", [3.0, -40.0], ids=["near", "far"])
+@_EDGE
+def test_kernel_keeps_bits_with_every_hyperparameter_extreme(mu0, value):
+    got, want = _kernel_pair(_mixed_size_stats(), mu0, value, value, value)
+    assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mu0", [3.0, -40.0])
+@pytest.mark.parametrize("kappa0", [1e-3, 0.37, 5.0, 1e6])
+@pytest.mark.parametrize("nu0", [0.5, 12.5, 1e9])
+def test_kernel_keeps_bits_on_mixed_sizes(mu0, kappa0, nu0):
+    got, want = _kernel_pair(_mixed_size_stats(), mu0, kappa0, nu0, 0.8)
+    assert math.isfinite(got)
+    assert_array_equal(got, want)
+
+
+def test_kernel_keeps_bits_at_the_corners():
+    # sigma0_sq -> 0 underflows prior_ss to 0: the value is -inf.
+    got, want = _kernel_pair(_mixed_size_stats(), 3.0, 1.0, 1e-300, 1e-300)
+    assert got == -math.inf
+    assert_array_equal(got, want)
+    # A population with a = 0 (zero variance, mean at mu0) makes 0/0: NaN.
+    got, want = _kernel_pair(_mixed_size_stats(zero_var_at=3.0), 3.0, 1.0, 1e-300, 1e-300)
+    assert math.isnan(got)
+    assert_array_equal(got, want)
+
+
+def test_log_marginal_likelihood_corner_is_quiet_under_raise():
+    hyper = NixHyperparams(mu0=3.0, kappa0=1.0, nu0=1e-300, sigma0_sq=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            lml = nix_log_marginal_likelihood(_mixed_size_stats(), hyper)
+    assert lml == -math.inf
