@@ -24,12 +24,7 @@ from .core import (
     sufficient_stats,
 )
 from .dataio import DataFormat, DatasetFile, load_dataset, save_dataset
-from .estimators import (
-    pooled_mean,
-    pooled_variance,
-    sample_estimate,
-    sample_estimator_std,
-)
+from .estimators import pooled_mean, pooled_variance, sample_estimate
 from .experiments import (
     BenchmarkResult,
     GroundTruth,
@@ -43,7 +38,7 @@ from .experiments import (
     run_benchmark_detailed,
     standin_dataset,
 )
-from .optim import OptimConfig, OptimResult, maximize
+from .optim import OptimResult, maximize
 from .prior_nix import (
     NixHyperparams,
     VarianceMode,
@@ -58,7 +53,7 @@ from .prior_uni import (
     uni_log_marginal_likelihood,
     uni_map,
 )
-from .special import QuadratureConfig, integrate_adaptive
+from .special import integrate_adaptive
 from .verify import SUITES, SuiteResult, grid_map_argmax, numeric_marginal, run_suite
 
 __version__ = "0.1.0"
@@ -84,7 +79,6 @@ __all__ = [
     "sample_estimate",
     "pooled_mean",
     "pooled_variance",
-    "sample_estimator_std",
     "NixHyperparams",
     "VarianceMode",
     "nix_posterior_update",
@@ -95,10 +89,8 @@ __all__ = [
     "uni_log_marginal_likelihood",
     "learn_uni",
     "uni_map",
-    "OptimConfig",
     "OptimResult",
     "maximize",
-    "QuadratureConfig",
     "integrate_adaptive",
     "SyntheticConfig",
     "GroundTruth",

@@ -78,28 +78,37 @@ _FLOAT_TOKEN = chr(0)  # json escapes it as \u0000
 _TOKEN_RE = re.compile(r'"\\u0000([^"]*)\\u0000"')
 
 
-def dump_json(obj, indent: int = 2) -> str:
-    """Serialize to JSON with every float printed at 17 significant digits.
+def dump_json(obj) -> str:
+    """Serialize to indented JSON with every float printed at 17 significant digits.
 
     The stdlib encoder prints floats with ``repr``; to pin the digit count
     without reimplementing the encoder, floats are temporarily replaced by
-    sentinel strings which are unquoted afterwards.
+    sentinel strings which are unquoted afterwards.  A string that holds
+    the sentinel character U+0000 is refused, so no string can be taken
+    for a float.
     """
 
+    def checked(v: str) -> str:
+        if _FLOAT_TOKEN in v:
+            raise DataError(f"cannot serialize string {v!r}: it contains U+0000")
+        return v
+
     def encode(v):
-        if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
+        if isinstance(v, bool) or v is None or isinstance(v, int):
             return v
+        if isinstance(v, str):
+            return checked(v)
         if isinstance(v, float):
             if not math.isfinite(v):
                 raise DataError(f"cannot serialize non-finite value {v!r}")
             return f"{_FLOAT_TOKEN}{format_float(v)}{_FLOAT_TOKEN}"
         if isinstance(v, Mapping):
-            return {str(k): encode(u) for k, u in v.items()}
+            return {checked(str(k)): encode(u) for k, u in v.items()}
         if isinstance(v, (list, tuple)):
             return [encode(u) for u in v]
         raise DataError(f"cannot serialize {type(v).__name__} to JSON")
 
-    text = json.dumps(encode(obj), indent=indent, ensure_ascii=False)
+    text = json.dumps(encode(obj), indent=2, ensure_ascii=False)
     return _TOKEN_RE.sub(lambda m: m.group(1), text) + "\n"
 
 

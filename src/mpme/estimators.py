@@ -1,4 +1,4 @@
-"""Classical baseline estimators and their analytic error laws.
+"""Classical baseline estimators.
 
 The pooled estimators are named baselines only; the default benchmark
 comparison is sample estimation against the two learned-prior methods.
@@ -15,7 +15,6 @@ __all__ = [
     "sample_estimate",
     "pooled_variance",
     "pooled_mean",
-    "sample_estimator_std",
 ]
 
 
@@ -42,17 +41,3 @@ def pooled_mean(stats_list: Sequence[SufficientStats]) -> float:
     if len(stats_list) == 0:
         raise DataError("pooled_mean needs at least one population")
     return math.fsum(s.mean for s in stats_list) / len(stats_list)
-
-
-def sample_estimator_std(sigma: float, n: int) -> tuple[float, float]:
-    """Analytic standard deviations of the sample mean and sample variance.
-
-    For n Gaussian draws with true standard deviation sigma:
-    std of the sample mean is sigma / sqrt(n); std of the unbiased sample
-    variance is sqrt(2) * sigma^2 / sqrt(n - 1).
-    """
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise DataError(f"sigma = {sigma!r}, need finite > 0")
-    if not isinstance(n, int) or n < 2:
-        raise DataError(f"n = {n!r}, need integer >= 2")
-    return sigma / math.sqrt(n), math.sqrt(2.0) * sigma * sigma / math.sqrt(n - 1)

@@ -16,37 +16,19 @@ import numpy as np
 
 from .core import DataError, NumericalError
 
-__all__ = ["OptimConfig", "OptimResult", "maximize"]
+__all__ = ["OptimResult", "maximize"]
 
 
-@dataclass(frozen=True)
-class OptimConfig:
-    """Termination settings for :func:`maximize`.
-
-    A run stops when the simplex diameter falls below ``x_tol`` OR the
-    spread of objective values across the simplex falls below ``f_tol``,
-    whichever happens first, or after ``max_iters`` iterations.
-    """
-
-    max_iters: int = 2000
-    x_tol: float = 1e-8
-    f_tol: float = 1e-10
-    restarts: int = 2
-    initial_simplex_scale: float = 0.1
-
-    def __post_init__(self):
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise DataError(f"max_iters = {self.max_iters!r}, need integer >= 1")
-        if not (self.x_tol > 0 and math.isfinite(self.x_tol)):
-            raise DataError(f"x_tol = {self.x_tol!r}, need finite > 0")
-        if not (self.f_tol > 0 and math.isfinite(self.f_tol)):
-            raise DataError(f"f_tol = {self.f_tol!r}, need finite > 0")
-        if not isinstance(self.restarts, int) or self.restarts < 0:
-            raise DataError(f"restarts = {self.restarts!r}, need integer >= 0")
-        if not (self.initial_simplex_scale > 0 and math.isfinite(self.initial_simplex_scale)):
-            raise DataError(
-                f"initial_simplex_scale = {self.initial_simplex_scale!r}, need finite > 0"
-            )
+# A run stops when the simplex diameter falls below _X_TOL or the spread
+# of objective values across the simplex falls below _F_TOL, whichever
+# happens first, or after _MAX_ITERS iterations.  maximize restarts the
+# search _RESTARTS times; every initial simplex steps each coordinate by
+# _SIMPLEX_SCALE * max(1, |x_i|).
+_MAX_ITERS = 2000
+_X_TOL = 1e-8
+_F_TOL = 1e-10
+_RESTARTS = 2
+_SIMPLEX_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -68,11 +50,12 @@ class OptimResult:
 
 def _check_value(fx: float, x: np.ndarray) -> float:
     if math.isnan(fx):
-        raise NumericalError(f"objective returned NaN at point {tuple(x)}")
+        point = ", ".join(repr(float(t)) for t in x)
+        raise NumericalError(f"objective returned NaN at point ({point})")
     return fx
 
 
-def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig):
+def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged, values_per_iter).
 
     Vertices and values are kept as Python floats, which is several times
@@ -90,7 +73,7 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig
     simplex = [x0.tolist()]
     for i in range(dim):
         v = x0.tolist()
-        v[i] += scale * max(1.0, abs(v[i]))
+        v[i] += _SIMPLEX_SCALE * max(1.0, abs(v[i]))
         simplex.append(v)
     values = [evaluate(v) for v in simplex]
 
@@ -98,7 +81,7 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig
     best_per_iter = []
     iterations = 0
     converged = False
-    for iterations in range(cfg.max_iters + 1):
+    for iterations in range(_MAX_ITERS + 1):
         # A stable sort: tied vertices keep their order.
         order = sorted(range(dim + 1), key=values.__getitem__)
         simplex = [simplex[k] for k in order]
@@ -109,10 +92,10 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig
         # The values are sorted, so the ends are finite only if all are.
         finite = math.isfinite(values[0]) and math.isfinite(values[-1])
         spread = values[-1] - values[0] if finite else math.inf
-        if diameter < cfg.x_tol or spread < cfg.f_tol:
+        if diameter < _X_TOL or spread < _F_TOL:
             converged = True
             break
-        if iterations == cfg.max_iters:
+        if iterations == _MAX_ITERS:
             break
 
         centroid = [0.0] * dim
@@ -150,7 +133,6 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray, scale: float, cfg: OptimConfig
 def maximize(
     objective: Callable[[Sequence[float]], float],
     init: Sequence[float],
-    cfg: OptimConfig | None = None,
 ) -> OptimResult:
     """Maximize a scalar objective with Nelder-Mead plus restarts.
 
@@ -165,7 +147,6 @@ def maximize(
         If the objective evaluates to NaN; the offending point is named.
         Values of -inf are allowed and treated as "worse than anything".
     """
-    cfg = cfg or OptimConfig()
     x0 = np.asarray(init, dtype=float)
     if x0.ndim != 1 or len(x0) == 0 or not np.all(np.isfinite(x0)):
         raise DataError(f"init point must be a finite 1-d vector, got {init!r}")
@@ -178,18 +159,14 @@ def maximize(
     trace: list[tuple[int, float]] = []
     total_iters = 0
     all_converged = True
-    for r in range(cfg.restarts + 1):
+    for r in range(_RESTARTS + 1):
         if r == 0:
             start = x0
         else:
             rng = np.random.default_rng(2654435761 + r)
             step = rng.standard_normal(len(x0))
-            start = best_x + cfg.initial_simplex_scale * step * np.maximum(
-                1.0, np.abs(best_x)
-            )
-        x, v, iters, conv, per_iter = _nelder_mead(
-            neg_f, np.asarray(start, dtype=float), cfg.initial_simplex_scale, cfg
-        )
+            start = best_x + _SIMPLEX_SCALE * step * np.maximum(1.0, np.abs(best_x))
+        x, v, iters, conv, per_iter = _nelder_mead(neg_f, np.asarray(start, dtype=float))
         all_converged = all_converged and conv
         running = best_v
         for k, val in enumerate(per_iter):

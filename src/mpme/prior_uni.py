@@ -11,7 +11,6 @@ populations and evaluated in log(sigma^2) to resolve the scale-free peak.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,8 +144,8 @@ def uni_log_marginal_likelihood(
         log [ (1 / ((b-a)(d-c))) * integral over the box of the Gaussian
               likelihood of the population's sufficient statistics ].
 
-    Returns -inf (with a RuntimeWarning) if any population's integral is
-    numerically zero, e.g. when the box excludes all plausible moments.
+    Returns -inf if any population's integral is numerically zero, e.g.
+    when the box excludes all plausible moments.
 
     Raises
     ------
@@ -157,13 +156,6 @@ def uni_log_marginal_likelihood(
     log_int = _log_sigma_integrals(n, xbar, var, hyper)
     log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
     if np.any(np.isneginf(log_int)):
-        dead = [i for i in range(len(n)) if np.isneginf(log_int[i])]
-        warnings.warn(
-            f"UNI marginal is numerically zero for population index(es) {dead}; "
-            "returning -inf",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return -math.inf
     return float(np.sum(log_int - log_box))
 
@@ -237,15 +229,14 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
 
     def objective(z):
         a, b, c, d = _box_from_point(z)
-        hyper = UniHyperparams(a=a, b=b, c=c, d=d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return uni_log_marginal_likelihood(stats_list, hyper)
+        return uni_log_marginal_likelihood(stats_list, UniHyperparams(a=a, b=b, c=c, d=d))
 
     scale_w = max(span, 2.0 * pad)
     scale_v = v0
 
-    result = maximize(objective, init)
+    # Boxes far from the data overflow on the way to a -inf marginal.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = maximize(objective, init)
     a, b, c, d = _box_from_point(result.point)
     if (b - a) < 1e-6 * scale_w or (d - c) < 1e-6 * scale_v:
         collapsed = (b - a, d - c)
@@ -256,7 +247,8 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
             mid = 0.5 * (c + d)
             half = min(5e-5 * scale_v, 0.99 * mid)
             c, d = mid - half, mid + half
-        widened = objective([0.5 * (a + b), math.log(b - a), math.log(c), math.log(d - c)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            widened = objective([0.5 * (a + b), math.log(b - a), math.log(c), math.log(d - c)])
         if not widened >= result.objective - 1e-3:
             raise DegeneratePriorError(
                 f"learned box degenerated to widths {collapsed!r} and the "

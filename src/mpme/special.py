@@ -10,7 +10,6 @@ same subdivision of the integration interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,34 +18,16 @@ from scipy import special as _sp
 from .core import DataError, QuadratureError
 
 __all__ = [
-    "QuadratureConfig",
     "integrate_adaptive",
     "log_normal_cdf_diff",
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for adaptive quadrature.
-
-    ``max_subdivisions`` caps the number of interval bisections; exceeding
-    it raises :class:`~mpme.core.QuadratureError` carrying the best
-    estimate and its error bound.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise DataError(f"rel_tol = {self.rel_tol!r}, need > 0")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise DataError(f"abs_tol = {self.abs_tol!r}, need >= 0")
-        if not isinstance(self.max_subdivisions, int) or self.max_subdivisions < 1:
-            raise DataError(
-                f"max_subdivisions = {self.max_subdivisions!r}, need integer >= 1"
-            )
+# Tolerances and budget of integrate_adaptive.  _MAX_SUBDIVISIONS caps the
+# number of interval bisections; exceeding it raises QuadratureError.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 200
 
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1], symmetric).
@@ -83,8 +64,6 @@ _WGK = np.array(list(_WGK_HALF) + list(reversed(_WGK_HALF[:-1])))
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array(list(_WG_HALF) + list(reversed(_WG_HALF[:-1])))
 
-_DEFAULT_QUAD = QuadratureConfig()
-
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -108,12 +87,7 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def integrate_adaptive(
-    f: Callable,
-    lo: float,
-    hi: float,
-    cfg: QuadratureConfig | None = None,
-):
+def integrate_adaptive(f: Callable, lo: float, hi: float):
     """Adaptively integrate a vector-valued function over [lo, hi].
 
     Parameters
@@ -125,32 +99,30 @@ def integrate_adaptive(
         subdivision.
     lo, hi : float
         Finite integration limits, ``lo < hi``.
-    cfg : QuadratureConfig, optional
 
     Returns
     -------
     value, error : ndarray of shape ``(components,)``
         Integral estimates and error bounds.  Convergence requires every
-        component to satisfy ``error <= max(abs_tol, rel_tol * |value|)``.
+        component to satisfy ``error <= max(1e-12, 1e-9 * |value|)``.
 
     Raises
     ------
     QuadratureError
-        If the subdivision budget is exhausted first; the exception
+        If the budget of 200 subdivisions is exhausted first; the exception
         carries the best estimate and its error bound.
     """
-    cfg = cfg or _DEFAULT_QUAD
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DataError(f"invalid integration interval [{lo!r}, {hi!r}]")
     a = np.array([lo])
     b = np.array([hi])
     est, err = _gk15(f, a, b)
-    splits_left = cfg.max_subdivisions
+    splits_left = _MAX_SUBDIVISIONS
     width = hi - lo
     while True:
         total = est.sum(axis=1)
         total_err = err.sum(axis=1)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         pending = total_err > tol
         if not pending.any():
             return total, total_err
@@ -164,7 +136,7 @@ def integrate_adaptive(
         if n_split > splits_left:
             raise QuadratureError(
                 f"quadrature did not converge within "
-                f"{cfg.max_subdivisions} subdivisions",
+                f"{_MAX_SUBDIVISIONS} subdivisions",
                 estimate=total,
                 error_bound=total_err,
             )

@@ -25,7 +25,6 @@ from .special import integrate_adaptive
 __all__ = [
     "numeric_marginal",
     "grid_map_argmax",
-    "likelihood_windows",
     "nix_posterior_windows",
     "nix_prior_density",
     "QuadResult",
@@ -49,21 +48,6 @@ def _log_likelihood(stats: SufficientStats, mu, sigma_sq):
     return -0.5 * n * (_LOG_2PI + np.log(sigma_sq)) - (
         (n - 1) * s + n * (xbar - mu) ** 2
     ) / (2.0 * sigma_sq)
-
-
-def likelihood_windows(stats: SufficientStats, k: float = 10.0):
-    """Windows covering +-k standard errors of the sample moments.
-
-    The mean window is x_bar +- k sqrt(S/n); the variance window is S
-    scaled by exp(+-k sqrt(2/(n-1))), multiplicative because the sampling
-    spread of a variance is relative to its magnitude.
-    """
-    n, xbar, s = stats.n, stats.mean, stats.var_unbiased
-    if s <= 0:
-        raise DataError("windows need a positive sample variance")
-    se = math.sqrt(s / n)
-    g = math.exp(k * math.sqrt(2.0 / (n - 1)))
-    return (xbar - k * se, xbar + k * se), (s / g, s * g)
 
 
 def nix_posterior_windows(
@@ -325,6 +309,11 @@ class SuiteResult:
     lines: list[str] = field(default_factory=list)
 
 
+def _worst(*errors: float) -> float:
+    """The largest error, or NaN if any is NaN (``max`` would drop a NaN)."""
+    return math.nan if any(math.isnan(e) for e in errors) else max(errors)
+
+
 def _random_stats(rng, n_lo=2, n_hi=8) -> SufficientStats:
     n = int(rng.integers(n_lo, n_hi + 1))
     mu = rng.uniform(-5.0, 5.0)
@@ -359,7 +348,7 @@ def suite_nix_likelihood(cases: int = 50, seed: int = 7, tol: float = 1e-6) -> S
         mu_w, s_w = nix_posterior_windows(stats, hyper)
         oracle = numeric_marginal(stats, nix_prior_density(hyper), mu_w, s_w, 2000)
         rel = abs(closed - oracle) / abs(oracle)
-        worst = max(worst, rel)
+        worst = _worst(worst, rel)
         lines.append(f"case {k:2d}: closed={closed:.9e} oracle={oracle:.9e} rel={rel:.2e}")
     return SuiteResult("nix-likelihood", worst <= tol, cases, worst, tol, lines)
 
@@ -398,8 +387,8 @@ def suite_uni_likelihood(cases: int = 20, seed: int = 11, tol: float = 1e-5) -> 
         )
         rel_q = abs(math.expm1(ll - ll_q))
         rel_o = abs(math.exp(ll) - oracle) / oracle
-        rel = max(rel_q, rel_o)
-        worst = max(worst, rel)
+        rel = _worst(rel_q, rel_o)
+        worst = _worst(worst, rel)
         lines.append(
             f"case {k:2d}: quad={ll:.9f} qform={ll_q:.9f} oracle={math.log(oracle):.9f} "
             f"rel={rel:.2e}"
@@ -439,8 +428,8 @@ def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> Suite
         mu_g, s2_g = grid_map_argmax(stats, log_post, mu_w, s_w, nodes)
         cell_mu = (mu_w[1] - mu_w[0]) / (nodes - 1)
         cell_s2 = s2_g * (math.log(s_w[1] / s_w[0]) / (nodes - 1))
-        err = max(abs(est.mu - mu_g) / cell_mu, abs(est.sigma_sq - s2_g) / cell_s2)
-        worst = max(worst, err)
+        err = _worst(abs(est.mu - mu_g) / cell_mu, abs(est.sigma_sq - s2_g) / cell_s2)
+        worst = _worst(worst, err)
         lines.append(f"nix case {k:2d}: cells={err:.3f}")
 
     for k in range(cases):
@@ -457,8 +446,8 @@ def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> Suite
         )
         cell_mu = (hyper.b - hyper.a) / (nodes - 1)
         cell_s2 = s2_g * (math.log(hyper.d / hyper.c) / (nodes - 1))
-        err = max(abs(est.mu - mu_g) / cell_mu, abs(est.sigma_sq - s2_g) / cell_s2)
-        worst = max(worst, err)
+        err = _worst(abs(est.mu - mu_g) / cell_mu, abs(est.sigma_sq - s2_g) / cell_s2)
+        worst = _worst(worst, err)
         lines.append(f"uni case {k:2d}: cells={err:.3f}")
 
     return SuiteResult("map-argmax", worst <= tol, 2 * cases, worst, tol, lines)
@@ -481,7 +470,7 @@ def suite_correlation(
         rho_mc = float(np.corrcoef(alpha1, alpha2)[0, 1])
         rho = induced_correlation(sigma, sigma0)
         err = abs(rho_mc - rho)
-        worst = max(worst, err)
+        worst = _worst(worst, err)
         lines.append(
             f"sigma={sigma} sigma0={sigma0}: analytic={rho:.4f} mc={rho_mc:.4f} "
             f"abs_err={err:.2e}"
@@ -498,9 +487,14 @@ SUITES = {
 
 
 def run_suite(name: str, cases: int | None = None, seed: int | None = None) -> SuiteResult:
-    """Run one named verification suite with optional case-count/seed overrides."""
+    """Run one named verification suite with optional case-count/seed overrides.
+
+    A suite fails if any compared value is NaN.
+    """
     if name not in SUITES:
         raise DataError(f"unknown verification suite {name!r}; choose from {sorted(SUITES)}")
+    if seed is not None and not (isinstance(seed, int) and seed >= 0):
+        raise DataError(f"seed = {seed!r}, need integer >= 0")
     kwargs = {}
     if cases is not None:
         if name == "correlation":

@@ -181,6 +181,19 @@ def test_estimate_overflowing_values_exit_2(tmp_path, capsys):
     assert "data error" in err and "'a'" in err
 
 
+@pytest.mark.parametrize(
+    "pop_id", ["\\u0000a\\u0000", "\\u00001.5\\u0000"], ids=["word", "number"]
+)
+def test_estimate_nul_population_id_exits_2(tmp_path, capsys, pop_id):
+    path = tmp_path / "nul.json"
+    path.write_text(
+        '{"populations": [{"id": "%s", "values": [1.0, 2.0]}, '
+        '{"id": "b", "values": [3.0, 5.0]}]}' % pop_id
+    )
+    assert cli_main(["estimate", "--input", str(path), "--prior", "sample"]) == 2
+    assert "U+0000" in capsys.readouterr().err
+
+
 def test_estimate_numerical_failure_exits_3(clustered_csv, monkeypatch, capsys):
     def broken(stats_list):
         raise NumericalError("forced failure")
@@ -306,3 +319,14 @@ def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", fake_run_suite)
     assert cli_main(["verify", "--suite", "correlation"]) == 4
     assert "FAIL correlation" in capsys.readouterr().out
+
+
+def test_verify_nan_fails(capsys):
+    # One draw gives a NaN correlation, which must not pass as error 0.
+    assert cli_main(["verify", "--suite", "correlation", "--cases", "1"]) == 4
+    assert "FAIL correlation: 3 cases, worst nan" in capsys.readouterr().out
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    assert cli_main(["verify", "--suite", "correlation", "--seed", "-1"]) == 2
+    assert "data error: seed = -1" in capsys.readouterr().err

@@ -62,6 +62,16 @@ def test_dump_json_rejects_non_finite_and_unknown():
         dump_json({"x": object()})
 
 
+@pytest.mark.parametrize(
+    "doc", [{"a\0": 1.0}, {"x": ["\x001.5\x00"]}], ids=["key", "value"]
+)
+def test_dump_json_rejects_nul_in_strings(doc):
+    # U+0000 marks the float sentinels, so a string holding it is refused
+    # instead of being unquoted into bare JSON.
+    with pytest.raises(DataError, match="U\\+0000"):
+        dump_json(doc)
+
+
 def test_dataset_file_validation():
     with pytest.raises(DataError, match="duplicate population id"):
         DatasetFile(

@@ -1,14 +1,7 @@
-import math
-
 import pytest
 
 from mpme.core import DataError, Method, SufficientStats
-from mpme.estimators import (
-    pooled_mean,
-    pooled_variance,
-    sample_estimate,
-    sample_estimator_std,
-)
+from mpme.estimators import pooled_mean, pooled_variance, sample_estimate
 
 
 def _stats(mean, var, n=5):
@@ -33,24 +26,3 @@ def test_pooled_estimators_reject_empty():
         pooled_mean([])
     with pytest.raises(DataError):
         pooled_variance([])
-
-
-def test_sample_estimator_std_law():
-    s_mu, s_var = sample_estimator_std(1.0, 5)
-    assert s_mu == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-15)
-    assert s_var == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-    # Quadratic scaling in sigma for the variance, linear for the mean.
-    s_mu2, s_var2 = sample_estimator_std(2.0, 5)
-    assert s_mu2 == pytest.approx(2.0 * s_mu, rel=1e-15)
-    assert s_var2 == pytest.approx(4.0 * s_var, rel=1e-15)
-
-
-def test_sample_estimator_std_validation():
-    with pytest.raises(DataError):
-        sample_estimator_std(0.0, 5)
-    with pytest.raises(DataError):
-        sample_estimator_std(math.inf, 5)
-    with pytest.raises(DataError):
-        sample_estimator_std(1.0, 1)
-    with pytest.raises(DataError):
-        sample_estimator_std(1.0, 5.0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mpme.core import DataError, QuadratureError
-from mpme.special import QuadratureConfig, integrate_adaptive, log_normal_cdf_diff
+from mpme import special
+from mpme.special import integrate_adaptive, log_normal_cdf_diff
 from mpme.verify import owen_q
 
 # Expected values below were frozen from a 60-120 decimal-digit
@@ -94,14 +95,14 @@ def test_integrate_adaptive_needs_subdivision():
     assert value[0] == pytest.approx(0.01 * math.sqrt(2.0 * math.pi), rel=1e-9)
 
 
-def test_integrate_adaptive_budget_exhaustion():
-    cfg = QuadratureConfig(max_subdivisions=3)
+def test_integrate_adaptive_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_SUBDIVISIONS", 3)
 
     def step(x):
         return np.where(x < 1.0 / 3.0, 0.0, 1.0)
 
     with pytest.raises(QuadratureError) as exc_info:
-        integrate_adaptive(step, 0.0, 1.0, cfg)
+        integrate_adaptive(step, 0.0, 1.0)
     err = exc_info.value
     assert err.estimate is not None
     assert err.error_bound is not None
@@ -120,17 +121,6 @@ def test_integrate_adaptive_rejects_non_finite_integrand():
 def test_integrate_adaptive_rejects_bad_interval(lo, hi):
     with pytest.raises(DataError):
         integrate_adaptive(lambda x: x, lo, hi)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(DataError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(DataError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(DataError):
-        QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(DataError):
-        QuadratureConfig(max_subdivisions=2.5)
 
 
 # owen_q lives in verify, its only user; its frozen values stay beside the

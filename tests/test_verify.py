@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mpme import prior_nix
 from mpme.core import DataError, NumericalError, SufficientStats
 from mpme.prior_nix import NixHyperparams, nix_log_marginal_likelihood
 from mpme.prior_uni import UniHyperparams, uni_log_marginal_likelihood
@@ -10,7 +11,6 @@ from mpme.verify import (
     SUITES,
     SuiteResult,
     grid_map_argmax,
-    likelihood_windows,
     nix_posterior_windows,
     nix_prior_density,
     numeric_marginal,
@@ -102,18 +102,6 @@ def test_grid_map_argmax_rejects_nan_and_bad_nodes():
         grid_map_argmax(stats, lambda mu, s2: mu, (0.0, 2.0), (0.5, 3.0), nodes=2)
 
 
-def test_likelihood_windows_hand_computed():
-    (m_lo, m_hi), (v_lo, v_hi) = likelihood_windows(_stats(5, 2.0, 1.0), k=10.0)
-    se = math.sqrt(1.0 / 5.0)
-    g = math.exp(10.0 * math.sqrt(0.5))
-    assert m_lo == pytest.approx(2.0 - 10 * se, rel=1e-14)
-    assert m_hi == pytest.approx(2.0 + 10 * se, rel=1e-14)
-    assert v_lo == pytest.approx(1.0 / g, rel=1e-14)
-    assert v_hi == pytest.approx(g, rel=1e-14)
-    with pytest.raises(DataError):
-        likelihood_windows(_stats(5, 2.0, 0.0))
-
-
 def test_nix_posterior_windows_cover_posterior_center():
     stats = _stats(5, 1.0, 0.8)
     hyper = NixHyperparams(mu0=0.5, kappa0=2.0, nu0=3.0, sigma0_sq=1.5)
@@ -165,6 +153,14 @@ def test_suite_map_argmax_reduced():
 def test_suite_correlation_reduced():
     res = suite_correlation(draws=200_000, tol=2e-2)
     assert res.passed and res.cases == 3
+
+
+def test_suite_fails_on_nan(monkeypatch):
+    # max(0.0, nan) is 0.0, so a plain fold would pass a NaN closed form.
+    monkeypatch.setattr(prior_nix, "nix_log_marginal_likelihood", lambda *a: math.nan)
+    res = suite_nix_likelihood(cases=2)
+    assert not res.passed
+    assert math.isnan(res.worst)
 
 
 def test_run_suite_dispatch():
