@@ -11,9 +11,10 @@ and ``src/``.  For every workload (all by default) the script runs
 order alternates (parent first in even pairs), then one ``--trace 1`` run
 on each.  The record gives, per workload and side, every run's value and
 the quartiles of each end-to-end metric, the number of pairs in which the
-change read better on each metric, and the traced objective-evaluation
-count and cost per evaluation.  Runs are strictly sequential, so the two
-sides never compete for the processor.
+change read better on each metric, and from the traced run the
+objective-evaluation count, the cost per evaluation and the time spent
+in the I/O and per-population layers.  Runs are strictly sequential, so
+the two sides never compete for the processor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.objective.calls",
-          "optim.objective.s_per_eval", "prior_nix.learn_nix.calls")
+          "optim.objective.s_per_eval", "prior_nix.learn_nix.calls", "dataio.dump_json.s",
+          "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):

@@ -84,12 +84,14 @@ class PopulationSample:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
         if not self.id:
             raise DataError("population id must be non-empty")
-        if len(self.values) == 0:
+        if len(values) == 0:
             raise DataError(f"population {self.id!r} has no values")
-        _check_finite(self.values, f"population {self.id!r}")
+        if not all(map(math.isfinite, values)):
+            _check_finite(values, f"population {self.id!r}")  # names the bad index
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def sufficient_stats(sample: PopulationSample) -> SufficientStats:
         )
     try:
         mean = math.fsum(sample.values) / n
-        ss = math.fsum((v - mean) ** 2 for v in sample.values)
+        ss = math.fsum([(v - mean) ** 2 for v in sample.values])
     except OverflowError:
         raise DataError(
             f"invalid datum: population {sample.id!r} has values whose sum or "

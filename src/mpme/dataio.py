@@ -8,9 +8,9 @@ carries optional string metadata and a schema tag.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -74,42 +74,81 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_FLOAT_TOKEN = chr(0)  # json escapes it as \u0000
-_TOKEN_RE = re.compile(r'"\\u0000([^"]*)\\u0000"')
+_encode_str = json.encoder.encode_basestring  # escapes as ensure_ascii=False does
 
 
 def dump_json(obj) -> str:
     """Serialize to indented JSON with every float printed at 17 significant digits.
 
-    The stdlib encoder prints floats with ``repr``; to pin the digit count
-    without reimplementing the encoder, floats are temporarily replaced by
-    sentinel strings which are unquoted afterwards.  A string that holds
-    the sentinel character U+0000 is refused, so no string can be taken
-    for a float.
+    The layout is that of ``json.dumps(obj, indent=2, ensure_ascii=False)``
+    plus a final newline: two-space indent, ``{}`` and ``[]`` for empty
+    containers, and mapping keys written as ``str(k)``.  Tuples are
+    written as lists.
+
+    Raises
+    ------
+    DataError
+        For a non-finite float, a string or key containing U+0000, or a
+        value of any other type than dict-like mappings, lists, tuples,
+        str, int, float, bool and None.
     """
+    parts: list[str] = []
+    append = parts.append
+    keys: dict[str, str] = {}  # str(key) -> its encoding plus ": "
 
-    def checked(v: str) -> str:
-        if _FLOAT_TOKEN in v:
+    def string(v: str) -> str:
+        if "\0" in v:
             raise DataError(f"cannot serialize string {v!r}: it contains U+0000")
-        return v
+        return _encode_str(v)
 
-    def encode(v):
-        if isinstance(v, bool) or v is None or isinstance(v, int):
-            return v
-        if isinstance(v, str):
-            return checked(v)
+    def write(v, indent: str) -> None:
         if isinstance(v, float):
             if not math.isfinite(v):
                 raise DataError(f"cannot serialize non-finite value {v!r}")
-            return f"{_FLOAT_TOKEN}{format_float(v)}{_FLOAT_TOKEN}"
-        if isinstance(v, Mapping):
-            return {checked(str(k)): encode(u) for k, u in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [encode(u) for u in v]
-        raise DataError(f"cannot serialize {type(v).__name__} to JSON")
+            append(format(float(v), ".17g"))  # format_float, inlined
+        elif isinstance(v, str):
+            append(string(v))
+        elif v is None:
+            append("null")
+        elif v is True:
+            append("true")
+        elif v is False:
+            append("false")
+        elif isinstance(v, int):
+            append(int.__repr__(v))
+        elif isinstance(v, (dict, Mapping)):
+            if not v:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for k, u in v.items():
+                append(sep)
+                k = str(k)
+                key = keys.get(k)
+                if key is None:
+                    key = keys[k] = string(k) + ": "
+                append(key)
+                write(u, inner)
+                sep = "," + inner
+            append(indent + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                append("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for u in v:
+                append(sep)
+                write(u, inner)
+                sep = "," + inner
+            append(indent + "]")
+        else:
+            raise DataError(f"cannot serialize {type(v).__name__} to JSON")
 
-    text = json.dumps(encode(obj), indent=2, ensure_ascii=False)
-    return _TOKEN_RE.sub(lambda m: m.group(1), text) + "\n"
+    write(obj, "\n")
+    append("\n")
+    return "".join(parts)
 
 
 def _infer_format(path: Path) -> DataFormat:
@@ -124,36 +163,55 @@ def _infer_format(path: Path) -> DataFormat:
 
 
 def _parse_csv(text: str, origin: str) -> DatasetFile:
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or [cell.strip() for cell in rows[0]] != ["population", "value"]:
+    # newline="" hands the csv module the raw line ends, so a quoted id may
+    # hold any of them; reader.line_num counts physical lines.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        values = _group_csv_rows(reader, origin)
+    except csv.Error as exc:  # e.g. an unclosed quote running past the field size limit
+        raise DataError(f"{origin}: invalid CSV at line {reader.line_num}: {exc}") from None
+    return DatasetFile(
+        populations=tuple(
+            PopulationSample(id=pid, values=group) for pid, group in values.items()
+        )
+    )
+
+
+def _group_csv_rows(reader, origin: str) -> dict[str, list[float]]:
+    """Values by population id, in order of first appearance."""
+    header = next(reader, None)
+    if header is None or [cell.strip() for cell in header] != ["population", "value"]:
         raise DataError(f"{origin}: expected header 'population,value' on line 1")
-    order: list[str] = []
     values: dict[str, list[float]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for row in reader:
         if not row:
             continue  # blank line
         if len(row) != 2:
-            raise DataError(f"{origin}: invalid datum at line {lineno}: expected 2 fields")
-        pop_id, raw = row[0].strip(), row[1].strip()
+            raise DataError(
+                f"{origin}: invalid datum at line {reader.line_num}: expected 2 fields"
+            )
+        pop_id, raw = row
         try:
-            value = float(raw)
+            value = float(raw)  # float() ignores surrounding whitespace
         except ValueError:
             raise DataError(
-                f"{origin}: invalid datum at line {lineno}: {raw!r} is not a number"
+                f"{origin}: invalid datum at line {reader.line_num}: "
+                f"{raw.strip()!r} is not a number"
             ) from None
         if not math.isfinite(value):
-            raise DataError(f"{origin}: invalid datum at line {lineno}: {raw!r} is not finite")
-        if pop_id not in values:
-            order.append(pop_id)
-            values[pop_id] = []
-        values[pop_id].append(value)
-    if not order:
+            raise DataError(
+                f"{origin}: invalid datum at line {reader.line_num}: "
+                f"{raw.strip()!r} is not finite"
+            )
+        pop_id = pop_id.strip()
+        group = values.get(pop_id)
+        if group is None:
+            values[pop_id] = [value]
+        else:
+            group.append(value)
+    if not values:
         raise DataError(f"{origin}: no data rows")
-    return DatasetFile(
-        populations=tuple(
-            PopulationSample(id=pid, values=tuple(values[pid])) for pid in order
-        )
-    )
+    return values
 
 
 def _parse_json(text: str, origin: str) -> DatasetFile:
@@ -217,7 +275,9 @@ def load_dataset(path, format: DataFormat | None = None) -> DatasetFile:
     path = Path(path)
     fmt = format or _infer_format(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # Decoded without newline translation, so a CR inside a quoted CSV
+        # field survives.
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -234,16 +294,32 @@ def save_dataset(dataset: DatasetFile, path, format: DataFormat | None = None) -
 
     CSV keeps only the populations; JSON also keeps metadata and tags the
     file with the schema version.
+
+    Raises
+    ------
+    DataError
+        For CSV, if a population id has leading or trailing whitespace,
+        which loading strips; JSON keeps such an id.
     """
     path = Path(path)
     fmt = format or _infer_format(path)
     if fmt is DataFormat.CSV:
+        for pop in dataset.populations:
+            if pop.id != pop.id.strip():
+                raise DataError(
+                    f"population id {pop.id!r} has leading or trailing whitespace, "
+                    "which CSV loading strips; save it as JSON to keep it"
+                )
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
+            # The writer quotes a field only for the characters of its line
+            # terminator, so an id holding a bare CR is quoted explicitly.
+            quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
             writer.writerow(["population", "value"])
             for pop in dataset.populations:
+                out = quote_all if "\r" in pop.id else writer
                 for v in pop.values:
-                    writer.writerow([pop.id, format_float(v)])
+                    out.writerow([pop.id, format_float(v)])
         return
     doc = {
         "schema": DATASET_SCHEMA,

@@ -88,16 +88,22 @@ def nix_posterior_update(stats: SufficientStats, hyper: NixHyperparams) -> NixPo
     prior pseudo-scatter, the within-sample scatter, and a between term
     from the prior-mean/sample-mean discrepancy.
     """
-    n, xbar, s = stats.n, stats.mean, stats.var_unbiased
-    kappa_n = hyper.kappa0 + n
-    mu_n = (hyper.kappa0 * hyper.mu0 + n * xbar) / kappa_n
-    nu_n = hyper.nu0 + n
+    return NixPosterior(*_posterior(stats, hyper))
+
+
+def _posterior(stats: SufficientStats, hyper: NixHyperparams):
+    """``(kappa_n, mu_n, nu_n, sigma_n_sq)`` without building a NixPosterior."""
+    n, xbar = stats.n, stats.mean
+    mu0, kappa0, nu0 = hyper.mu0, hyper.kappa0, hyper.nu0
+    kappa_n = kappa0 + n
+    mu_n = (kappa0 * mu0 + n * xbar) / kappa_n
+    nu_n = nu0 + n
     scatter = (
-        hyper.nu0 * hyper.sigma0_sq
-        + (n - 1) * s
-        + hyper.kappa0 * n * (hyper.mu0 - xbar) ** 2 / kappa_n
+        nu0 * hyper.sigma0_sq
+        + (n - 1) * stats.var_unbiased
+        + kappa0 * n * (mu0 - xbar) ** 2 / kappa_n
     )
-    return NixPosterior(kappa_n=kappa_n, mu_n=mu_n, nu_n=nu_n, sigma_n_sq=scatter / nu_n)
+    return kappa_n, mu_n, nu_n, scatter / nu_n
 
 
 def _stats_arrays(stats_list: Sequence[SufficientStats]):
@@ -258,20 +264,12 @@ def nix_map(
         For the unbiased variant when ``nu_n <= 1`` (cannot occur for
         valid stats with n >= 2, but guarded regardless).
     """
-    post = nix_posterior_update(stats, hyper)
-    scatter = post.nu_n * post.sigma_n_sq
+    _, mu_n, nu_n, sigma_n_sq = _posterior(stats, hyper)
+    scatter = nu_n * sigma_n_sq
     if variance_mode is VarianceMode.BIASED:
-        return MomentEstimate(
-            mu=post.mu_n, sigma_sq=scatter / (post.nu_n + 3.0), method=Method.MPME_NIX
-        )
+        return MomentEstimate(mu_n, scatter / (nu_n + 3.0), Method.MPME_NIX)
     if variance_mode is VarianceMode.UNBIASED:
-        if post.nu_n <= 1.0:
-            raise DataError(
-                f"unbiased variance needs nu_n > 1, got nu_n = {post.nu_n}"
-            )
-        return MomentEstimate(
-            mu=post.mu_n,
-            sigma_sq=scatter / (post.nu_n - 1.0),
-            method=Method.MPME_NIX_UNBIASED,
-        )
+        if nu_n <= 1.0:
+            raise DataError(f"unbiased variance needs nu_n > 1, got nu_n = {nu_n}")
+        return MomentEstimate(mu_n, scatter / (nu_n - 1.0), Method.MPME_NIX_UNBIASED)
     raise DataError(f"unknown variance mode {variance_mode!r}")

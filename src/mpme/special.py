@@ -185,23 +185,25 @@ def log_normal_cdf_diff(lo, hi, width=None):
     log_hi = _sp.log_ndtr(high)
     log_lo = _sp.log_ndtr(low)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0)))
-        out = np.where(high <= low, -np.inf, out)
+        out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
+        out[high <= low] = -np.inf
         h = high - low if width is None else np.broadcast_to(
             np.asarray(width, dtype=float), high.shape
         )
         zm = 0.5 * (high + low)
         zm_sq = zm * zm
         narrow = (h > 0) & (h * h * (zm_sq + 1.0) < 2.4e-7)
-        series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (
-            zm_sq * (zm_sq - 6.0) + 3.0
-        ) / 1920.0
-        taylor = -0.5 * zm_sq - _LOG_SQRT_2PI + np.log(h) + np.log1p(series)
-        out = np.where(narrow, taylor, out)
+        if narrow.any():
+            # Elementwise, so the narrow elements alone give the same bits.
+            h, zm_sq = h[narrow], zm_sq[narrow]
+            series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (
+                zm_sq * (zm_sq - 6.0) + 3.0
+            ) / 1920.0
+            out[narrow] = -0.5 * zm_sq - _LOG_SQRT_2PI + np.log(h) + np.log1p(series)
         # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
         # so the difference is too; the log-space subtraction above would
         # produce nan for these.
-        out = np.where(np.isneginf(log_hi), -np.inf, out)
+        out[np.isneginf(log_hi)] = -np.inf
     if out.ndim == 0:
         return float(out)
     return out

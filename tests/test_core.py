@@ -27,6 +27,11 @@ def test_population_sample_validation():
         PopulationSample(id="a", values=(1.0, math.inf))
 
 
+def test_population_sample_names_the_bad_index():
+    with pytest.raises(DataError, match=r"population 'a'\[2\] = inf is not finite"):
+        PopulationSample(id="a", values=[1.0, 2.0, math.inf, math.nan])
+
+
 def test_population_sample_coerces_to_float_tuple():
     p = PopulationSample(id="a", values=[1, 2, 3])
     assert p.values == (1.0, 2.0, 3.0)

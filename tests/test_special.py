@@ -70,6 +70,42 @@ def test_log_normal_cdf_diff_vectorized():
     assert isinstance(log_normal_cdf_diff(0.0, 1.0), float)
 
 
+def reference_log_normal_cdf_diff(lo, hi, width=None):
+    """The kernel with every branch evaluated on every element and chosen
+    by ``np.where``; ``log_normal_cdf_diff`` must give its bits."""
+    from scipy import special as sp
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    flip = (lo + hi) > 0
+    low, high = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    log_hi, log_lo = sp.log_ndtr(high), sp.log_ndtr(low)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0)))
+        out = np.where(high <= low, -np.inf, out)
+        h = high - low if width is None else np.broadcast_to(np.asarray(width, dtype=float), high.shape)
+        zm_sq = (0.5 * (high + low)) ** 2
+        narrow = (h > 0) & (h * h * (zm_sq + 1.0) < 2.4e-7)
+        series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (zm_sq * (zm_sq - 6.0) + 3.0) / 1920.0
+        taylor = -0.5 * zm_sq - special._LOG_SQRT_2PI + np.log(h) + np.log1p(series)
+        out = np.where(narrow, taylor, out)
+        return np.where(np.isneginf(log_hi), -np.inf, out)
+
+
+def test_log_normal_cdf_diff_keeps_reference_bits():
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.normal(0.0, 3.0, 300), [0.0, 40.0, -40.0, -1e200]])
+    h = np.concatenate([10.0 ** rng.uniform(-12, 1, 300), [1e-9, 1e-10, 0.5, 1.0]])
+    h[::7] = 0.0  # empty intervals
+    h[1::11] *= -1.0  # reversed intervals
+    lo, hi = z - h / 2, z + h / 2
+    for width in (None, h):
+        got = log_normal_cdf_diff(lo, hi, width=width)
+        want = reference_log_normal_cdf_diff(lo, hi, width=width)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for a, b, w in [(1.0, 1.0 + 1e-9, 1e-9), (1.0, 1.0, None), (-1.0, 2.0, None)]:
+        assert log_normal_cdf_diff(a, b, width=w) == float(reference_log_normal_cdf_diff(a, b, w))
+
+
 def test_integrate_adaptive_polynomial_exact():
     # Degree 12 is inside the Gauss-7 exactness range, so the very first
     # K15/G7 pair agrees and no subdivision happens.
