@@ -12,8 +12,9 @@ order alternates (parent first in even pairs), then one ``--trace 1`` run
 on each.  The record gives, per workload and side, every run's value and
 the quartiles of each end-to-end metric, the number of pairs in which the
 change read better on each metric, and from the traced run the
-objective-evaluation count, the cost per evaluation and the time spent
-in the I/O and per-population layers.  Runs are strictly sequential, so
+objective-evaluation count, the share of converged fits, the cost per
+evaluation, the UNI marginal and quadrature counts, and the time spent
+in the UNI fit and in the I/O and per-population layers.  Runs are strictly sequential, so
 the two sides never compete for the processor.
 """
 
@@ -27,8 +28,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.objective.calls",
-          "optim.objective.s_per_eval", "prior_nix.learn_nix.calls", "dataio.dump_json.s",
+TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_frac",
+          "optim.objective.calls", "optim.objective.s_per_eval", "prior_nix.learn_nix.calls",
+          "prior_uni.learn_uni.s", "prior_uni.uni_log_marginal_likelihood.calls",
+          "special.integrand_calls_per_integral", "dataio.dump_json.s",
           "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s")
 
 

@@ -75,7 +75,8 @@ class PopulationSample:
     Parameters
     ----------
     id : str
-        Caller-chosen identifier, unique within a dataset.
+        Caller-chosen identifier, unique within a dataset.  It may not
+        hold U+0000, which no report can carry.
     values : tuple of float
         At least one finite measurement.
     """
@@ -88,6 +89,8 @@ class PopulationSample:
         object.__setattr__(self, "values", values)
         if not self.id:
             raise DataError("population id must be non-empty")
+        if "\x00" in self.id:
+            raise DataError(f"population id {self.id!r} holds U+0000, which no report can carry")
         if len(values) == 0:
             raise DataError(f"population {self.id!r} has no values")
         if not all(map(math.isfinite, values)):

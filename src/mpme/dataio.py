@@ -163,13 +163,10 @@ def _infer_format(path: Path) -> DataFormat:
 
 
 def _parse_csv(text: str, origin: str) -> DatasetFile:
-    # newline="" hands the csv module the raw line ends, so a quoted id may
-    # hold any of them; reader.line_num counts physical lines.
-    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        values = _group_csv_rows(reader, origin)
+        values = _group_csv_rows(text, origin)
     except csv.Error as exc:  # e.g. an unclosed quote running past the field size limit
-        raise DataError(f"{origin}: invalid CSV at line {reader.line_num}: {exc}") from None
+        raise DataError(f"{origin}: invalid CSV at line {_record_start(text)}: {exc}") from None
     return DatasetFile(
         populations=tuple(
             PopulationSample(id=pid, values=group) for pid, group in values.items()
@@ -177,8 +174,40 @@ def _parse_csv(text: str, origin: str) -> DatasetFile:
     )
 
 
-def _group_csv_rows(reader, origin: str) -> dict[str, list[float]]:
+def _csv_reader(text: str):
+    # newline="" hands the csv module the raw line ends, so a quoted id may
+    # hold any of them; reader.line_num counts physical lines.
+    return csv.reader(io.StringIO(text, newline=""))
+
+
+def _record_start(text: str, end_line: float = math.inf) -> int:
+    """The line on which the record that ends on ``end_line`` started, or by
+    default the one the csv module fails on.
+
+    A quoted field may span lines, so messages name where a record started,
+    not ``reader.line_num``, where the reader stopped.  Only error paths
+    call this, so it reads the text again rather than tracking every row.
+    """
+    reader = _csv_reader(text)
+    start = 1
+    try:
+        for _row in reader:
+            if reader.line_num >= end_line:
+                break
+            start = reader.line_num + 1
+    except csv.Error:
+        pass
+    return start
+
+
+def _group_csv_rows(text: str, origin: str) -> dict[str, list[float]]:
     """Values by population id, in order of first appearance."""
+    reader = _csv_reader(text)
+
+    def bad_datum(problem):
+        line = _record_start(text, reader.line_num)
+        return DataError(f"{origin}: invalid datum at line {line}: {problem}")
+
     header = next(reader, None)
     if header is None or [cell.strip() for cell in header] != ["population", "value"]:
         raise DataError(f"{origin}: expected header 'population,value' on line 1")
@@ -187,22 +216,14 @@ def _group_csv_rows(reader, origin: str) -> dict[str, list[float]]:
         if not row:
             continue  # blank line
         if len(row) != 2:
-            raise DataError(
-                f"{origin}: invalid datum at line {reader.line_num}: expected 2 fields"
-            )
+            raise bad_datum("expected 2 fields")
         pop_id, raw = row
         try:
             value = float(raw)  # float() ignores surrounding whitespace
         except ValueError:
-            raise DataError(
-                f"{origin}: invalid datum at line {reader.line_num}: "
-                f"{raw.strip()!r} is not a number"
-            ) from None
+            raise bad_datum(f"{raw.strip()!r} is not a number") from None
         if not math.isfinite(value):
-            raise DataError(
-                f"{origin}: invalid datum at line {reader.line_num}: "
-                f"{raw.strip()!r} is not finite"
-            )
+            raise bad_datum(f"{raw.strip()!r} is not finite")
         pop_id = pop_id.strip()
         group = values.get(pop_id)
         if group is None:

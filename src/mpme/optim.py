@@ -1,9 +1,11 @@
-"""Derivative-free maximization with Nelder-Mead.
+"""Maximization: BFGS for objectives that supply their gradient,
+Nelder-Mead for those that do not.
 
-The marginal-likelihood surfaces this package optimizes are smooth but
-have no cheap gradients, so a simplex search with deterministic restarts
-is used everywhere.  Reflection, expansion, contraction and shrink
-coefficients are 1, 2, 0.5 and 0.5.
+The UNI marginal likelihood returns its exact gradient, so its fit runs
+a deterministic BFGS with a backtracking line search (Nocedal & Wright,
+Numerical Optimization, 2006, ch. 6).  The NIX fit still uses a simplex
+search with deterministic restarts, whose reflection, expansion,
+contraction and shrink coefficients are 1, 2, 0.5 and 0.5.
 """
 
 from __future__ import annotations
@@ -30,15 +32,33 @@ _F_TOL = 1e-10
 _RESTARTS = 2
 _SIMPLEX_SCALE = 0.1
 
+# BFGS stops when every gradient component is below _GRAD_TOL in absolute
+# value, or when the decrease of an iteration, achieved or predicted for
+# the next quasi-Newton step, is at most _REL_DECREASE times the whole
+# decrease since the start, or after _MAX_ITERS iterations.  Measuring the
+# decrease against the progress made, not against the value, keeps the
+# rule blind to an additive constant such as the one a change of data
+# units adds to a log-likelihood; the predicted decrease stops the search
+# before the achieved one sinks into the rounding of the value.  Each step
+# is capped at max-norm _MAX_STEP and halved until it meets the Armijo
+# condition with constant _ARMIJO, at most _MAX_HALVINGS times.  The
+# inverse-Hessian update is skipped unless s.y > _CURVATURE * |s| |y|.
+_GRAD_TOL = 1e-7
+_REL_DECREASE = 1e-12
+_MAX_STEP = 4.0
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 50
+_CURVATURE = 1e-12
+
 
 @dataclass(frozen=True)
 class OptimResult:
     """Outcome of a maximization.
 
-    ``trace`` records ``(iteration, best objective so far)`` pairs across
-    all restarts, so the recorded objective is non-decreasing.
-    ``converged`` is true only if every restart terminated on a tolerance
-    rather than on the iteration cap.
+    ``trace`` records ``(iteration, best objective so far)`` pairs (across
+    all restarts for Nelder-Mead), so the recorded objective is
+    non-decreasing.  ``converged`` is false if the iteration cap stopped
+    the search (for Nelder-Mead, any of its restarts).
     """
 
     point: tuple[float, ...]
@@ -130,16 +150,95 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     return np.array(simplex[i_best]), values[i_best], iterations, converged, best_per_iter
 
 
+def _bfgs(neg_f: Callable, x0: np.ndarray):
+    """Minimize ``neg_f``, which returns ``(value, gradient)``, from ``x0``.
+
+    Returns (x, fx, iterations, converged, values_per_iter).  A trial point
+    whose value is infinite, or whose gradient is not finite, counts as a
+    failed step and halves it.  When no step along the quasi-Newton
+    direction lowers the value, the search retries once along the steepest
+    descent direction; if that fails too, no decrease is left to find and
+    the search stops as converged.
+    """
+
+    def evaluate(x):
+        fx, grad = neg_f(x)
+        _check_value(fx, x)
+        grad = np.asarray(grad, dtype=float)
+        return fx, grad, math.isfinite(fx) and bool(np.all(np.isfinite(grad)))
+
+    x = x0
+    fx, grad, ok = evaluate(x)
+    values = [fx]
+    if not ok:
+        return x, fx, 0, False, values
+    inv_hess = None  # None: the identity, not yet scaled
+    iterations = 0
+    converged = False
+    while True:
+        if float(np.max(np.abs(grad))) < _GRAD_TOL:
+            converged = True
+            break
+        if iterations == _MAX_ITERS:
+            break
+        step = -grad if inv_hess is None else -(inv_hess @ grad)
+        slope = float(grad @ step)
+        if -0.5 * slope <= _REL_DECREASE * (values[0] - fx):
+            converged = True
+            break
+        cap = min(1.0, _MAX_STEP / float(np.max(np.abs(step))))
+        step, slope = cap * step, cap * slope
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = x + alpha * step
+            f_new, grad_new, ok = evaluate(x_new)
+            if ok and f_new <= fx + _ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            if inv_hess is None:
+                converged = True
+                break
+            inv_hess = None
+            continue
+        iterations += 1
+        s = x_new - x
+        y = grad_new - grad
+        sy = float(s @ y)
+        if sy > _CURVATURE * float(np.linalg.norm(s) * np.linalg.norm(y)):
+            if inv_hess is None:
+                # Shanno's scaling of the first inverse-Hessian guess.
+                inv_hess = (sy / float(y @ y)) * np.eye(len(x))
+            rho = 1.0 / sy
+            hy = inv_hess @ y
+            inv_hess = (
+                inv_hess
+                - rho * (np.outer(s, hy) + np.outer(hy, s))
+                + (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+            )
+        decrease = fx - f_new
+        x, fx, grad = x_new, f_new, grad_new
+        values.append(fx)
+        if decrease <= _REL_DECREASE * (values[0] - fx):
+            converged = True
+            break
+    return x, fx, iterations, converged, values
+
+
 def maximize(
     objective: Callable[[Sequence[float]], float],
     init: Sequence[float],
+    *,
+    gradient: bool = False,
 ) -> OptimResult:
-    """Maximize a scalar objective with Nelder-Mead plus restarts.
+    """Maximize a scalar objective.
 
-    Restart ``r`` starts from the best point found so far, displaced by a
-    fixed pseudo-random direction (seeded only by ``r``), so the whole
-    search is deterministic.  The returned point never scores below the
-    initial point.
+    With ``gradient=True`` the objective returns ``(value, gradient)`` and
+    the search is one deterministic BFGS run.  Otherwise it is Nelder-Mead
+    plus restarts: restart ``r`` starts from the best point found so far,
+    displaced by a fixed pseudo-random direction (seeded only by ``r``),
+    so the whole search is deterministic.  Either way the returned point
+    never scores below the initial point.
 
     Raises
     ------
@@ -150,6 +249,21 @@ def maximize(
     x0 = np.asarray(init, dtype=float)
     if x0.ndim != 1 or len(x0) == 0 or not np.all(np.isfinite(x0)):
         raise DataError(f"init point must be a finite 1-d vector, got {init!r}")
+
+    if gradient:
+
+        def neg_f_grad(x):
+            value, grad = objective(x)
+            return -float(value), -np.asarray(grad, dtype=float)
+
+        x, v, iters, conv, per_iter = _bfgs(neg_f_grad, x0)
+        return OptimResult(
+            point=tuple(float(t) for t in x),
+            objective=float(-v),
+            iterations=iters,
+            converged=conv,
+            trace=tuple((k, -val) for k, val in enumerate(per_iter)),
+        )
 
     def neg_f(x):
         return -float(objective(x))

@@ -6,6 +6,9 @@ independently.  Its marginal likelihood has no closed form; the mu
 integral reduces to a difference of normal CDFs and the remaining
 sigma^2 integral is done by adaptive quadrature, shared across all
 populations and evaluated in log(sigma^2) to resolve the scale-free peak.
+Its gradient in (a, b, c, d) needs no further quadrature: the c and d
+derivatives are the integrand at the ends of the sigma^2 interval, and
+the a and b derivatives are incomplete gamma integrals.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from .core import (
 )
 from .optim import maximize
 from .prior_nix import _stats_arrays
-from .special import integrate_adaptive, log_normal_cdf_diff
+from .special import (
+    integrate_adaptive,
+    log_lower_gamma,
+    log_normal_cdf_diff,
+    log_upper_gamma,
+)
 
 __all__ = [
     "UniHyperparams",
@@ -37,6 +45,12 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_CLIP = 700.0
+# 8-point Gauss-Legendre rule on [-1, 1] (symmetric), for the edge
+# integrals over narrow sigma^2 intervals.
+_GL_HALF_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL_HALF_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -63,8 +77,10 @@ def _log_sigma_integrals(
     xbar: np.ndarray,
     var: np.ndarray,
     hyper: UniHyperparams,
-) -> np.ndarray:
-    """Per-population log of the sigma^2 integral over [c, d].
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-population log of the sigma^2 integral over [c, d], and the log
+    of its integrand (in sigma^2) at sigma^2 = c and at sigma^2 = d, one
+    row each.
 
     Integrates, in t = log(sigma^2),
 
@@ -123,7 +139,10 @@ def _log_sigma_integrals(
         )
         + t_peak
     )
-    shift = np.maximum(log_f(np.linspace(t_lo, t_hi, 9)).max(axis=1), peak_vals)
+    # linspace returns both ends exactly, so the scan's first and last
+    # columns are the integrand at sigma^2 = c and at sigma^2 = d.
+    scan = log_f(np.linspace(t_lo, t_hi, 9))
+    shift = np.maximum(scan.max(axis=1), peak_vals)
     safe_shift = np.where(np.isfinite(shift), shift, 0.0)
 
     def integrand(u):
@@ -131,12 +150,82 @@ def _log_sigma_integrals(
 
     value, _err = integrate_adaptive(integrand, 0.0, dt)
     with np.errstate(divide="ignore"):
-        return safe_shift + np.log(value)
+        log_int = safe_shift + np.log(value)
+    # Drop the Jacobian e^t of the log(sigma^2) variable.
+    return log_int, np.array([scan[:, 0] - t_lo, scan[:, -1] - t_hi])
+
+
+def _log_edge_integrals(
+    n: np.ndarray,
+    xbar: np.ndarray,
+    var: np.ndarray,
+    hyper: UniHyperparams,
+) -> np.ndarray:
+    """Per-population log of E_i(mu), the likelihood with mu held fixed at
+    mu = a (first row) and at mu = b (second row), integrated over sigma^2
+    in [c, d]:
+
+        E_i(mu) = int_c^d (2 pi sigma^2)^(-n_i/2) exp(-Q_i / (2 sigma^2)) dsigma^2,
+
+    with Q_i = (n_i - 1) S_i + n_i (xbar_i - mu)^2.  Substituting
+    y = Q_i / (2 sigma^2) gives (2 pi)^(-n/2) (Q/2)^(-s) times the
+    incomplete gamma integral of y^(s-1) e^-y over [Q/2d, Q/2c], with
+    s = n/2 - 1.  That integral is a difference of lower incomplete gamma
+    functions below the mode of the gamma density (y <= s) and of upper
+    ones above it (at n = 2, where s = 0, of E1), so the difference never
+    cancels by more than a factor of a few.  It would cancel on a narrow
+    interval, so there an 8-point Gauss-Legendre rule in log(sigma^2),
+    over which the log integrand moves by less than one, is used instead;
+    that rule also covers Q = 0.  Q = 0 on a wider interval (zero
+    scatter, mean at the box edge) is the power-law integral.
+    """
+    t_lo = math.log(hyper.c)
+    dt = math.log1p((hyper.d - hyper.c) / hyper.c)
+    # Both edges side by side: element k is population k % P at edge k // P.
+    edges = np.array([[hyper.a], [hyper.b]])
+    q_half = (0.5 * ((n - 1.0) * var + n * (xbar - edges) ** 2)).ravel()
+    s = np.tile(0.5 * n - 1.0, 2)
+    y_hi = q_half * math.exp(-t_lo)  # Q / (2c)
+    y_lo = y_hi * math.exp(-dt)  # Q / (2d)
+    out = np.tile(-0.5 * n * _LOG_2PI, 2)
+
+    narrow = dt * (s + y_hi + 1.0) < 1.0
+    if narrow.any():
+        t = t_lo + 0.5 * dt * (1.0 + _GL_NODES)
+        terms = np.log(_GL_WEIGHTS) - s[narrow, None] * t - q_half[narrow, None] * np.exp(-t)
+        peak = terms.max(axis=1)
+        out[narrow] += (
+            math.log(0.5 * dt) + peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        )
+    zero = ~narrow & (q_half == 0.0)
+    if zero.any():
+        # int_c^d x^(-s-1) dx = c^-s (1 - e^(-s dt)) / s, or dt at s = 0.
+        sz = s[zero]
+        sz_pos = np.where(sz > 0, sz, 1.0)
+        out[zero] += np.where(
+            sz > 0,
+            -sz * t_lo + np.log(-np.expm1(-sz_pos * dt)) - np.log(sz_pos),
+            math.log(dt),
+        )
+    # Each branch evaluates both interval ends in one call.
+    lower = ~narrow & ~zero & (y_lo <= s)
+    if lower.any():
+        k = int(lower.sum())
+        both = log_lower_gamma(np.tile(s[lower], 2), np.concatenate([y_hi[lower], y_lo[lower]]))
+        hi, lo = both[:k], both[k:]
+        out[lower] += hi + np.log1p(-np.exp(lo - hi)) - s[lower] * np.log(q_half[lower])
+    upper = ~narrow & ~zero & ~lower
+    if upper.any():
+        k = int(upper.sum())
+        both = log_upper_gamma(np.tile(s[upper], 2), np.concatenate([y_lo[upper], y_hi[upper]]))
+        lo, hi = both[:k], both[k:]
+        out[upper] += lo + np.log1p(-np.exp(hi - lo)) - s[upper] * np.log(q_half[upper])
+    return out.reshape(2, len(n))
 
 
 def uni_log_marginal_likelihood(
-    stats_list: Sequence[SufficientStats], hyper: UniHyperparams
-) -> float:
+    stats_list: Sequence[SufficientStats], hyper: UniHyperparams, *, gradient: bool = False
+):
     """Log marginal likelihood of all populations under the box prior.
 
     Sum over populations of
@@ -147,17 +236,36 @@ def uni_log_marginal_likelihood(
     Returns -inf if any population's integral is numerically zero, e.g.
     when the box excludes all plausible moments.
 
+    With ``gradient=True`` returns ``(value, grad)``, where ``value`` is
+    the same float and ``grad`` holds the partial derivatives in
+    (a, b, c, d).  With I_i the population's box integral and P the
+    number of populations,
+
+        d/da = P/(b-a) - sum_i E_i(a) / I_i,   d/db = sum_i E_i(b) / I_i - P/(b-a),
+        d/dc = P/(d-c) - sum_i L_i(c) / I_i,   d/dd = sum_i L_i(d) / I_i - P/(d-c),
+
+    where E_i(mu) integrates the likelihood over sigma^2 with mu fixed at
+    a box edge, and L_i(sigma^2) integrates it over mu with sigma^2 fixed
+    at one.  At a -inf value the gradient is NaN.
+
     Raises
     ------
     QuadratureError
         If adaptive quadrature fails to converge; carries partial results.
     """
     n, xbar, var = _stats_arrays(stats_list)
-    log_int = _log_sigma_integrals(n, xbar, var, hyper)
+    log_int, log_ends = _log_sigma_integrals(n, xbar, var, hyper)
     log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
     if np.any(np.isneginf(log_int)):
-        return -math.inf
-    return float(np.sum(log_int - log_box))
+        return (-math.inf, np.full(4, math.nan)) if gradient else -math.inf
+    value = float(np.sum(log_int - log_box))
+    if not gradient:
+        return value
+    # sum_i E_i(a) / I_i, sum_i E_i(b) / I_i, sum_i L_i(c) / I_i, sum_i L_i(d) / I_i
+    log_pulls = np.concatenate([_log_edge_integrals(n, xbar, var, hyper), log_ends])
+    pulls = np.exp(log_pulls - log_int).sum(axis=1)
+    sides = np.array([hyper.b - hyper.a] * 2 + [hyper.d - hyper.c] * 2)
+    return value, np.array([-1.0, 1.0, -1.0, 1.0]) * (pulls - len(n) / sides)
 
 
 def _box_from_point(z) -> tuple[float, float, float, float]:
@@ -187,6 +295,12 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     sized box at the median rather than one spanning the data; a spanning
     start has to ride a nearly flat width ridge and tends to overshoot
     into the degeneracy guard.
+
+    The search is BFGS on the exact gradient, in centred, scaled
+    coordinates: (m - m_init) / w_init, and the three logs minus their
+    starting values.  A change of units x -> s x + t moves the starting
+    point with the data, so the search takes the same steps and the
+    learned box moves with the data.
 
     For some draws the type-II likelihood has no interior maximizer: it
     increases monotonically toward a finite limit as one box side shrinks
@@ -227,17 +341,24 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         math.log(d0 - c0),
     ]
 
+    def natural(z):
+        return (init[0] + w0 * z[0], init[1] + z[1], init[2] + z[2], init[3] + z[3])
+
     def objective(z):
-        a, b, c, d = _box_from_point(z)
-        return uni_log_marginal_likelihood(stats_list, UniHyperparams(a=a, b=b, c=c, d=d))
+        a, b, c, d = _box_from_point(natural(z))
+        value, (ga, gb, gc, gd) = uni_log_marginal_likelihood(
+            stats_list, UniHyperparams(a=a, b=b, c=c, d=d), gradient=True
+        )
+        return value, (w0 * (ga + gb), 0.5 * (b - a) * (gb - ga), c * (gc + gd), (d - c) * gd)
 
     scale_w = max(span, 2.0 * pad)
     scale_v = v0
 
     # Boxes far from the data overflow on the way to a -inf marginal.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = maximize(objective, init)
-    a, b, c, d = _box_from_point(result.point)
+        result = maximize(objective, [0.0] * 4, gradient=True)
+    best_point = tuple(float(v) for v in natural(result.point))
+    a, b, c, d = _box_from_point(best_point)
     if (b - a) < 1e-6 * scale_w or (d - c) < 1e-6 * scale_v:
         collapsed = (b - a, d - c)
         if (b - a) < 1e-6 * scale_w:
@@ -248,20 +369,22 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
             half = min(5e-5 * scale_v, 0.99 * mid)
             c, d = mid - half, mid + half
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            widened = objective([0.5 * (a + b), math.log(b - a), math.log(c), math.log(d - c)])
+            widened = uni_log_marginal_likelihood(
+                stats_list, UniHyperparams(a=a, b=b, c=c, d=d)
+            )
         if not widened >= result.objective - 1e-3:
             raise DegeneratePriorError(
                 f"learned box degenerated to widths {collapsed!r} and the "
                 "likelihood keeps growing as it collapses; no proper maximizer "
                 "exists for this data",
-                best_point=result.point,
+                best_point=best_point,
                 best_objective=result.objective,
                 trace=result.trace,
             )
     if not result.converged:
         raise OptimizationError(
             "learn_uni did not converge",
-            best_point=result.point,
+            best_point=best_point,
             best_objective=result.objective,
             trace=result.trace,
         )

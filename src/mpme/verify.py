@@ -33,6 +33,7 @@ __all__ = [
     "SuiteResult",
     "suite_nix_likelihood",
     "suite_uni_likelihood",
+    "suite_uni_gradient",
     "suite_map_argmax",
     "suite_correlation",
     "run_suite",
@@ -396,6 +397,79 @@ def suite_uni_likelihood(cases: int = 20, seed: int = 11, tol: float = 1e-5) -> 
     return SuiteResult("uni-likelihood", worst <= tol, cases, worst, tol, lines)
 
 
+_GRADIENT_KINDS = ("n=2", "n=3", "n=30", "narrow", "zero-scatter edge", "far box")
+
+
+def _uni_gradient_case(rng, kind: int):
+    """Three populations and a box around them; ``kind`` indexes
+    ``_GRADIENT_KINDS``.  A narrow box is 1e-3 of a standard error wide
+    and 1e-3 of c tall.  The zero-scatter case puts a population with
+    S = 0 exactly on the edge a (Q = 0 there).  The far box sits well
+    below the data's variance, so every E_i takes its upper incomplete
+    gamma branch."""
+    n = {0: 2, 1: 3, 2: 30}.get(kind, 5)
+    mu = rng.uniform(-5.0, 5.0)
+    sigma = math.exp(rng.uniform(math.log(0.3), math.log(2.0)))
+    stats = []
+    for _ in range(3):
+        values = mu + sigma * (0.5 * rng.standard_normal() + rng.standard_normal(n))
+        stats.append(
+            SufficientStats(n=n, mean=float(values.mean()), var_unbiased=float(values.var(ddof=1)))
+        )
+    se = sigma / math.sqrt(n)
+    a = mu - rng.uniform(0.5, 3.0) * se
+    b = mu + rng.uniform(0.5, 3.0) * se
+    c = sigma**2 * math.exp(-rng.uniform(0.3, 1.5))
+    d = sigma**2 * math.exp(rng.uniform(0.3, 1.5))
+    if kind == 3:
+        b = a + 1e-3 * se
+        d = c * (1.0 + 1e-3)
+    elif kind == 4:
+        stats[0] = SufficientStats(n=n, mean=a, var_unbiased=0.0)
+    elif kind == 5:
+        c, d = 0.05 * sigma**2, 0.15 * sigma**2
+    return stats, UniHyperparams(a=a, b=b, c=c, d=d)
+
+
+def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> SuiteResult:
+    """Closed-form gradient of the UNI marginal vs central differences.
+
+    Each partial derivative is compared with a five-point central
+    difference whose step is 1e-3 of b - a for a and b, and 1e-3 of
+    min(d - c, c) for c and d; the error of a case is the largest
+    component difference over the largest component.
+    """
+    from .prior_uni import uni_log_marginal_likelihood
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    lines = []
+    for k in range(cases):
+        kind = k % len(_GRADIENT_KINDS)
+        stats, hyper = _uni_gradient_case(rng, kind)
+        _value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+        box = [hyper.a, hyper.b, hyper.c, hyper.d]
+        numeric = []
+        height = min(hyper.d - hyper.c, hyper.c)
+        for i, side in enumerate((hyper.b - hyper.a,) * 2 + (height,) * 2):
+            h = 1e-3 * side
+
+            def at(offset, _i=i, _h=h):
+                moved = list(box)
+                moved[_i] += offset * _h
+                return uni_log_marginal_likelihood(stats, UniHyperparams(*moved))
+
+            numeric.append((8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h))
+        numeric = np.array(numeric)
+        rel = float(np.max(np.abs(grad - numeric)) / np.max(np.abs(numeric)))
+        worst = _worst(worst, rel)
+        lines.append(
+            f"case {k:2d} ({_GRADIENT_KINDS[kind]}): grad=({', '.join(f'{g:.9e}' for g in grad)}) "
+            f"rel={rel:.2e}"
+        )
+    return SuiteResult("uni-gradient", worst <= tol, cases, worst, tol, lines)
+
+
 def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> SuiteResult:
     """nix_map and uni_map vs the dense grid argmax, within one grid cell.
 
@@ -481,6 +555,7 @@ def suite_correlation(
 SUITES = {
     "nix-likelihood": suite_nix_likelihood,
     "uni-likelihood": suite_uni_likelihood,
+    "uni-gradient": suite_uni_gradient,
     "map-argmax": suite_map_argmax,
     "correlation": suite_correlation,
 }

@@ -194,6 +194,17 @@ def test_estimate_nul_population_id_exits_2(tmp_path, capsys, pop_id):
     assert "U+0000" in capsys.readouterr().err
 
 
+def test_estimate_nul_population_id_in_csv_exits_2_before_fitting(tmp_path, monkeypatch, capsys):
+    def unreachable(stats_list):
+        raise AssertionError("learn_uni ran on a dataset that cannot be reported")
+
+    monkeypatch.setattr(experiments, "learn_uni", unreachable)
+    path = tmp_path / "nul.csv"
+    path.write_text("population,value\na,1.0\na,2.0\nbad\x00id,3.0\nbad\x00id,5.0\n")
+    assert cli_main(["estimate", "--input", str(path), "--prior", "uni"]) == 2
+    assert "U+0000" in capsys.readouterr().err
+
+
 def test_estimate_numerical_failure_exits_3(clustered_csv, monkeypatch, capsys):
     def broken(stats_list):
         raise NumericalError("forced failure")
@@ -267,6 +278,17 @@ def test_synth_byte_identical_across_threads(tmp_path):
     assert cli_main(args + ["--threads", "1", "--output", str(out1)]) == 0
     assert cli_main(args + ["--threads", "2", "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_synth_uni_byte_identical_across_threads(tmp_path):
+    args = ["synth", "--pops", "20", "--n", "5", "--trials", "6", "--seed", "5",
+            "--methods", "sample,uni"]
+    out1 = tmp_path / "t1.json"
+    out2 = tmp_path / "t2.json"
+    assert cli_main(args + ["--threads", "1", "--output", str(out1)]) == 0
+    assert cli_main(args + ["--threads", "2", "--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text())["failed_trials"] == 0
 
 
 def test_threads_env_var(tmp_path, monkeypatch, capsys):

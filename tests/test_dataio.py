@@ -306,6 +306,21 @@ def test_csv_line_numbers_count_physical_lines(tmp_path):
         load_dataset(path)
 
 
+def test_csv_errors_name_the_line_where_the_record_started(tmp_path):
+    # The quote opened on line 3 swallows lines 3-5 into one record.
+    path = tmp_path / "data.csv"
+    path.write_text('population,value\na,1.0\n"a,2.0\na,3.0\nb,1.0\n')
+    with pytest.raises(DataError, match="invalid datum at line 3: expected 2 fields"):
+        load_dataset(path)
+
+
+def test_csv_unclosed_quote_names_its_opening_line(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('population,value\n"a,1.0\n' + "a,2.0\n" * 40000)
+    with pytest.raises(DataError, match="invalid CSV at line 2: field larger than field limit"):
+        load_dataset(path)
+
+
 def test_csv_unclosed_quote_is_a_data_error(tmp_path, capsys):
     # The quoted field runs to the end of the file, past the csv module's
     # field size limit.

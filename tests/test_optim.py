@@ -188,3 +188,150 @@ def test_nelder_mead_keeps_bits(monkeypatch, f, x0, max_iters):
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:4] == want[1:4]
     assert got[4] == want[4]
+
+
+def _with_gradient(f, grad):
+    return lambda x: (f(x), grad(x))
+
+
+def test_bfgs_quadratic():
+    target = np.array([1.5, -2.0, 0.25])
+    scales = np.array([1.0, 10.0, 0.1])
+
+    def f(x):
+        d = np.asarray(x) - target
+        return -float(d @ (scales * d))
+
+    res = maximize(_with_gradient(f, lambda x: -2.0 * scales * (np.asarray(x) - target)),
+                   [0.0, 0.0, 0.0], gradient=True)
+    assert res.converged
+    # The run stops once the next step would gain at most 1e-12 of the
+    # progress made (about 40 here), which pins the point to ~1e-5.
+    assert res.objective == pytest.approx(0.0, abs=1e-10)
+    assert res.point == pytest.approx(tuple(target), abs=1e-5)
+    # A quasi-Newton run needs a handful of iterations on a quadratic.
+    assert res.iterations <= 20
+
+
+def test_bfgs_rosenbrock():
+    def f(x):
+        return -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+
+    def grad(x):
+        return -np.array([
+            -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+            200.0 * (x[1] - x[0] ** 2),
+        ])
+
+    res = maximize(_with_gradient(f, grad), [-1.2, 1.0], gradient=True)
+    assert res.converged
+    assert res.objective == pytest.approx(0.0, abs=1e-10)
+    assert res.point == pytest.approx((1.0, 1.0), abs=1e-4)
+    assert res.iterations < 200
+
+
+def test_bfgs_trace_monotone_and_ends_at_objective():
+    res = maximize(_with_gradient(lambda x: -(x[0] ** 4) - x[1] ** 2,
+                                  lambda x: np.array([-4.0 * x[0] ** 3, -2.0 * x[1]])),
+                   [3.0, -2.0], gradient=True)
+    iters = [k for k, _ in res.trace]
+    objs = [v for _, v in res.trace]
+    assert iters == list(range(res.iterations + 1))
+    assert all(b >= a for a, b in zip(objs, objs[1:]))
+    assert objs[-1] == res.objective
+
+
+def test_bfgs_neg_inf_region_is_a_failed_step():
+    # Left of zero the objective is -inf and its gradient NaN; the first
+    # capped step lands there and has to be halved back.
+    def objective(x):
+        if x[0] < 0:
+            return -math.inf, np.array([math.nan])
+        return -((x[0] - 0.5) ** 2), np.array([-2.0 * (x[0] - 0.5)])
+
+    res = maximize(objective, [2.0], gradient=True)
+    assert res.converged
+    assert res.point[0] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_bfgs_non_finite_gradient_at_finite_value_is_a_failed_step():
+    def objective(x):
+        grad = np.array([-2.0 * (x[0] - 0.5)])
+        return -((x[0] - 0.5) ** 2), (grad if x[0] < 3.0 else np.array([math.inf]))
+
+    res = maximize(objective, [2.5], gradient=True)
+    assert res.converged
+    assert res.point[0] == pytest.approx(0.5, abs=1e-8)
+
+
+def test_bfgs_neg_inf_start_is_not_converged():
+    res = maximize(lambda x: (-math.inf, np.array([math.nan])), [1.0], gradient=True)
+    assert not res.converged
+    assert res.point == (1.0,) and res.objective == -math.inf and res.iterations == 0
+
+
+def test_bfgs_nan_raises():
+    with pytest.raises(NumericalError, match=r"NaN at point \(5\.0, 52\.6\)$"):
+        maximize(lambda x: (math.nan, np.zeros(2)), [5.0, 52.6], gradient=True)
+
+    def objective(x):
+        # NaN at the first trial point, x0 + 4 (the capped step).
+        if x[0] > 4.0:
+            return math.nan, np.zeros(1)
+        return -((x[0] - 3.0) ** 2), np.array([-2.0 * (x[0] - 3.0)])
+
+    with pytest.raises(NumericalError, match=r"NaN at point \(4\.5\)$"):
+        maximize(objective, [0.5], gradient=True)
+
+
+def test_bfgs_iteration_cap(monkeypatch):
+    monkeypatch.setattr(optim, "_MAX_ITERS", 3)
+
+    def f(x):
+        return -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+
+    def grad(x):
+        return -np.array([
+            -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+            200.0 * (x[1] - x[0] ** 2),
+        ])
+
+    res = maximize(_with_gradient(f, grad), [-1.2, 1.0], gradient=True)
+    assert not res.converged
+    assert res.iterations == 3
+    assert res.objective > f([-1.2, 1.0])
+
+
+def test_bfgs_is_deterministic():
+    def objective(x):
+        value = -((x[0] - 1.0) ** 2) - (x[1] + 2.0) ** 2 + 0.1 * math.sin(5.0 * x[0])
+        grad = np.array([-2.0 * (x[0] - 1.0) + 0.5 * math.cos(5.0 * x[0]), -2.0 * (x[1] + 2.0)])
+        return value, grad
+
+    seen = [[], []]
+    results = []
+    for run in seen:
+        def recorded(x, run=run):
+            run.append(np.asarray(x).tobytes())
+            return objective(x)
+
+        results.append(maximize(recorded, [0.3, 0.7], gradient=True))
+    assert results[0] == results[1]
+    assert seen[0] == seen[1]
+
+
+def test_bfgs_stops_when_no_step_decreases(monkeypatch):
+    # A flat value with a gradient that claims otherwise: every halved
+    # step along steepest descent fails the Armijo test, so no decrease is
+    # left to find and the search stops at the start.
+    monkeypatch.setattr(optim, "_MAX_HALVINGS", 5)
+    calls = []
+
+    def objective(x):
+        calls.append(float(x[0]))
+        return 0.0, np.array([1.0])
+
+    res = maximize(objective, [0.0], gradient=True)
+    assert res.converged and res.iterations == 0
+    assert res.point == (0.0,) and res.trace == ((0, 0.0),)
+    assert calls == [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]

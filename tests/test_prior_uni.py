@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpme.core import (
     DataError,
@@ -107,6 +109,68 @@ def test_log_marginal_likelihood_rejects_empty():
         uni_log_marginal_likelihood([], UniHyperparams(a=0.0, b=1.0, c=0.5, d=1.5))
 
 
+def _central_gradient(stats, hyper):
+    # Five-point central differences, with steps of 1e-3 of b - a for a
+    # and b, and of min(d - c, c) for c and d.
+    box = [hyper.a, hyper.b, hyper.c, hyper.d]
+    steps = [1e-3 * (hyper.b - hyper.a)] * 2 + [1e-3 * min(hyper.d - hyper.c, hyper.c)] * 2
+    out = []
+    for i, h in enumerate(steps):
+        def at(k):
+            moved = list(box)
+            moved[i] += k * h
+            return uni_log_marginal_likelihood(stats, UniHyperparams(*moved))
+
+        out.append((8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h))
+    return np.array(out)
+
+
+_GRADIENT_BOXES = [
+    UniHyperparams(a=9.5, b=10.5, c=0.95, d=1.05),
+    UniHyperparams(a=9.9, b=9.9 + 1e-6, c=1.0, d=1.0 + 1e-6),
+    UniHyperparams(a=0.0, b=1.0, c=0.01, d=0.02),
+    UniHyperparams(a=9.0, b=11.0, c=50.0, d=60.0),
+]
+
+
+@pytest.mark.parametrize("hyper", _GRADIENT_BOXES, ids=["box", "sliver", "low", "high"])
+def test_gradient_keeps_the_value_bits(hyper):
+    stats = [_stats(5, 10.1, 1.2), _stats(4, 9.7, 0.8), _stats(2, 10.4, 0.0)]
+    plain = uni_log_marginal_likelihood(stats, hyper)
+    value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+    assert type(plain) is float and type(value) is float
+    assert repr(value) == repr(plain)
+    assert grad.shape == (4,)
+
+
+def test_gradient_at_neg_inf_is_nan():
+    value, grad = uni_log_marginal_likelihood(
+        [_stats(5, 0.0, 1.0)], UniHyperparams(a=100.0, b=101.0, c=0.01, d=0.02), gradient=True
+    )
+    assert value == -math.inf
+    assert np.all(np.isnan(grad))
+
+
+@pytest.mark.parametrize(
+    "hyper",
+    [
+        UniHyperparams(a=-0.5, b=0.5, c=0.5, d=2.0),
+        UniHyperparams(a=-0.5, b=0.5, c=0.01, d=0.02),
+        UniHyperparams(a=-0.5, b=0.5, c=50.0, d=60.0),
+    ],
+    ids=["box", "low", "high"],
+)
+def test_gradient_far_from_underflow(hyper):
+    # The population at 40 sits so far outside every box that its upper
+    # incomplete gamma integral underflows in scipy, and the n = 2000
+    # population's lower one underflows once c is far above its variance;
+    # both go through log-space fallbacks and still pull on the box.
+    stats = [_stats(5, 0.1, 1.0), _stats(5, -0.2, 0.9), _stats(5, 40.0, 1.1), _stats(2000, 0.0, 1.0)]
+    _value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+    numeric = _central_gradient(stats, hyper)
+    assert np.max(np.abs(grad - numeric)) <= 1e-8 * np.max(np.abs(numeric))
+
+
 def _box_trial_stats():
     rng = np.random.default_rng(3)
     stats = []
@@ -171,3 +235,45 @@ def test_uni_map_variance_conventions():
     assert uni_map(stats, hyper).sigma_sq == 2.0
     strict = uni_map(stats, hyper, use_unbiased_variance=False)
     assert strict.sigma_sq == pytest.approx(1.6, rel=1e-15)
+
+
+def _example1_trial_stats():
+    # Trial 0 of example 1 at seed 7; its type-II optimum is interior,
+    # with both box sides near 1.
+    from mpme.experiments import SyntheticConfig, generate_synthetic
+    from mpme.core import sufficient_stats
+
+    cfg = SyntheticConfig(
+        populations=20,
+        samples_per_population=5,
+        mu_range=(9.5, 10.5),
+        sigma_range=(0.95, 1.05),
+        trials=1,
+        seed=7,
+    )
+    return [sufficient_stats(s) for s in generate_synthetic(cfg, 0)[1]]
+
+
+_INTERIOR_STATS = _example1_trial_stats()
+_INTERIOR_BOX = learn_uni(_INTERIOR_STATS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    shift=st.floats(min_value=-1e4, max_value=1e4),
+)
+def test_learn_uni_is_equivariant_under_change_of_units(log_scale, shift):
+    # Under x -> s x + t the learned box maps to s [a, b] + t and s^2 [c, d].
+    s = 10.0**log_scale
+    stats = [
+        _stats(x.n, s * x.mean + shift, s * s * x.var_unbiased) for x in _INTERIOR_STATS
+    ]
+    got = learn_uni(stats)
+    box = _INTERIOR_BOX
+    width = s * (box.b - box.a)
+    height = s * s * (box.d - box.c)
+    assert abs(got.a - (s * box.a + shift)) <= 1e-8 * width
+    assert abs(got.b - (s * box.b + shift)) <= 1e-8 * width
+    assert abs(got.c - s * s * box.c) <= 1e-8 * height
+    assert abs(got.d - s * s * box.d) <= 1e-8 * height

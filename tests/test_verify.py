@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mpme import prior_nix
+from mpme.cli import cli_main
 from mpme.core import DataError, NumericalError, SufficientStats
 from mpme.prior_nix import NixHyperparams, nix_log_marginal_likelihood
 from mpme.prior_uni import UniHyperparams, uni_log_marginal_likelihood
@@ -18,6 +20,7 @@ from mpme.verify import (
     suite_correlation,
     suite_map_argmax,
     suite_nix_likelihood,
+    suite_uni_gradient,
     suite_uni_likelihood,
     uni_log_marginal_via_q,
 )
@@ -164,10 +167,53 @@ def test_suite_fails_on_nan(monkeypatch):
 
 
 def test_run_suite_dispatch():
-    assert set(SUITES) == {"nix-likelihood", "uni-likelihood", "map-argmax", "correlation"}
+    assert set(SUITES) == {
+        "nix-likelihood", "uni-likelihood", "uni-gradient", "map-argmax", "correlation"
+    }
     res = run_suite("nix-likelihood", cases=2)
     assert res.name == "nix-likelihood" and res.cases == 2
     res = run_suite("correlation", cases=100_000)
     assert res.name == "correlation" and res.cases == 3
     with pytest.raises(DataError, match="unknown verification suite"):
         run_suite("nope")
+
+
+def test_suite_uni_gradient_passes():
+    res = run_suite("uni-gradient")
+    assert res.passed and res.cases == 24
+    assert res.worst <= res.tolerance == 1e-6
+    # Every kind of case is covered, four times.
+    for kind in ("n=2", "n=3", "n=30", "narrow", "zero-scatter edge", "far box"):
+        assert sum(f"({kind})" in line for line in res.lines) == 4
+
+
+def test_suite_uni_gradient_catches_a_wrong_gradient(monkeypatch):
+    from mpme import prior_uni
+
+    real = prior_uni.uni_log_marginal_likelihood
+
+    def off(stats_list, hyper, *, gradient=False):
+        if not gradient:
+            return real(stats_list, hyper)
+        value, grad = real(stats_list, hyper, gradient=True)
+        return value, grad * (1.0 + 1e-5)
+
+    monkeypatch.setattr(prior_uni, "uni_log_marginal_likelihood", off)
+    assert not suite_uni_gradient(cases=6).passed
+
+
+# sha256 of what `mpme verify --suite NAME` printed before the UNI marginal
+# gained its gradient; the default suites must print the same bytes.  The
+# nix-likelihood suite (14 s) is left out: it runs no UNI code.
+_DEFAULT_SUITE_OUTPUT = {
+    "uni-likelihood": "4762f42efaa2d42a674632bf0776b7ea2cf6368a07abe245d4dc782dad4d70aa",
+    "map-argmax": "caed1591caa57e9e896da8d02aba315d1e47a3771cc894a4c0120f5e8a7d3324",
+    "correlation": "bcb53707b1d969af41cacad194e409f5caeda3b103c529c430e3f5b3621d7044",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULT_SUITE_OUTPUT))
+def test_default_suites_print_the_same_bytes(name, capsys):
+    assert cli_main(["verify", "--suite", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _DEFAULT_SUITE_OUTPUT[name]
