@@ -6,9 +6,10 @@ independently.  Its marginal likelihood has no closed form; the mu
 integral reduces to a difference of normal CDFs and the remaining
 sigma^2 integral is done by adaptive quadrature, shared across all
 populations and evaluated in log(sigma^2) to resolve the scale-free peak.
-Its gradient in (a, b, c, d) needs no further quadrature: the c and d
-derivatives are the integrand at the ends of the sigma^2 interval, and
-the a and b derivatives are incomplete gamma integrals.
+The same quadrature yields the gradient in (a, b, c, d): the a and b
+derivatives need the likelihood with mu fixed at a box edge, integrated
+over sigma^2, which rides along as extra rows; the c and d derivatives
+are the integrand at the ends of the sigma^2 interval.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from .core import (
 )
 from .optim import maximize
 from .prior_nix import _stats_arrays
-from .special import (
-    integrate_adaptive,
-    log_lower_gamma,
-    log_normal_cdf_diff,
-    log_upper_gamma,
-)
+from .special import integrate_adaptive, log_normal_cdf_diff
 
 __all__ = [
     "UniHyperparams",
@@ -45,12 +41,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_CLIP = 700.0
-# 8-point Gauss-Legendre rule on [-1, 1] (symmetric), for the edge
-# integrals over narrow sigma^2 intervals.
-_GL_HALF_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
-_GL_HALF_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)
-_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
-_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -78,9 +68,10 @@ def _log_sigma_integrals(
     var: np.ndarray,
     hyper: UniHyperparams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-population log of the sigma^2 integral over [c, d], and the log
-    of its integrand (in sigma^2) at sigma^2 = c and at sigma^2 = d, one
-    row each.
+    """Per-population log of the sigma^2 integral I_i over [c, d], and the
+    logs of the four integrals that its derivatives in (a, b, c, d) need,
+    one row each: E_i(a), E_i(b), and the integrand (in sigma^2) at
+    sigma^2 = c and at sigma^2 = d.
 
     Integrates, in t = log(sigma^2),
 
@@ -88,10 +79,15 @@ def _log_sigma_integrals(
                      - (n_i-1) S_i / (2 e^t)) * (Phi(hi) - Phi(lo)) * e^t,
 
     with hi/lo the standardized box endpoints (b - xbar_i) sqrt(n_i) / sigma
-    and (a - xbar_i) sqrt(n_i) / sigma.  Each population is shifted by the
-    maximum of its log integrand over a coarse scan so the adaptive rule
-    works on O(1) values; populations whose integral underflows to zero
-    come back as -inf.
+    and (a - xbar_i) sqrt(n_i) / sigma.  E_i(mu) is the likelihood with mu
+    held fixed at a box edge, integrated over the same interval,
+
+        g_i(t) = exp(-(n_i/2) log(2 pi) - s_i t - q_i e^-t),
+
+    with s_i = n_i/2 - 1 and q_i = ((n_i-1) S_i + n_i (xbar_i - mu)^2) / 2.
+    All 3P rows share one adaptive quadrature.  Each row is shifted by its
+    maximum so the adaptive rule works on O(1) values; populations whose
+    integral underflows to zero come back as -inf.
 
     The interval length is formed as log1p((d-c)/c) and the quadrature
     runs in u = t - log(c) over [0, dt]: computing log(d) - log(c), or
@@ -108,8 +104,9 @@ def _log_sigma_integrals(
     scatter = (n - 1.0) * var
 
     def log_f(t):
-        sig = np.exp(0.5 * t)
-        k = root_n[:, None] / sig[None, :]
+        # t broadcasts against one row per population.
+        t = np.atleast_2d(t)
+        k = root_n[:, None] / np.exp(0.5 * t)
         hi = (hyper.b - xbar)[:, None] * k
         lo = (hyper.a - xbar)[:, None] * k
         # The width goes in separately: forming hi - lo from the rounded
@@ -117,110 +114,49 @@ def _log_sigma_integrals(
         # boxes turns into node-dependent noise that stalls the quadrature.
         log_phi_diff = log_normal_cdf_diff(lo, hi, width=(hyper.b - hyper.a) * k)
         return (
-            -0.5 * (n - 1.0)[:, None] * (_LOG_2PI + t[None, :])
+            -0.5 * (n - 1.0)[:, None] * (_LOG_2PI + t)
             - 0.5 * np.log(n)[:, None]
-            - 0.5 * scatter[:, None] * np.exp(-t)[None, :]
+            - 0.5 * scatter[:, None] * np.exp(-t)
             + log_phi_diff
-            + t[None, :]
+            + t
         )
 
-    # Shift by the per-population peak; the un-truncated maximizer of the
-    # sigma^2 profile sits at sigma^2 = S, clipped into [c, d].
-    t_peak = np.log(np.clip(var, hyper.c, hyper.d))
-    sig_peak = np.exp(0.5 * t_peak)
-    peak_vals = (
-        -0.5 * (n - 1.0) * (_LOG_2PI + t_peak)
-        - 0.5 * np.log(n)
-        - 0.5 * scatter * np.exp(-t_peak)
-        + log_normal_cdf_diff(
-            (hyper.a - xbar) * root_n / sig_peak,
-            (hyper.b - xbar) * root_n / sig_peak,
-            width=(hyper.b - hyper.a) * root_n / sig_peak,
-        )
-        + t_peak
-    )
+    # The E rows: row k is population k % P with mu at a (k < P) or at b.
+    q = (0.5 * (scatter + n * (xbar - np.array([[hyper.a], [hyper.b]])) ** 2)).ravel()
+    s = np.tile(0.5 * n - 1.0, 2)
+    log_norm = np.tile(-0.5 * n * _LOG_2PI, 2)
+
+    def log_g(t):
+        t = np.atleast_2d(t)
+        return log_norm[:, None] - s[:, None] * t - q[:, None] * np.exp(-t)
+
+    # Shift f_i by its per-population peak; the un-truncated maximizer of
+    # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].
     # linspace returns both ends exactly, so the scan's first and last
     # columns are the integrand at sigma^2 = c and at sigma^2 = d.
     scan = log_f(np.linspace(t_lo, t_hi, 9))
-    shift = np.maximum(scan.max(axis=1), peak_vals)
+    t_peak = np.log(np.clip(var, hyper.c, hyper.d))
+    shift = np.maximum(scan.max(axis=1), log_f(t_peak[:, None])[:, 0])
     safe_shift = np.where(np.isfinite(shift), shift, 0.0)
+    # log g_i is concave in t and peaks at log(q/s), clipped into the
+    # interval: at the right end when s = 0, at the left end when q = 0.
+    # s = q = 0 (n = 2, S = 0, mean on the edge) is flat; any end will do.
+    with np.errstate(divide="ignore"):
+        t_edge = np.log(np.divide(q, s, out=np.full_like(q, np.inf), where=s > 0))
+    edge_shift = log_g(np.clip(t_edge, t_lo, t_hi)[:, None])[:, 0]
+    shifts = np.concatenate([safe_shift, edge_shift])
 
     def integrand(u):
-        return np.exp(log_f(u + t_lo) - safe_shift[:, None])
+        t = u + t_lo
+        return np.exp(np.concatenate([log_f(t), log_g(t)]) - shifts[:, None])
 
     value, _err = integrate_adaptive(integrand, 0.0, dt)
     with np.errstate(divide="ignore"):
-        log_int = safe_shift + np.log(value)
-    # Drop the Jacobian e^t of the log(sigma^2) variable.
-    return log_int, np.array([scan[:, 0] - t_lo, scan[:, -1] - t_hi])
-
-
-def _log_edge_integrals(
-    n: np.ndarray,
-    xbar: np.ndarray,
-    var: np.ndarray,
-    hyper: UniHyperparams,
-) -> np.ndarray:
-    """Per-population log of E_i(mu), the likelihood with mu held fixed at
-    mu = a (first row) and at mu = b (second row), integrated over sigma^2
-    in [c, d]:
-
-        E_i(mu) = int_c^d (2 pi sigma^2)^(-n_i/2) exp(-Q_i / (2 sigma^2)) dsigma^2,
-
-    with Q_i = (n_i - 1) S_i + n_i (xbar_i - mu)^2.  Substituting
-    y = Q_i / (2 sigma^2) gives (2 pi)^(-n/2) (Q/2)^(-s) times the
-    incomplete gamma integral of y^(s-1) e^-y over [Q/2d, Q/2c], with
-    s = n/2 - 1.  That integral is a difference of lower incomplete gamma
-    functions below the mode of the gamma density (y <= s) and of upper
-    ones above it (at n = 2, where s = 0, of E1), so the difference never
-    cancels by more than a factor of a few.  It would cancel on a narrow
-    interval, so there an 8-point Gauss-Legendre rule in log(sigma^2),
-    over which the log integrand moves by less than one, is used instead;
-    that rule also covers Q = 0.  Q = 0 on a wider interval (zero
-    scatter, mean at the box edge) is the power-law integral.
-    """
-    t_lo = math.log(hyper.c)
-    dt = math.log1p((hyper.d - hyper.c) / hyper.c)
-    # Both edges side by side: element k is population k % P at edge k // P.
-    edges = np.array([[hyper.a], [hyper.b]])
-    q_half = (0.5 * ((n - 1.0) * var + n * (xbar - edges) ** 2)).ravel()
-    s = np.tile(0.5 * n - 1.0, 2)
-    y_hi = q_half * math.exp(-t_lo)  # Q / (2c)
-    y_lo = y_hi * math.exp(-dt)  # Q / (2d)
-    out = np.tile(-0.5 * n * _LOG_2PI, 2)
-
-    narrow = dt * (s + y_hi + 1.0) < 1.0
-    if narrow.any():
-        t = t_lo + 0.5 * dt * (1.0 + _GL_NODES)
-        terms = np.log(_GL_WEIGHTS) - s[narrow, None] * t - q_half[narrow, None] * np.exp(-t)
-        peak = terms.max(axis=1)
-        out[narrow] += (
-            math.log(0.5 * dt) + peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
-        )
-    zero = ~narrow & (q_half == 0.0)
-    if zero.any():
-        # int_c^d x^(-s-1) dx = c^-s (1 - e^(-s dt)) / s, or dt at s = 0.
-        sz = s[zero]
-        sz_pos = np.where(sz > 0, sz, 1.0)
-        out[zero] += np.where(
-            sz > 0,
-            -sz * t_lo + np.log(-np.expm1(-sz_pos * dt)) - np.log(sz_pos),
-            math.log(dt),
-        )
-    # Each branch evaluates both interval ends in one call.
-    lower = ~narrow & ~zero & (y_lo <= s)
-    if lower.any():
-        k = int(lower.sum())
-        both = log_lower_gamma(np.tile(s[lower], 2), np.concatenate([y_hi[lower], y_lo[lower]]))
-        hi, lo = both[:k], both[k:]
-        out[lower] += hi + np.log1p(-np.exp(lo - hi)) - s[lower] * np.log(q_half[lower])
-    upper = ~narrow & ~zero & ~lower
-    if upper.any():
-        k = int(upper.sum())
-        both = log_upper_gamma(np.tile(s[upper], 2), np.concatenate([y_lo[upper], y_hi[upper]]))
-        lo, hi = both[:k], both[k:]
-        out[upper] += lo + np.log1p(-np.exp(hi - lo)) - s[upper] * np.log(q_half[upper])
-    return out.reshape(2, len(n))
+        log_all = shifts + np.log(value)
+    p = len(n)
+    # Drop the Jacobian e^t of the log(sigma^2) variable at the ends.
+    log_ends = [scan[:, 0] - t_lo, scan[:, -1] - t_hi]
+    return log_all[:p], np.concatenate([log_all[p:].reshape(2, p), log_ends])
 
 
 def uni_log_marginal_likelihood(
@@ -246,7 +182,9 @@ def uni_log_marginal_likelihood(
 
     where E_i(mu) integrates the likelihood over sigma^2 with mu fixed at
     a box edge, and L_i(sigma^2) integrates it over mu with sigma^2 fixed
-    at one.  At a -inf value the gradient is NaN.
+    at one.  E_i comes from the same adaptive quadrature as I_i, which is
+    run on both paths, so ``gradient`` only chooses the return shape.  At
+    a -inf value the gradient is NaN.
 
     Raises
     ------
@@ -254,7 +192,7 @@ def uni_log_marginal_likelihood(
         If adaptive quadrature fails to converge; carries partial results.
     """
     n, xbar, var = _stats_arrays(stats_list)
-    log_int, log_ends = _log_sigma_integrals(n, xbar, var, hyper)
+    log_int, log_pulls = _log_sigma_integrals(n, xbar, var, hyper)
     log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
     if np.any(np.isneginf(log_int)):
         return (-math.inf, np.full(4, math.nan)) if gradient else -math.inf
@@ -262,7 +200,6 @@ def uni_log_marginal_likelihood(
     if not gradient:
         return value
     # sum_i E_i(a) / I_i, sum_i E_i(b) / I_i, sum_i L_i(c) / I_i, sum_i L_i(d) / I_i
-    log_pulls = np.concatenate([_log_edge_integrals(n, xbar, var, hyper), log_ends])
     pulls = np.exp(log_pulls - log_int).sum(axis=1)
     sides = np.array([hyper.b - hyper.a] * 2 + [hyper.d - hyper.c] * 2)
     return value, np.array([-1.0, 1.0, -1.0, 1.0]) * (pulls - len(n) / sides)

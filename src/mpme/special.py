@@ -1,10 +1,11 @@
-"""Special functions and adaptive quadrature.
+"""Log normal-CDF differences and adaptive quadrature.
 
-One adaptive Gauss-Kronrod routine serves every integral in the package;
-infinite upper limits are mapped to [0, 1) with the substitution
-``y = u / (1 - u)``.  The routine is vectorized: the integrand may return
-one row per component (e.g. per population), and all components share the
-same subdivision of the integration interval.
+One adaptive Gauss-Kronrod routine serves every integral in the package.
+It takes finite limits only; a caller with an infinite limit maps it to a
+finite interval first (``verify.owen_q`` substitutes ``y = u / (1 - u)``).
+The routine is vectorized: the integrand may return one row per component
+(e.g. per population), and all components share the same subdivision of
+the integration interval.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .core import DataError, QuadratureError
 
 __all__ = [
     "integrate_adaptive",
-    "log_lower_gamma",
     "log_normal_cdf_diff",
-    "log_upper_gamma",
 ]
 
 
@@ -67,10 +66,6 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array(list(_WG_HALF) + list(reversed(_WG_HALF[:-1])))
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Below this, a regularized incomplete gamma value from scipy is too close
-# to underflow to trust its logarithm; the log-space fallbacks take over.
-_GAMMA_TINY = 1e-280
 
 
 def _gk15(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -213,62 +208,3 @@ def log_normal_cdf_diff(lo, hi, width=None):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def log_lower_gamma(s, y):
-    """log of the lower incomplete gamma function, log int_0^y t^(s-1) e^-t dt.
-
-    Elementwise, for s > 0 and y > 0.  Where the regularized value
-    ``gammainc(s, y)`` underflows (tiny y, or large s), Kummer's series
-    gamma(s, y) = y^s e^-y M(1, s + 1, y) / s is used in log space.
-    """
-    s, y = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(y, dtype=float))
-    p = _sp.gammainc(s, y)
-    with np.errstate(divide="ignore"):
-        out = np.asarray(np.log(p) + _sp.gammaln(s))
-    small = p < _GAMMA_TINY
-    if small.any():
-        s, y = s[small], y[small]
-        out[small] = s * np.log(y) - y - np.log(s) + np.log(_sp.hyp1f1(1.0, s + 1.0, y))
-    return out
-
-
-def log_upper_gamma(s, y):
-    """log of the upper incomplete gamma function, log int_y^inf t^(s-1) e^-t dt.
-
-    Elementwise, for s >= 0 and y > 0; at s = 0 this is log E1(y).  Where
-    the scipy value underflows (y far above s), the continued fraction
-    Gamma(s, y) = e^-y y^s / (y + 1 - s - 1 (1 - s) / (y + 3 - s - ...))
-    is evaluated by the modified Lentz method and returned in log space.
-    """
-    s, y = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(y, dtype=float))
-    with np.errstate(divide="ignore"):
-        q = np.where(s > 0, _sp.gammaincc(s, y), _sp.exp1(y))
-        # gammaln(1) = 0 leaves E1 as it is.
-        out = np.asarray(np.log(q) + _sp.gammaln(np.where(s > 0, s, 1.0)))
-    small = q < _GAMMA_TINY
-    if small.any():
-        out[small] = _log_upper_gamma_cf(s[small], y[small])
-    return out
-
-
-def _log_upper_gamma_cf(s, y):
-    # Modified Lentz; converges in a handful of terms once y is well past s,
-    # which holds wherever gammaincc underflows.
-    b = y + 1.0 - s
-    c = np.full_like(y, 1e300)
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < 1e-300, 1e-300, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < 1e-300, 1e-300, c)
-        d = 1.0 / d
-        step = d * c
-        h = h * step
-        if np.all(np.abs(step - 1.0) < 4e-16):
-            break
-    return s * np.log(y) - y + np.log(h)

@@ -405,8 +405,8 @@ def _uni_gradient_case(rng, kind: int):
     ``_GRADIENT_KINDS``.  A narrow box is 1e-3 of a standard error wide
     and 1e-3 of c tall.  The zero-scatter case puts a population with
     S = 0 exactly on the edge a (Q = 0 there).  The far box sits well
-    below the data's variance, so every E_i takes its upper incomplete
-    gamma branch."""
+    below the data's variance, so the sigma^2 integrands rise steeply
+    toward d."""
     n = {0: 2, 1: 3, 2: 30}.get(kind, 5)
     mu = rng.uniform(-5.0, 5.0)
     sigma = math.exp(rng.uniform(math.log(0.3), math.log(2.0)))
@@ -534,6 +534,8 @@ def suite_correlation(
     vs the analytic sigma0^2 / (sigma^2 + sigma0^2)."""
     from .experiments import induced_correlation
 
+    if draws < 2:
+        raise DataError(f"draws = {draws!r}, need >= 2 for a correlation")
     rng = np.random.default_rng(seed)
     worst = 0.0
     lines = []

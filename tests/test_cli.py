@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,10 +344,19 @@ def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):
     assert "FAIL correlation" in capsys.readouterr().out
 
 
-def test_verify_nan_fails(capsys):
-    # One draw gives a NaN correlation, which must not pass as error 0.
-    assert cli_main(["verify", "--suite", "correlation", "--cases", "1"]) == 4
+def test_verify_nan_fails(capsys, monkeypatch):
+    # A NaN comparison must not pass as error 0.
+    monkeypatch.setattr(experiments, "induced_correlation", lambda sigma, sigma0: math.nan)
+    assert cli_main(["verify", "--suite", "correlation", "--cases", "100"]) == 4
     assert "FAIL correlation: 3 cases, worst nan" in capsys.readouterr().out
+
+
+def test_verify_correlation_one_draw_exits_2(capsys):
+    # One draw has no correlation; it is refused before numpy warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["verify", "--suite", "correlation", "--cases", "1"]) == 2
+    assert "data error: draws = 1" in capsys.readouterr().err
 
 
 def test_verify_negative_seed_exits_2(capsys):

@@ -96,12 +96,15 @@ GOLDEN_NIX_WIDE = [
 
 # Re-recorded when learn_uni moved from Nelder-Mead to BFGS on the exact
 # gradient; the Nelder-Mead box was (9.284602013842093, 10.335477940259619,
-# 0.40352110304634486, 1.8407831639721308).
+# 0.40352110304634486, 1.8407831639721308).  Re-recorded again when the
+# box-edge integrals joined the marginal's quadrature, which changes its
+# shared subdivision; the previous box was (9.284601414220562,
+# 10.33548008083647, 0.4035207044432596, 1.8407837792401194).
 GOLDEN_UNI_EXAMPLE1 = [
-    "9.284601414220562",
-    "10.33548008083647",
-    "0.4035207044432596",
-    "1.8407837792401194",
+    "9.28460141422056",
+    "10.335480080836472",
+    "0.40352070444326",
+    "1.8407837792401167",
 ]
 
 GOLDEN_MAXIMIZE = {

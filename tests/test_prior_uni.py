@@ -161,13 +161,33 @@ def test_gradient_at_neg_inf_is_nan():
     ids=["box", "low", "high"],
 )
 def test_gradient_far_from_underflow(hyper):
-    # The population at 40 sits so far outside every box that its upper
-    # incomplete gamma integral underflows in scipy, and the n = 2000
-    # population's lower one underflows once c is far above its variance;
-    # both go through log-space fallbacks and still pull on the box.
+    # The population at 40 sits so far outside every box that its box-edge
+    # integrals E_i are below e^-1000, and the n = 2000 population's are
+    # sharply peaked in sigma^2; each row is shifted by its own maximum in
+    # the shared quadrature, so both still pull on the box.
     stats = [_stats(5, 0.1, 1.0), _stats(5, -0.2, 0.9), _stats(5, 40.0, 1.1), _stats(2000, 0.0, 1.0)]
     _value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
     numeric = _central_gradient(stats, hyper)
+    assert np.max(np.abs(grad - numeric)) <= 1e-8 * np.max(np.abs(numeric))
+
+
+@pytest.mark.parametrize(
+    "stats, hyper",
+    [
+        # n = 2, S = 0 and the mean on a: E_i(a) integrates a constant.
+        ([_stats(2, 9.5, 0.0), _stats(5, 10.1, 1.2)], UniHyperparams(a=9.5, b=10.5, c=0.5, d=2.0)),
+        # n = 5, S = 0 and the mean on b: E_i(b) peaks at sigma^2 = c.
+        ([_stats(5, 10.5, 0.0), _stats(4, 9.7, 0.8)], UniHyperparams(a=9.5, b=10.5, c=0.5, d=2.0)),
+    ],
+    ids=["flat-edge-row", "zero-scatter-on-b"],
+)
+def test_gradient_zero_scatter_on_a_box_edge(stats, hyper):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+        numeric = _central_gradient(stats, hyper)
+    assert value == uni_log_marginal_likelihood(stats, hyper)
+    assert math.isfinite(value)
     assert np.max(np.abs(grad - numeric)) <= 1e-8 * np.max(np.abs(numeric))
 
 

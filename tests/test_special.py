@@ -5,12 +5,7 @@ import pytest
 
 from mpme.core import DataError, QuadratureError
 from mpme import special
-from mpme.special import (
-    integrate_adaptive,
-    log_lower_gamma,
-    log_normal_cdf_diff,
-    log_upper_gamma,
-)
+from mpme.special import integrate_adaptive, log_normal_cdf_diff
 from mpme.verify import owen_q
 
 # Expected values below were frozen from a 60-120 decimal-digit
@@ -207,48 +202,3 @@ def test_owen_q_validation():
         owen_q(3, 1.0, 0.0, 0.0)
     with pytest.raises(DataError):
         owen_q(3, 1.0, 0.0, -2.0)
-
-
-@pytest.mark.parametrize(
-    "s, y, expected",
-    [
-        (1.5, 2.0, -1.4622404128878096209),
-        (0.0, 3.0, -4.3390912069932972168),  # E1
-        (0.0, 1e-200, 6.1310956177326493335),
-        # scipy underflows past here; the continued fraction takes over.
-        (1.5, 1000.0, -996.54562273496849519),
-        (0.0, 1000.0, -1006.908753783297812),
-        (14.0, 800.0, -713.0836849959413675),
-        (2499.0, 5000.0, 16276.640541331633507),
-    ],
-)
-def test_log_upper_gamma_frozen(s, y, expected):
-    got = log_upper_gamma(np.array([s]), np.array([y]))
-    assert got[0] == pytest.approx(expected, rel=1e-14)
-
-
-@pytest.mark.parametrize(
-    "s, y, expected",
-    [
-        (1.5, 3.0, -0.23912693422515603743),
-        (14.0, 20.0, 22.483748342475371687),
-        # The regularized value underflows; Kummer's series takes over.
-        (1.5, 1e-250, -863.87487498087529581),
-        (14.0, 1e-30, -969.72479638711444474),
-        (2499.0, 1000.0, 16255.167444430200413),
-    ],
-)
-def test_log_lower_gamma_frozen(s, y, expected):
-    got = log_lower_gamma(np.array([s]), np.array([y]))
-    assert got[0] == pytest.approx(expected, rel=1e-14)
-
-
-def test_log_incomplete_gammas_mix_branches_elementwise():
-    s = np.array([1.5, 1.5, 0.0, 2499.0])
-    y = np.array([2.0, 1000.0, 1000.0, 5000.0])
-    want = [float(log_upper_gamma(np.array([a]), np.array([b]))[0]) for a, b in zip(s, y)]
-    assert list(log_upper_gamma(s, y)) == want
-    s = np.array([1.5, 1.5, 2499.0])
-    y = np.array([3.0, 1e-250, 1000.0])
-    want = [float(log_lower_gamma(np.array([a]), np.array([b]))[0]) for a, b in zip(s, y)]
-    assert list(log_lower_gamma(s, y)) == want
