@@ -4,8 +4,8 @@ Per-population Gaussian moments are estimated jointly: a prior over
 ``(mu_i, sigma_i^2)`` is learned from all populations by type-II maximum
 likelihood, then each population's estimate is the posterior mode under
 that prior.  Two prior families are provided (conjugate
-normal-inverse-chi-squared and a uniform box), along with classical
-baselines, brute-force verification oracles, and a reproducible
+normal-inverse-chi-squared and a uniform box), along with the sample
+estimator baseline, brute-force verification oracles, and a reproducible
 benchmark harness.
 """
 
@@ -24,7 +24,7 @@ from .core import (
     sufficient_stats,
 )
 from .dataio import DataFormat, DatasetFile, load_dataset, save_dataset
-from .estimators import pooled_mean, pooled_variance, sample_estimate
+from .estimators import sample_estimate
 from .experiments import (
     BenchmarkResult,
     GroundTruth,
@@ -77,8 +77,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "sample_estimate",
-    "pooled_mean",
-    "pooled_variance",
     "NixHyperparams",
     "VarianceMode",
     "nix_posterior_update",

@@ -17,6 +17,7 @@ from . import __version__
 from .core import DataError, Method, NumericalError, sufficient_stats
 from .dataio import DataFormat, dump_json, load_dataset
 from .experiments import (
+    EXAMPLES,
     METHOD_NAMES,
     SyntheticConfig,
     bootstrap_benchmark_detailed,
@@ -29,15 +30,6 @@ from .verify import SUITES, run_suite
 __all__ = ["cli_main", "run"]
 
 REPORT_SCHEMA = "mpme/1"
-
-# Generator ranges for the two synthetic examples: means equally spaced
-# over [9.5, 10.5]; standard deviations over [0.95, 1.05] (example 1,
-# near-equal variances) or [1.9, 2.1] (example 2, larger variances).
-_EXAMPLES = {
-    1: ((9.5, 10.5), (0.95, 1.05)),
-    2: ((9.5, 10.5), (1.9, 2.1)),
-}
-
 
 def _parse_methods(text: str) -> tuple[Method, ...]:
     methods = []
@@ -166,7 +158,7 @@ def _benchmark_report(command: str, config: dict, result, population_ids=None) -
 
 
 def _cmd_synth(args) -> int:
-    mu_range, sigma_range = _EXAMPLES[args.example]
+    mu_range, sigma_range = EXAMPLES[args.example]
     cfg = SyntheticConfig(
         populations=args.pops,
         samples_per_population=args.n,
@@ -253,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.set_defaults(handler=_cmd_estimate)
 
     synth = sub.add_parser("synth", help="synthetic benchmark of estimator accuracy")
-    synth.add_argument("--example", type=int, choices=(1, 2), default=1)
+    synth.add_argument("--example", type=int, choices=sorted(EXAMPLES), default=1)
     synth.add_argument("--pops", type=_positive_int, default=20)
     synth.add_argument("--n", type=_positive_int, default=5)
     synth.add_argument("--trials", type=_positive_int, default=200)

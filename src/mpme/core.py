@@ -54,7 +54,8 @@ class DegeneratePriorError(OptimizationError):
 
 
 class Method(Enum):
-    """Identifies which estimator produced a :class:`MomentEstimate`."""
+    """Names an estimator: the keys of ``experiments.ESTIMATORS``, and the
+    method names that reports record."""
 
     SAMPLE_EST = "sample"
     MPME_NIX = "mpme-nix"
@@ -151,15 +152,12 @@ class MomentEstimate:
 
     mu: float
     sigma_sq: float
-    method: Method
 
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise DataError(f"invalid estimate: mu = {self.mu!r}")
         if not (math.isfinite(self.sigma_sq) and self.sigma_sq >= 0.0):
             raise DataError(f"invalid estimate: sigma_sq = {self.sigma_sq!r}, need >= 0")
-        if not isinstance(self.method, Method):
-            raise DataError(f"invalid estimate: method = {self.method!r}")
 
 
 @dataclass(frozen=True)

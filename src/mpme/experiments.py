@@ -29,6 +29,7 @@ from .prior_uni import UniHyperparams, learn_uni, uni_map
 __all__ = [
     "ESTIMATORS",
     "METHOD_NAMES",
+    "EXAMPLES",
     "estimate_populations",
     "SyntheticConfig",
     "GroundTruth",
@@ -88,6 +89,15 @@ def estimate_populations(
 
 
 _MAX_SEED = 2**64
+
+# Generator ranges of the two synthetic examples, as (mu_range,
+# sigma_range): means equally spaced over [9.5, 10.5]; standard deviations
+# over [0.95, 1.05] (example 1, near-equal variances) or [1.9, 2.1]
+# (example 2, larger variances).
+EXAMPLES = {
+    1: ((9.5, 10.5), (0.95, 1.05)),
+    2: ((9.5, 10.5), (1.9, 2.1)),
+}
 
 
 @dataclass(frozen=True)
@@ -245,8 +255,8 @@ def induced_correlation(sigma: float, sigma0: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Trial runner.  One picklable spec + top-level worker so trials can run in
-# worker processes; results keyed by trial index make aggregation order
-# independent of scheduling.
+# worker processes; the pool's map, like the serial loop, returns outcomes
+# in trial order, so aggregation order is independent of scheduling.
 
 
 @dataclass(frozen=True)
@@ -261,7 +271,6 @@ class _TrialSpec:
 
 @dataclass
 class _TrialOutcome:
-    trial: int
     estimates: Mapping[Method, list[MomentEstimate]] | None
     hypers: Mapping[str, NixHyperparams | UniHyperparams] | None = None
     failure: str | None = None
@@ -289,8 +298,8 @@ def _run_trial(spec: _TrialSpec, trial: int) -> _TrialOutcome:
     try:
         estimates, hypers = estimate_populations(spec.methods, stats_list, learn_stats)
     except NumericalError as exc:
-        return _TrialOutcome(trial, None, failure=f"trial {trial}: {exc}")
-    return _TrialOutcome(trial, estimates, hypers)
+        return _TrialOutcome(None, failure=f"trial {trial}: {exc}")
+    return _TrialOutcome(estimates, hypers)
 
 
 @dataclass
@@ -308,7 +317,6 @@ class BenchmarkResult:
     nix_hypers: list[NixHyperparams]
     uni_hypers: list[UniHyperparams]
     failures: list[str]
-    trials_requested: int
 
 
 def _check_methods(methods) -> frozenset:
@@ -326,7 +334,6 @@ def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> Benc
             outcomes = list(pool.map(_run_trial, [spec] * trials, range(trials), chunksize=8))
     else:
         outcomes = [_run_trial(spec, t) for t in range(trials)]
-    outcomes.sort(key=lambda o: o.trial)
 
     failures = [o.failure for o in outcomes if o.failure is not None]
     if len(failures) > 0.05 * trials:
@@ -343,7 +350,6 @@ def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> Benc
         nix_hypers=[o.hypers["nix"] for o in good if "nix" in o.hypers],
         uni_hypers=[o.hypers["uni"] for o in good if "uni" in o.hypers],
         failures=failures,
-        trials_requested=trials,
     )
 
 

@@ -25,13 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _sp
 
-from .core import (
-    DataError,
-    Method,
-    MomentEstimate,
-    OptimizationError,
-    SufficientStats,
-)
+from .core import DataError, MomentEstimate, OptimizationError, SufficientStats
 from .optim import maximize
 
 __all__ = [
@@ -76,6 +70,8 @@ class NixPosterior:
 
 
 class VarianceMode(Enum):
+    """Which divisor :func:`nix_map` applies to the posterior scatter."""
+
     BIASED = "biased"
     UNBIASED = "unbiased"
 
@@ -253,23 +249,16 @@ def nix_map(
 ) -> MomentEstimate:
     """MAP estimate of one population's moments under a NIX prior.
 
-    The mean estimate is the posterior mean ``mu_n``.  The variance
-    estimate divides the posterior scatter ``nu_n * sigma_n_sq`` by
-    ``nu_n + 3`` (joint posterior mode) or, for the unbiased variant, by
-    ``nu_n - 1``.
-
-    Raises
-    ------
-    DataError
-        For the unbiased variant when ``nu_n <= 1`` (cannot occur for
-        valid stats with n >= 2, but guarded regardless).
+    The mean estimate is the posterior mean ``mu_n``.  ``variance_mode``
+    picks the divisor of the posterior scatter ``nu_n * sigma_n_sq``:
+    ``nu_n + 3`` for the joint posterior mode (``BIASED``), ``nu_n - 1``
+    for the unbiased variant.  Valid statistics (n >= 2) and a valid
+    prior (nu0 > 0) give nu_n > 2, so both divisors are positive.
     """
     _, mu_n, nu_n, sigma_n_sq = _posterior(stats, hyper)
     scatter = nu_n * sigma_n_sq
     if variance_mode is VarianceMode.BIASED:
-        return MomentEstimate(mu_n, scatter / (nu_n + 3.0), Method.MPME_NIX)
+        return MomentEstimate(mu_n, scatter / (nu_n + 3.0))
     if variance_mode is VarianceMode.UNBIASED:
-        if nu_n <= 1.0:
-            raise DataError(f"unbiased variance needs nu_n > 1, got nu_n = {nu_n}")
-        return MomentEstimate(mu_n, scatter / (nu_n - 1.0), Method.MPME_NIX_UNBIASED)
+        return MomentEstimate(mu_n, scatter / (nu_n - 1.0))
     raise DataError(f"unknown variance mode {variance_mode!r}")

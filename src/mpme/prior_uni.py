@@ -23,7 +23,6 @@ import numpy as np
 from .core import (
     DataError,
     DegeneratePriorError,
-    Method,
     MomentEstimate,
     OptimizationError,
     SufficientStats,
@@ -346,4 +345,4 @@ def uni_map(
     if not use_unbiased_variance:
         sig2 *= (stats.n - 1.0) / stats.n
     sig2 = min(max(sig2, hyper.c), hyper.d)
-    return MomentEstimate(mu=mu, sigma_sq=sig2, method=Method.MPME_UNI)
+    return MomentEstimate(mu=mu, sigma_sq=sig2)

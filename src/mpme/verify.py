@@ -51,22 +51,17 @@ def _log_likelihood(stats: SufficientStats, mu, sigma_sq):
     ) / (2.0 * sigma_sq)
 
 
-def nix_posterior_windows(
-    stats: SufficientStats,
-    hyper: NixHyperparams,
-    tail: float = 1e-9,
-    pad: float = 4.0,
-):
+def nix_posterior_windows(stats: SufficientStats, hyper: NixHyperparams):
     """Windows enclosing essentially all posterior mass under a NIX prior.
 
-    The sigma^2 window comes from inverse-gamma posterior quantiles at
-    probability ``tail`` (padded multiplicatively); the mu window covers
-    ``12`` posterior standard deviations of mu at the largest in-window
-    sigma^2, which dominates the mu spread.
+    The sigma^2 window runs from the inverse-gamma posterior's 1e-9
+    quantile divided by 4 to its 1 - 1e-9 quantile times 4; the mu window
+    covers 12 posterior standard deviations of mu at the largest
+    in-window sigma^2, which dominates the mu spread.
     """
     post = nix_posterior_update(stats, hyper)
     ig = _st.invgamma(a=0.5 * post.nu_n, scale=0.5 * post.nu_n * post.sigma_n_sq)
-    s_lo, s_hi = ig.ppf(tail) / pad, ig.ppf(1.0 - tail) * pad
+    s_lo, s_hi = ig.ppf(1e-9) / 4.0, ig.ppf(1.0 - 1e-9) * 4.0
     half = 12.0 * math.sqrt(s_hi / post.kappa_n)
     return (post.mu_n - half, post.mu_n + half), (s_lo, s_hi)
 

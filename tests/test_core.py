@@ -81,12 +81,12 @@ def test_method_enum_wire_values():
 
 
 def test_moment_estimate_validation():
-    e = MomentEstimate(mu=1.0, sigma_sq=2.0, method=Method.SAMPLE_EST)
+    e = MomentEstimate(mu=1.0, sigma_sq=2.0)
     assert e.mu == 1.0 and e.sigma_sq == 2.0
     with pytest.raises(DataError):
-        MomentEstimate(mu=math.nan, sigma_sq=1.0, method=Method.SAMPLE_EST)
+        MomentEstimate(mu=math.nan, sigma_sq=1.0)
     with pytest.raises(DataError):
-        MomentEstimate(mu=0.0, sigma_sq=-1.0, method=Method.SAMPLE_EST)
+        MomentEstimate(mu=0.0, sigma_sq=-1.0)
 
 
 def test_error_report_aggregation():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mpme.core import (
     DataError,
     DegeneratePriorError,
-    Method,
     SufficientStats,
 )
 from mpme.prior_uni import (
@@ -234,7 +233,6 @@ def test_learn_uni_degenerate_data_raises():
 def test_uni_map_interior_passthrough():
     hyper = UniHyperparams(a=9.5, b=10.5, c=0.5, d=3.0)
     est = uni_map(_stats(5, 10.0, 2.0), hyper)
-    assert est.method is Method.MPME_UNI
     assert est.mu == 10.0
     assert est.sigma_sq == 2.0
 
