@@ -189,12 +189,15 @@ def nix_log_marginal_likelihood(
 _LOG_CLIP = 700.0
 
 
-def _hyper_from_point(z) -> NixHyperparams:
-    return NixHyperparams(
-        mu0=float(z[0]),
-        kappa0=float(np.exp(np.clip(z[1], -_LOG_CLIP, _LOG_CLIP))),
-        nu0=float(np.exp(np.clip(z[2], -_LOG_CLIP, _LOG_CLIP))),
-        sigma0_sq=float(np.exp(np.clip(z[3], -_LOG_CLIP, _LOG_CLIP))),
+def _natural(z) -> tuple[float, float, float, float]:
+    """``(mu0, kappa0, nu0, sigma0_sq)`` at the optimizer point
+    ``z = (mu0, log kappa0, log nu0, log sigma0_sq)``: the one map that both
+    the objective and the returned prior go through."""
+    return (
+        float(z[0]),
+        math.exp(min(max(z[1], -_LOG_CLIP), _LOG_CLIP)),
+        math.exp(min(max(z[2], -_LOG_CLIP), _LOG_CLIP)),
+        math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP)),
     )
 
 
@@ -218,10 +221,7 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
     data = _NixData(n, xbar, var)
 
     def objective(z):
-        kappa0 = math.exp(min(max(z[1], -_LOG_CLIP), _LOG_CLIP))
-        nu0 = math.exp(min(max(z[2], -_LOG_CLIP), _LOG_CLIP))
-        sigma0_sq = math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP))
-        return _nix_log_marginal(data, z[0], kappa0, nu0, sigma0_sq)
+        return _nix_log_marginal(data, *_natural(z))
 
     mu0_init = float(np.mean(xbar))
     s0_init = float(np.mean(var))
@@ -239,7 +239,7 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
             best_objective=result.objective,
             trace=result.trace,
         )
-    return _hyper_from_point(result.point)
+    return NixHyperparams(*_natural(result.point))
 
 
 def nix_map(

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -270,6 +271,34 @@ def test_synth_example_2_ranges(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["sigma_range"] == [1.9, 2.1]
     assert doc["truth"]["sigma"] == [1.9, 2.1]
+
+
+def test_synth_example_records_its_table_entry(capsys):
+    assert experiments.EXAMPLES == {
+        1: ((9.5, 10.5), (0.95, 1.05)),
+        2: ((9.5, 10.5), (1.9, 2.1)),
+    }
+    argv = ["synth", "--pops", "2", "--n", "5", "--trials", "1", "--methods", "sample"]
+    for k, (mu_range, sigma_range) in experiments.EXAMPLES.items():
+        assert cli_main(argv + ["--example", str(k)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["mu_range"] == list(mu_range)
+        assert config["sigma_range"] == list(sigma_range)
+    assert cli_main(argv + ["--example", "3"]) == 1
+
+
+def test_console_entry_point_exits_with_cli_main_code(tmp_path, monkeypatch, capsys):
+    # The installed ``mpme`` script calls cli.run, which reads sys.argv.
+    missing = str(tmp_path / "missing.csv")
+    for argv, code in (
+        (["--version"], 0),
+        (["estimate", "--input", missing, "--prior", "sample"], 2),
+    ):
+        monkeypatch.setattr(sys, "argv", ["mpme", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code, argv
+    assert "data error" in capsys.readouterr().err
 
 
 def test_synth_byte_identical_across_threads(tmp_path):

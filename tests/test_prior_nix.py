@@ -6,10 +6,14 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy import special as sp
 
-from mpme.core import DataError, NumericalError, SufficientStats
+from mpme import prior_nix
+from mpme.core import DataError, NumericalError, SufficientStats, sufficient_stats
+from mpme.experiments import EXAMPLES, SyntheticConfig, generate_synthetic
+from mpme.optim import maximize
 from mpme.prior_nix import (
     NixHyperparams,
     VarianceMode,
+    _natural,
     _NixData,
     _nix_log_marginal,
     _stats_arrays,
@@ -141,6 +145,30 @@ def test_learn_nix_improves_on_moment_init():
 def test_learn_nix_deterministic():
     stats = _heterogeneous_stats()
     assert learn_nix(stats) == learn_nix(stats)
+
+
+def test_learn_nix_returns_the_point_it_scored(monkeypatch):
+    # Over the 400 fits of the criterion 6/7 data (examples 1 and 2, 200
+    # trials each, seed 2026), the returned prior is the optimizer's point
+    # mapped exactly as the objective maps it, so it scores exactly the
+    # optimizer's reported objective.
+    results = []
+
+    def spy(objective, init, **kwargs):
+        results.append(maximize(objective, init, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(prior_nix, "maximize", spy)
+    for example in (1, 2):
+        mu_range, sigma_range = EXAMPLES[example]
+        cfg = SyntheticConfig(20, 5, mu_range, sigma_range, trials=200, seed=2026)
+        for t in range(cfg.trials):
+            stats = [sufficient_stats(s) for s in generate_synthetic(cfg, t)[1]]
+            hyper = learn_nix(stats)
+            result = results[-1]
+            assert hyper == NixHyperparams(*_natural(result.point)), (example, t)
+            assert nix_log_marginal_likelihood(stats, hyper) == result.objective, (example, t)
+    assert len(results) == 400
 
 
 def test_learn_nix_needs_two_populations():
