@@ -31,6 +31,7 @@ __all__ = ["cli_main", "run"]
 
 REPORT_SCHEMA = "mpme/1"
 
+
 def _parse_methods(text: str) -> tuple[Method, ...]:
     methods = []
     for name in text.split(","):
