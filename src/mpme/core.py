@@ -40,13 +40,12 @@ class QuadratureError(NumericalError):
 
 
 class OptimizationError(NumericalError):
-    """The optimizer failed; carries the best point found and the trace."""
+    """The optimizer failed; carries the best point found and its objective."""
 
-    def __init__(self, message: str, best_point=None, best_objective=None, trace=None):
+    def __init__(self, message: str, best_point=None, best_objective=None):
         super().__init__(message)
         self.best_point = best_point
         self.best_objective = best_objective
-        self.trace = trace
 
 
 class DegeneratePriorError(OptimizationError):

@@ -70,15 +70,20 @@ class DatasetFile:
 
 
 def format_float(x: float) -> str:
-    """17 significant digits, enough to reproduce any double exactly."""
-    return format(float(x), ".17g")
+    """17 significant digits, enough to reproduce any double exactly.
+
+    An integral value that ``.17g`` prints as an integer literal gains
+    ``.0``, so a JSON reader still gets a float.
+    """
+    s = format(float(x), ".17g")
+    return s + ".0" if s.lstrip("-").isdigit() else s
 
 
 _encode_str = json.encoder.encode_basestring  # escapes as ensure_ascii=False does
 
 
 def dump_json(obj) -> str:
-    """Serialize to indented JSON with every float printed at 17 significant digits.
+    """Serialize to indented JSON with every float printed by ``format_float``.
 
     The layout is that of ``json.dumps(obj, indent=2, ensure_ascii=False)``
     plus a final newline: two-space indent, ``{}`` and ``[]`` for empty
@@ -105,7 +110,8 @@ def dump_json(obj) -> str:
         if isinstance(v, float):
             if not math.isfinite(v):
                 raise DataError(f"cannot serialize non-finite value {v!r}")
-            append(format(float(v), ".17g"))  # format_float, inlined
+            s = format(float(v), ".17g")  # format_float, inlined
+            append(s + ".0" if s.lstrip("-").isdigit() else s)
         elif isinstance(v, str):
             append(string(v))
         elif v is None:

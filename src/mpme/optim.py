@@ -55,17 +55,14 @@ _CURVATURE = 1e-12
 class OptimResult:
     """Outcome of a maximization.
 
-    ``trace`` records ``(iteration, best objective so far)`` pairs (across
-    all restarts for Nelder-Mead), so the recorded objective is
-    non-decreasing.  ``converged`` is false if the iteration cap stopped
-    the search (for Nelder-Mead, any of its restarts).
+    ``converged`` is false if the iteration cap stopped the search (for
+    Nelder-Mead, any of its restarts).
     """
 
     point: tuple[float, ...]
     objective: float
     iterations: int
     converged: bool
-    trace: tuple[tuple[int, float], ...]
 
 
 def _check_value(fx: float, x: np.ndarray) -> float:
@@ -76,7 +73,7 @@ def _check_value(fx: float, x: np.ndarray) -> float:
 
 
 def _nelder_mead(neg_f: Callable, x0: np.ndarray):
-    """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged, values_per_iter).
+    """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged).
 
     Vertices and values are kept as Python floats, which is several times
     cheaper than small-array arithmetic for the few dimensions used here;
@@ -98,7 +95,6 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     values = [evaluate(v) for v in simplex]
 
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
-    best_per_iter = []
     iterations = 0
     converged = False
     for iterations in range(_MAX_ITERS + 1):
@@ -107,7 +103,6 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
         simplex = [simplex[k] for k in order]
         values = [values[k] for k in order]
         best = simplex[0]
-        best_per_iter.append(values[0])
         diameter = max([abs(p - b) for v in simplex[1:] for p, b in zip(v, best)])
         # The values are sorted, so the ends are finite only if all are.
         finite = math.isfinite(values[0]) and math.isfinite(values[-1])
@@ -147,18 +142,18 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
                     simplex[k] = [b + delta * (p - b) for b, p in zip(best, simplex[k])]
                     values[k] = evaluate(simplex[k])
     i_best = min(range(dim + 1), key=values.__getitem__)
-    return np.array(simplex[i_best]), values[i_best], iterations, converged, best_per_iter
+    return np.array(simplex[i_best]), values[i_best], iterations, converged
 
 
 def _bfgs(neg_f: Callable, x0: np.ndarray):
     """Minimize ``neg_f``, which returns ``(value, gradient)``, from ``x0``.
 
-    Returns (x, fx, iterations, converged, values_per_iter).  A trial point
-    whose value is infinite, or whose gradient is not finite, counts as a
-    failed step and halves it.  When no step along the quasi-Newton
-    direction lowers the value, the search retries once along the steepest
-    descent direction; if that fails too, no decrease is left to find and
-    the search stops as converged.
+    Returns (x, fx, iterations, converged).  A trial point whose value is
+    infinite, or whose gradient is not finite, counts as a failed step and
+    halves it.  When no step along the quasi-Newton direction lowers the
+    value, the search retries once along the steepest descent direction;
+    if that fails too, no decrease is left to find and the search stops as
+    converged.
     """
 
     def evaluate(x):
@@ -169,9 +164,9 @@ def _bfgs(neg_f: Callable, x0: np.ndarray):
 
     x = x0
     fx, grad, ok = evaluate(x)
-    values = [fx]
     if not ok:
-        return x, fx, 0, False, values
+        return x, fx, 0, False
+    f0 = fx
     inv_hess = None  # None: the identity, not yet scaled
     iterations = 0
     converged = False
@@ -183,7 +178,7 @@ def _bfgs(neg_f: Callable, x0: np.ndarray):
             break
         step = -grad if inv_hess is None else -(inv_hess @ grad)
         slope = float(grad @ step)
-        if -0.5 * slope <= _REL_DECREASE * (values[0] - fx):
+        if -0.5 * slope <= _REL_DECREASE * (f0 - fx):
             converged = True
             break
         cap = min(1.0, _MAX_STEP / float(np.max(np.abs(step))))
@@ -218,11 +213,10 @@ def _bfgs(neg_f: Callable, x0: np.ndarray):
             )
         decrease = fx - f_new
         x, fx, grad = x_new, f_new, grad_new
-        values.append(fx)
-        if decrease <= _REL_DECREASE * (values[0] - fx):
+        if decrease <= _REL_DECREASE * (f0 - fx):
             converged = True
             break
-    return x, fx, iterations, converged, values
+    return x, fx, iterations, converged
 
 
 def maximize(
@@ -256,13 +250,12 @@ def maximize(
             value, grad = objective(x)
             return -float(value), -np.asarray(grad, dtype=float)
 
-        x, v, iters, conv, per_iter = _bfgs(neg_f_grad, x0)
+        x, v, iters, conv = _bfgs(neg_f_grad, x0)
         return OptimResult(
             point=tuple(float(t) for t in x),
             objective=float(-v),
             iterations=iters,
             converged=conv,
-            trace=tuple((k, -val) for k, val in enumerate(per_iter)),
         )
 
     def neg_f(x):
@@ -270,7 +263,6 @@ def maximize(
 
     best_x = x0.copy()
     best_v = _check_value(neg_f(x0), x0)
-    trace: list[tuple[int, float]] = []
     total_iters = 0
     all_converged = True
     for r in range(_RESTARTS + 1):
@@ -280,12 +272,8 @@ def maximize(
             rng = np.random.default_rng(2654435761 + r)
             step = rng.standard_normal(len(x0))
             start = best_x + _SIMPLEX_SCALE * step * np.maximum(1.0, np.abs(best_x))
-        x, v, iters, conv, per_iter = _nelder_mead(neg_f, np.asarray(start, dtype=float))
+        x, v, iters, conv = _nelder_mead(neg_f, np.asarray(start, dtype=float))
         all_converged = all_converged and conv
-        running = best_v
-        for k, val in enumerate(per_iter):
-            running = min(running, val)
-            trace.append((total_iters + k, -running))
         total_iters += iters
         if v < best_v:
             best_x, best_v = x, v
@@ -294,5 +282,4 @@ def maximize(
         objective=float(-best_v),
         iterations=total_iters,
         converged=all_converged,
-        trace=tuple(trace),
     )

@@ -213,7 +213,7 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
     ------
     OptimizationError
         If the optimizer fails to converge; carries the best point found
-        and the objective trace.
+        and its objective.
     """
     if len(stats_list) < 2:
         raise DataError("learn_nix needs at least 2 populations")
@@ -237,7 +237,6 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
             "learn_nix did not converge",
             best_point=result.point,
             best_objective=result.objective,
-            trace=result.trace,
         )
     return NixHyperparams(*_natural(result.point))
 

@@ -257,7 +257,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         it back costs more than 1e-3 nats, i.e. the likelihood grows
         without bound as the box degenerates.
     OptimizationError
-        On non-convergence; carries the best point and objective trace.
+        On non-convergence; carries the best point and its objective.
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
@@ -315,14 +315,12 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
                 "exists for this data",
                 best_point=best_point,
                 best_objective=result.objective,
-                trace=result.trace,
             )
     if not result.converged:
         raise OptimizationError(
             "learn_uni did not converge",
             best_point=best_point,
             best_objective=result.objective,
-            trace=result.trace,
         )
     return UniHyperparams(a=a, b=b, c=c, d=d)
 

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special as _sp
-from scipy import stats as _st
 
 from .core import DataError, NumericalError, SufficientStats
 from .prior_nix import NixHyperparams, nix_posterior_update
@@ -60,8 +59,11 @@ def nix_posterior_windows(stats: SufficientStats, hyper: NixHyperparams):
     in-window sigma^2, which dominates the mu spread.
     """
     post = nix_posterior_update(stats, hyper)
-    ig = _st.invgamma(a=0.5 * post.nu_n, scale=0.5 * post.nu_n * post.sigma_n_sq)
-    s_lo, s_hi = ig.ppf(1e-9) / 4.0, ig.ppf(1.0 - 1e-9) * 4.0
+    a, scale = 0.5 * post.nu_n, 0.5 * post.nu_n * post.sigma_n_sq
+    # The inverse-gamma quantile in scipy.stats.invgamma's own order of
+    # operations, so the windows keep its bits without importing it.
+    s_lo = (1.0 / _sp.gammainccinv(a, 1e-9)) * scale / 4.0
+    s_hi = (1.0 / _sp.gammainccinv(a, 1.0 - 1e-9)) * scale * 4.0
     half = 12.0 * math.sqrt(s_hi / post.kappa_n)
     return (post.mu_n - half, post.mu_n + half), (s_lo, s_hi)
 

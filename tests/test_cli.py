@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +302,29 @@ def test_console_entry_point_exits_with_cli_main_code(tmp_path, monkeypatch, cap
             cli.run()
         assert exc.value.code == code, argv
     assert "data error" in capsys.readouterr().err
+
+
+_FOOTPRINT = """
+import sys
+import mpme.prior_nix
+loaded = {"mpme.verify", "mpme.experiments", "mpme.dataio", "mpme.cli"} & set(sys.modules)
+assert not loaded, f"import mpme.prior_nix loads {sorted(loaded)}"
+import mpme.cli
+assert "scipy.stats" not in sys.modules, "import mpme.cli loads scipy.stats"
+import mpme
+print(mpme.__version__)
+"""
+
+
+def test_import_footprint():
+    # A fresh interpreter: once any test has loaded scipy.stats, the check
+    # cannot run in this process.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{cli.__version__}\n"
 
 
 def test_synth_byte_identical_across_threads(tmp_path):

@@ -35,7 +35,18 @@ def _dataset(metadata=None):
 def test_format_float_17_digits():
     assert format_float(math.pi) == "3.1415926535897931"
     assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(1.0) == "1"
+    assert format_float(1.0) == "1.0"
+    assert format_float(-0.0) == "-0.0"
+    assert format_float(1e17) == "1e+17"
+
+
+@pytest.mark.parametrize(
+    "v", [350022248656429.0, 3.0, 0.0, -0.0, 2.0**53, 1e16, 1e17, 1e22]
+)
+def test_dump_json_integral_floats_read_back_as_floats(v):
+    got = json.loads(dump_json({"x": v}))["x"]
+    assert isinstance(got, float) and got == v
+    assert math.copysign(1.0, got) == math.copysign(1.0, v)
 
 
 @pytest.mark.parametrize(

@@ -119,7 +119,6 @@ GOLDEN_MAXIMIZE = {
     ],
     "objective": "0.29938179627243744",
     "iterations": 230,
-    "trace_len": 233,
 }
 
 
@@ -142,7 +141,6 @@ def test_maximize_golden():
         "point": [repr(v) for v in res.point],
         "objective": repr(res.objective),
         "iterations": res.iterations,
-        "trace_len": len(res.trace),
     }
     assert got == GOLDEN_MAXIMIZE
 

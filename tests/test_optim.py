@@ -31,12 +31,14 @@ def test_maximize_one_dimensional():
 
 def test_maximize_never_below_init():
     # A plateau objective: the returned point must not score worse than
-    # the starting point.
+    # the starting point, for either algorithm.  The BFGS gradient points
+    # off the plateau, so every step it tries fails.
     def f(x):
         return min(0.0, -abs(x[0]))
 
-    res = maximize(f, [0.0])
-    assert res.objective >= f([0.0])
+    for objective, gradient in ((f, False), (lambda x: (f(x), np.array([-1.0])), True)):
+        res = maximize(objective, [0.0], gradient=gradient)
+        assert res.objective >= f([0.0]), gradient
 
 
 def test_maximize_is_deterministic():
@@ -46,13 +48,6 @@ def test_maximize_is_deterministic():
     a = maximize(f, [0.3, 0.7])
     b = maximize(f, [0.3, 0.7])
     assert a == b
-
-
-def test_maximize_trace_monotone():
-    res = maximize(lambda x: -(x[0] ** 2), [5.0])
-    objs = [v for _, v in res.trace]
-    assert all(b >= a for a, b in zip(objs, objs[1:]))
-    assert res.objective == pytest.approx(objs[-1])
 
 
 def test_maximize_neg_inf_is_tolerated():
@@ -109,13 +104,11 @@ def _reference_nelder_mead(neg_f, x0):
         simplex.append(v)
     simplex = np.array(simplex)
     values = np.array([_check_value(neg_f(v), v) for v in simplex])
-    best_per_iter = []
     iterations = 0
     converged = False
     for iterations in range(optim._MAX_ITERS + 1):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
-        best_per_iter.append(values[0])
         diameter = np.max(np.abs(simplex[1:] - simplex[0]))
         spread = values[-1] - values[0] if np.isfinite(values).all() else math.inf
         if diameter < optim._X_TOL or spread < optim._F_TOL:
@@ -148,7 +141,7 @@ def _reference_nelder_mead(neg_f, x0):
                     simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
                     values[k] = _check_value(neg_f(simplex[k]), simplex[k])
     i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best], iterations, converged, best_per_iter
+    return simplex[i_best], values[i_best], iterations, converged
 
 
 def _recording(f):
@@ -186,8 +179,7 @@ def test_nelder_mead_keeps_bits(monkeypatch, f, x0, max_iters):
     want = _reference_nelder_mead(ref_f, x0)
     assert seen == ref_seen
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:4] == want[1:4]
-    assert got[4] == want[4]
+    assert got[1:] == want[1:]
 
 
 def _with_gradient(f, grad):
@@ -228,17 +220,6 @@ def test_bfgs_rosenbrock():
     assert res.objective == pytest.approx(0.0, abs=1e-10)
     assert res.point == pytest.approx((1.0, 1.0), abs=1e-4)
     assert res.iterations < 200
-
-
-def test_bfgs_trace_monotone_and_ends_at_objective():
-    res = maximize(_with_gradient(lambda x: -(x[0] ** 4) - x[1] ** 2,
-                                  lambda x: np.array([-4.0 * x[0] ** 3, -2.0 * x[1]])),
-                   [3.0, -2.0], gradient=True)
-    iters = [k for k, _ in res.trace]
-    objs = [v for _, v in res.trace]
-    assert iters == list(range(res.iterations + 1))
-    assert all(b >= a for a, b in zip(objs, objs[1:]))
-    assert objs[-1] == res.objective
 
 
 def test_bfgs_neg_inf_region_is_a_failed_step():
@@ -333,5 +314,5 @@ def test_bfgs_stops_when_no_step_decreases(monkeypatch):
 
     res = maximize(objective, [0.0], gradient=True)
     assert res.converged and res.iterations == 0
-    assert res.point == (0.0,) and res.trace == ((0, 0.0),)
+    assert res.point == (0.0,) and res.objective == 0.0
     assert calls == [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]

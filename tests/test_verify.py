@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as st
 
-from mpme import prior_nix
+from mpme import prior_nix, verify
 from mpme.cli import cli_main
 from mpme.core import DataError, NumericalError, SufficientStats
 from mpme.prior_nix import NixHyperparams, nix_log_marginal_likelihood
@@ -114,6 +115,32 @@ def test_nix_posterior_windows_cover_posterior_center():
     post = nix_posterior_update(stats, hyper)
     assert m_lo < post.mu_n < m_hi
     assert v_lo < post.sigma_n_sq < v_hi
+
+
+def _reference_posterior_windows(stats, hyper):
+    # The scipy.stats expression whose bits nix_posterior_windows keeps.
+    post = prior_nix.nix_posterior_update(stats, hyper)
+    ig = st.invgamma(a=0.5 * post.nu_n, scale=0.5 * post.nu_n * post.sigma_n_sq)
+    s_lo, s_hi = ig.ppf(1e-9) / 4.0, ig.ppf(1.0 - 1e-9) * 4.0
+    half = 12.0 * math.sqrt(s_hi / post.kappa_n)
+    return (post.mu_n - half, post.mu_n + half), (s_lo, s_hi)
+
+
+def _wide_nix_hyper(rng):
+    # Hyperparameters over the decades a learned prior reaches.
+    e = rng.uniform(-3.0, 6.0, 3)
+    return NixHyperparams(float(rng.uniform(-5.0, 5.0)), *(10.0**e).tolist())
+
+
+@pytest.mark.parametrize("draw_hyper", [verify._random_nix_hyper, _wide_nix_hyper],
+                         ids=["suite", "wide"])
+def test_nix_posterior_windows_keep_the_scipy_stats_bits(draw_hyper):
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        stats, hyper = verify._random_stats(rng), draw_hyper(rng)
+        got = nix_posterior_windows(stats, hyper)
+        want = _reference_posterior_windows(stats, hyper)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (stats, hyper)
 
 
 def test_q_decomposition_agrees_with_production_quadrature():
