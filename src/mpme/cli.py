@@ -8,14 +8,13 @@ path (or standard output); diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .core import DataError, Method, NumericalError, sufficient_stats
-from .dataio import DataFormat, dump_json, load_dataset
+from .dataio import dump_json, load_dataset
 from .experiments import (
     EXAMPLES,
     METHOD_NAMES,
@@ -44,29 +43,10 @@ def _parse_methods(text: str) -> tuple[Method, ...]:
     return tuple(dict.fromkeys(methods))
 
 
-def _parse_format(name: str) -> DataFormat:
-    return DataFormat(name)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("MPME_THREADS")
-    if env is None:
-        return None
-    try:
-        value = int(env)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise DataError(f"MPME_THREADS = {env!r}, need a positive integer") from None
     return value
 
 
@@ -81,7 +61,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    dataset = load_dataset(args.input, args.format)
+    dataset = load_dataset(args.input)
     ids = [p.id for p in dataset.populations]
     stats_list = [sufficient_stats(p) for p in dataset.populations]
 
@@ -172,7 +152,7 @@ def _cmd_synth(args) -> int:
         cfg,
         args.methods,
         prune_k=args.prune_outliers,
-        threads=_resolve_threads(args),
+        threads=args.threads,
     )
     config = {
         "example": args.example,
@@ -190,14 +170,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    dataset = load_dataset(args.input, args.format)
+    dataset = load_dataset(args.input)
     result = bootstrap_benchmark_detailed(
         dataset.populations,
         n_sub=args.subsample,
         trials=args.trials,
         seed=args.seed,
         methods=args.methods,
-        threads=_resolve_threads(args),
+        threads=args.threads,
     )
     config = {
         "input": str(args.input),
@@ -233,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate per-population moments from a dataset")
     est.add_argument("--input", required=True, help="dataset file (CSV or JSON)")
-    est.add_argument("--format", type=_parse_format, choices=list(DataFormat), metavar="{csv,json}", default=None)
     est.add_argument("--prior", choices=("nix", "uni", "sample"), required=True)
     est.add_argument(
         "--unbiased-variance",
@@ -258,13 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated: " + ",".join(METHOD_NAMES),
     )
     synth.add_argument("--prune-outliers", type=float, metavar="K", default=None)
-    synth.add_argument("--threads", type=_positive_int, default=None)
+    synth.add_argument("--threads", type=_positive_int, default=1)
     synth.add_argument("--output", default=None)
     synth.set_defaults(handler=_cmd_synth)
 
     boot = sub.add_parser("bootstrap", help="subsampling benchmark on a measured dataset")
     boot.add_argument("--input", required=True)
-    boot.add_argument("--format", type=_parse_format, choices=list(DataFormat), metavar="{csv,json}", default=None)
     boot.add_argument("--subsample", type=_positive_int, required=True)
     boot.add_argument("--trials", type=_positive_int, default=500)
     boot.add_argument("--seed", type=int, default=0)
@@ -273,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_methods,
         default=(Method.SAMPLE_EST, Method.MPME_NIX),
     )
-    boot.add_argument("--threads", type=_positive_int, default=None)
+    boot.add_argument("--threads", type=_positive_int, default=1)
     boot.add_argument("--output", default=None)
     boot.set_defaults(handler=_cmd_bootstrap)
 
@@ -304,3 +282,7 @@ def cli_main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    run()

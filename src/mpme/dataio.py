@@ -1,8 +1,11 @@
 """Dataset files: CSV/JSON ingestion, validation, and serialization.
 
 Two on-disk formats carry the same payload.  CSV is the interchange
-format (one ``population,value`` row per measurement); JSON additionally
-carries optional string metadata and a schema tag.
+format (one ``population,value`` row per measurement); JSON also
+carries a schema tag.  Loading reads JSON when the text's first
+non-whitespace character is ``{`` or ``[`` and CSV otherwise, whatever
+the file is named; saving writes JSON when the name ends in ``.json``
+(any case) and CSV otherwise.
 """
 
 from __future__ import annotations
@@ -11,16 +14,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import DataError, PopulationSample
 
 __all__ = [
     "DATASET_SCHEMA",
-    "DataFormat",
     "DatasetFile",
     "load_dataset",
     "save_dataset",
@@ -31,30 +32,21 @@ __all__ = [
 DATASET_SCHEMA = "mpme/1"
 
 
-class DataFormat(Enum):
-    CSV = "csv"
-    JSON = "json"
-
-
 @dataclass(frozen=True)
 class DatasetFile:
-    """A validated collection of population samples plus optional metadata.
+    """A validated collection of population samples.
 
     Parameters
     ----------
     populations : tuple of PopulationSample
         Unique ids, each with at least two values (one value cannot yield
         an unbiased variance).
-    metadata : dict of str to str
-        Free-form annotations (units, source).  CSV round-trips drop it.
     """
 
     populations: tuple[PopulationSample, ...]
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "populations", tuple(self.populations))
-        object.__setattr__(self, "metadata", dict(self.metadata))
         seen = set()
         for pop in self.populations:
             if pop.id in seen:
@@ -64,9 +56,6 @@ class DatasetFile:
                 raise DataError(
                     f"population {pop.id!r} has {len(pop.values)} value(s); need >= 2"
                 )
-        for k, v in self.metadata.items():
-            if not isinstance(k, str) or not isinstance(v, str):
-                raise DataError(f"metadata entries must be strings, got {k!r}: {v!r}")
 
 
 def format_float(x: float) -> str:
@@ -155,17 +144,6 @@ def dump_json(obj) -> str:
     write(obj, "\n")
     append("\n")
     return "".join(parts)
-
-
-def _infer_format(path: Path) -> DataFormat:
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return DataFormat.CSV
-    if suffix == ".json":
-        return DataFormat.JSON
-    raise DataError(
-        f"cannot infer format from {path.name!r}; pass format= explicitly"
-    )
 
 
 def _parse_csv(text: str, origin: str) -> DatasetFile:
@@ -277,20 +255,11 @@ def _parse_json(text: str, origin: str) -> DatasetFile:
                     "integer too large for a float"
                 ) from None
         pops.append(PopulationSample(id=entry["id"], values=tuple(values)))
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise DataError(f"{origin}: metadata must be an object of strings")
-    return DatasetFile(populations=tuple(pops), metadata=metadata)
+    return DatasetFile(populations=tuple(pops))
 
 
-def load_dataset(path, format: DataFormat | None = None) -> DatasetFile:
-    """Read and validate a dataset file.
-
-    Parameters
-    ----------
-    path : str or Path
-    format : DataFormat, optional
-        Inferred from the file suffix when omitted.
+def load_dataset(path) -> DatasetFile:
+    """Read and validate a dataset file, JSON or CSV as its text says.
 
     Raises
     ------
@@ -300,7 +269,6 @@ def load_dataset(path, format: DataFormat | None = None) -> DatasetFile:
         than two values.
     """
     path = Path(path)
-    fmt = format or _infer_format(path)
     try:
         # Decoded without newline translation, so a CR inside a quoted CSV
         # field survives.
@@ -311,16 +279,17 @@ def load_dataset(path, format: DataFormat | None = None) -> DatasetFile:
         raise DataError(
             f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    if fmt is DataFormat.CSV:
-        return _parse_csv(text, str(path))
-    return _parse_json(text, str(path))
+    text = text.removeprefix("\ufeff")  # a BOM, as spreadsheet tools often write
+    if text.lstrip()[:1] in ("{", "["):
+        return _parse_json(text, str(path))
+    return _parse_csv(text, str(path))
 
 
-def save_dataset(dataset: DatasetFile, path, format: DataFormat | None = None) -> None:
+def save_dataset(dataset: DatasetFile, path) -> None:
     """Write a dataset so that loading it back compares equal.
 
-    CSV keeps only the populations; JSON also keeps metadata and tags the
-    file with the schema version.
+    A name ending in ``.json`` (any case) gets JSON tagged with the schema
+    version; any other name gets CSV.
 
     Raises
     ------
@@ -329,30 +298,28 @@ def save_dataset(dataset: DatasetFile, path, format: DataFormat | None = None) -
         which loading strips; JSON keeps such an id.
     """
     path = Path(path)
-    fmt = format or _infer_format(path)
-    if fmt is DataFormat.CSV:
-        for pop in dataset.populations:
-            if pop.id != pop.id.strip():
-                raise DataError(
-                    f"population id {pop.id!r} has leading or trailing whitespace, "
-                    "which CSV loading strips; save it as JSON to keep it"
-                )
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            # The writer quotes a field only for the characters of its line
-            # terminator, so an id holding a bare CR is quoted explicitly.
-            quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            writer.writerow(["population", "value"])
-            for pop in dataset.populations:
-                out = quote_all if "\r" in pop.id else writer
-                for v in pop.values:
-                    out.writerow([pop.id, format_float(v)])
+    if path.name.lower().endswith(".json"):
+        doc = {
+            "schema": DATASET_SCHEMA,
+            "populations": [
+                {"id": pop.id, "values": list(pop.values)} for pop in dataset.populations
+            ],
+        }
+        path.write_text(dump_json(doc), encoding="utf-8")
         return
-    doc = {
-        "schema": DATASET_SCHEMA,
-        "populations": [
-            {"id": pop.id, "values": list(pop.values)} for pop in dataset.populations
-        ],
-        "metadata": dict(dataset.metadata),
-    }
-    path.write_text(dump_json(doc), encoding="utf-8")
+    for pop in dataset.populations:
+        if pop.id != pop.id.strip():
+            raise DataError(
+                f"population id {pop.id!r} has leading or trailing whitespace, "
+                "which CSV loading strips; save it as JSON to keep it"
+            )
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        # The writer quotes a field only for the characters of its line
+        # terminator, so an id holding a bare CR is quoted explicitly.
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["population", "value"])
+        for pop in dataset.populations:
+            out = quote_all if "\r" in pop.id else writer
+            for v in pop.values:
+                out.writerow([pop.id, format_float(v)])

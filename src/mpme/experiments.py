@@ -327,9 +327,9 @@ def _check_methods(methods) -> frozenset:
 
 
 def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> BenchmarkResult:
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
-        raise DataError(f"threads = {threads!r}, need integer >= 1 or None")
-    if threads and threads > 1:
+    if not isinstance(threads, int) or threads < 1:
+        raise DataError(f"threads = {threads!r}, need integer >= 1")
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run_trial, [spec] * trials, range(trials), chunksize=8))
     else:
@@ -358,7 +358,7 @@ def run_benchmark_detailed(
     methods,
     *,
     prune_k: float | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> BenchmarkResult:
     """Paired Monte Carlo benchmark over synthetic data.
 
@@ -382,7 +382,7 @@ def run_benchmark(
     methods,
     *,
     prune_k: float | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict[Method, ErrorReport]:
     """Like :func:`run_benchmark_detailed` but returning only the reports."""
     return run_benchmark_detailed(cfg, methods, prune_k=prune_k, threads=threads).reports
@@ -395,7 +395,7 @@ def bootstrap_benchmark_detailed(
     seed: int,
     methods,
     *,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> BenchmarkResult:
     """Subsampling benchmark against full-sample moments as ground truth.
 
@@ -435,7 +435,7 @@ def bootstrap_benchmark(
     seed: int,
     methods,
     *,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict[Method, ErrorReport]:
     """Like :func:`bootstrap_benchmark_detailed` but returning only the reports."""
     return bootstrap_benchmark_detailed(

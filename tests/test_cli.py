@@ -168,14 +168,6 @@ def test_estimate_data_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("population,value\na,1.0\na,oops\n")
     assert cli_main(["estimate", "--input", str(bad), "--prior", "sample"]) == 2
-    csv_as_json = tmp_path / "d.csv"
-    csv_as_json.write_text("population,value\na,1.0\na,2.0\n")
-    assert (
-        cli_main(
-            ["estimate", "--input", str(csv_as_json), "--format", "json", "--prior", "sample"]
-        )
-        == 2
-    )
 
 
 def test_estimate_overflowing_values_exit_2(tmp_path, capsys):
@@ -316,15 +308,29 @@ print(mpme.__version__)
 """
 
 
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this mpme."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_import_footprint():
     # A fresh interpreter: once any test has loaded scipy.stats, the check
     # cannot run in this process.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    proc = _fresh_python("-c", _FOOTPRINT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{cli.__version__}\n"
+
+
+def test_module_run_exits_with_cli_main_code(tmp_path):
+    proc = _fresh_python("-m", "mpme.cli", "--version")
+    assert (proc.returncode, proc.stdout) == (0, f"mpme {cli.__version__}\n")
+    proc = _fresh_python("-m", "mpme.cli", "estimate", "--input",
+                         str(tmp_path / "missing.csv"), "--prior", "sample")
+    assert proc.returncode == 2
+    assert "data error" in proc.stderr
 
 
 def test_synth_byte_identical_across_threads(tmp_path):
@@ -345,23 +351,6 @@ def test_synth_uni_byte_identical_across_threads(tmp_path):
     assert cli_main(args + ["--threads", "2", "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert json.loads(out1.read_text())["failed_trials"] == 0
-
-
-def test_threads_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MPME_THREADS", "2")
-    assert (
-        cli_main(["synth", "--pops", "4", "--n", "5", "--trials", "2",
-                  "--methods", "sample"])
-        == 0
-    )
-    capsys.readouterr()
-    monkeypatch.setenv("MPME_THREADS", "zero")
-    assert (
-        cli_main(["synth", "--pops", "4", "--n", "5", "--trials", "2",
-                  "--methods", "sample"])
-        == 2
-    )
-    assert "MPME_THREADS" in capsys.readouterr().err
 
 
 def test_bootstrap_command(tmp_path, capsys):

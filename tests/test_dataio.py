@@ -13,7 +13,6 @@ from mpme.cli import cli_main
 from mpme.core import DataError, NumericalError, PopulationSample
 from mpme.dataio import (
     DATASET_SCHEMA,
-    DataFormat,
     DatasetFile,
     dump_json,
     format_float,
@@ -22,13 +21,12 @@ from mpme.dataio import (
 )
 
 
-def _dataset(metadata=None):
+def _dataset():
     return DatasetFile(
         populations=(
             PopulationSample(id="a", values=(0.1 + 0.2, 1.0 / 3.0)),
             PopulationSample(id="b", values=(-1.5, 2.0, 1e-300)),
-        ),
-        metadata=metadata or {},
+        )
     )
 
 
@@ -234,24 +232,17 @@ def test_dataset_file_validation():
         )
     with pytest.raises(DataError, match="need >= 2"):
         DatasetFile(populations=(PopulationSample(id="a", values=(1.0,)),))
-    with pytest.raises(DataError, match="metadata"):
-        DatasetFile(
-            populations=(PopulationSample(id="a", values=(1.0, 2.0)),),
-            metadata={"k": 3},
-        )
 
 
 def test_csv_round_trip_is_exact(tmp_path):
     ds = _dataset()
     path = tmp_path / "data.csv"
     save_dataset(ds, path)
-    back = load_dataset(path)
-    assert back.populations == ds.populations
-    assert back.metadata == {}
+    assert load_dataset(path) == ds
 
 
-def test_json_round_trip_keeps_metadata(tmp_path):
-    ds = _dataset(metadata={"units": "mm", "source": "bench"})
+def test_json_round_trip(tmp_path):
+    ds = _dataset()
     path = tmp_path / "data.json"
     save_dataset(ds, path)
     back = load_dataset(path)
@@ -259,14 +250,26 @@ def test_json_round_trip_keeps_metadata(tmp_path):
     assert f'"schema": "{DATASET_SCHEMA}"' in path.read_text()
 
 
-def test_explicit_format_overrides_suffix(tmp_path):
+def test_format_is_read_from_the_content(tmp_path):
     ds = _dataset()
-    path = tmp_path / "data.txt"
-    save_dataset(ds, path, format=DataFormat.CSV)
-    back = load_dataset(path, format=DataFormat.CSV)
-    assert back.populations == ds.populations
-    with pytest.raises(DataError, match="cannot infer format"):
-        load_dataset(path)
+    # Saving goes by name: JSON for a .json suffix in any case, else CSV.
+    for name, first in [("data.txt", "p"), ("data", "p"), ("data.JSON", "{")]:
+        path = tmp_path / name
+        save_dataset(ds, path)
+        assert path.read_text(encoding="utf-8")[0] == first
+        assert load_dataset(path) == ds
+    # Loading goes by content, whatever the name says.
+    for saved, renamed in [("data.JSON", "json.csv"), ("data.txt", "csv.json")]:
+        (tmp_path / renamed).write_bytes((tmp_path / saved).read_bytes())
+        assert load_dataset(tmp_path / renamed) == ds
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    for name in ("plain.csv", "plain.json"):
+        save_dataset(_dataset(), tmp_path / name)
+        marked = tmp_path / ("bom-" + name)
+        marked.write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        assert load_dataset(marked) == load_dataset(tmp_path / name)
 
 
 def test_load_dataset_missing_file(tmp_path):
@@ -390,9 +393,6 @@ def test_json_error_messages(tmp_path):
         load_dataset(path)
     path.write_text('{"populations": [{"id": "a", "values": [1.0, true]}]}')
     with pytest.raises(DataError, match=r"values\[1\]"):
-        load_dataset(path)
-    path.write_text('{"populations": [{"id": "a", "values": [1.0, 2.0]}], "metadata": 3}')
-    with pytest.raises(DataError, match="metadata"):
         load_dataset(path)
 
 

@@ -158,7 +158,7 @@ def test_run_benchmark_detailed_collects_hypers_and_failures():
 def test_run_benchmark_bit_identical_across_threads():
     cfg = _cfg(populations=8, trials=4, seed=7)
     methods = [Method.SAMPLE_EST, Method.MPME_NIX]
-    serial = run_benchmark_detailed(cfg, methods, threads=None)
+    serial = run_benchmark_detailed(cfg, methods, threads=1)
     pooled = run_benchmark_detailed(cfg, methods, threads=3)
     assert serial.reports == pooled.reports
     assert serial.nix_hypers == pooled.nix_hypers
@@ -169,6 +169,8 @@ def test_run_benchmark_rejects_bad_methods():
         run_benchmark(_cfg(), [])
     with pytest.raises(DataError):
         run_benchmark(_cfg(), [Method.SAMPLE_EST], threads=0)
+    with pytest.raises(DataError, match="threads"):
+        run_benchmark(_cfg(), [Method.SAMPLE_EST], threads=None)
 
 
 def test_nix_learned_once_per_trial_for_both_nix_methods(monkeypatch):

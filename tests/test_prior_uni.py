@@ -17,6 +17,7 @@ from mpme.prior_uni import (
     uni_log_marginal_likelihood,
     uni_map,
 )
+from mpme.special import log_normal_cdf_diff
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -101,6 +102,43 @@ def test_log_marginal_likelihood_zero_warns_neg_inf():
         warnings.simplefilter("error")
         lml = uni_log_marginal_likelihood(stats, hyper)
     assert lml == -math.inf
+
+
+def _dense_log_marginal(stats, hyper, points=200_001):
+    # Log-shifted trapezoid in t = log(sigma^2) of the integrand that
+    # _log_sigma_integrals documents, on a fixed grid.
+    t = np.linspace(math.log(hyper.c), math.log(hyper.d), points)
+    n, xbar, scatter = stats.n, stats.mean, (stats.n - 1) * stats.var_unbiased
+    k = math.sqrt(n) / np.exp(0.5 * t)
+    log_f = (
+        -0.5 * (n - 1) * (_LOG_2PI + t)
+        - 0.5 * math.log(n)
+        - 0.5 * scatter * np.exp(-t)
+        + log_normal_cdf_diff((hyper.a - xbar) * k, (hyper.b - xbar) * k,
+                              width=(hyper.b - hyper.a) * k)
+        + t
+    )
+    peak = log_f.max()
+    integral = np.trapezoid(np.exp(log_f - peak), t)
+    return peak + math.log(integral) - math.log(hyper.b - hyper.a) - math.log(hyper.d - hyper.c)
+
+
+@pytest.mark.parametrize(
+    "far, width, c, d", [(100, 0.2, 0.01, 1e4), (100, 1e-3, 0.05, 300), (200, 0.01, 1.0, 1e6)]
+)
+def test_far_box_marginal_matches_dense_grid(far, width, c, d):
+    # A box of mean far out in the tail of a large-n population puts a
+    # narrow peak of the sigma^2 integrand far from sigma^2 = S.  The
+    # 9-point scan in _log_sigma_integrals finds the row shift there;
+    # shifting from the ends and the clipped-S point alone overflowed,
+    # and an exact envelope-peak shift let GK15 accept panels whose
+    # nodes all missed the peak (the marginal came out 31 nats low).
+    n = 1000
+    se = math.sqrt(1.0 / n)
+    stats = _stats(n, 0.0, 1.0)
+    hyper = UniHyperparams(a=far * se, b=(far + width) * se, c=c, d=d)
+    got = uni_log_marginal_likelihood([stats], hyper)
+    assert got == pytest.approx(_dense_log_marginal(stats, hyper), rel=1e-9)
 
 
 def test_log_marginal_likelihood_rejects_empty():
