@@ -130,12 +130,15 @@ def _log_sigma_integrals(
         return log_norm[:, None] - s[:, None] * t - q[:, None] * np.exp(-t)
 
     # Shift f_i by its per-population peak; the un-truncated maximizer of
-    # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].
+    # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].  One
+    # log_f call takes a 9-point scan and that point as a tenth column.
     # linspace returns both ends exactly, so the scan's first and last
     # columns are the integrand at sigma^2 = c and at sigma^2 = d.
-    scan = log_f(np.linspace(t_lo, t_hi, 9))
-    t_peak = np.log(np.clip(var, hyper.c, hyper.d))
-    shift = np.maximum(scan.max(axis=1), log_f(t_peak[:, None])[:, 0])
+    t_scan = np.empty((len(n), 10))
+    t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
+    t_scan[:, 9] = np.log(np.clip(var, hyper.c, hyper.d))
+    scan = log_f(t_scan)
+    shift = scan.max(axis=1)
     safe_shift = np.where(np.isfinite(shift), shift, 0.0)
     # log g_i is concave in t and peaks at log(q/s), clipped into the
     # interval: at the right end when s = 0, at the left end when q = 0.
@@ -154,7 +157,7 @@ def _log_sigma_integrals(
         log_all = shifts + np.log(value)
     p = len(n)
     # Drop the Jacobian e^t of the log(sigma^2) variable at the ends.
-    log_ends = [scan[:, 0] - t_lo, scan[:, -1] - t_hi]
+    log_ends = [scan[:, 0] - t_lo, scan[:, 8] - t_hi]
     return log_all[:p], np.concatenate([log_all[p:].reshape(2, p), log_ends])
 
 

@@ -183,11 +183,14 @@ def log_normal_cdf_diff(lo, hi, width=None):
     flip = (lo + hi) > 0
     low = np.where(flip, -hi, lo)
     high = np.where(flip, -lo, hi)
-    log_hi = _sp.log_ndtr(high)
-    log_lo = _sp.log_ndtr(low)
+    log_hi, log_lo = _sp.log_ndtr(np.stack([high, low]))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
-        out[high <= low] = -np.inf
+        # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
+        # so the difference is too; the log-space subtraction above gives
+        # nan for these.  Such a high is below -1e154, where zm^2 overflows,
+        # so no narrow element below overrides it.
+        out[(high <= low) | np.isneginf(log_hi)] = -np.inf
         h = high - low if width is None else np.broadcast_to(
             np.asarray(width, dtype=float), high.shape
         )
@@ -201,10 +204,6 @@ def log_normal_cdf_diff(lo, hi, width=None):
                 zm_sq * (zm_sq - 6.0) + 3.0
             ) / 1920.0
             out[narrow] = -0.5 * zm_sq - _LOG_SQRT_2PI + np.log(h) + np.log1p(series)
-        # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
-        # so the difference is too; the log-space subtraction above would
-        # produce nan for these.
-        out[np.isneginf(log_hi)] = -np.inf
     if out.ndim == 0:
         return float(out)
     return out
