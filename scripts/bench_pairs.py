@@ -30,7 +30,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_frac",
           "optim.objective.calls", "optim.objective.s_per_eval", "prior_nix.learn_nix.calls",
-          "prior_uni.learn_uni.s", "prior_uni.uni_log_marginal_likelihood.calls",
+          "prior_uni.learn_uni.calls", "prior_uni.learn_uni.s",
+          "prior_uni.uni_log_marginal_likelihood.calls",
           "special.integrand_calls_per_integral", "dataio.dump_json.s",
           "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s")
 

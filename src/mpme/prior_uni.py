@@ -39,12 +39,17 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * _LOG_2PI
 _LOG_CLIP = 700.0
 
 
 @dataclass(frozen=True)
 class UniHyperparams:
-    """Box prior bounds: mu in [a, b], sigma^2 in [c, d]."""
+    """Box prior bounds: mu in [a, b], sigma^2 in [c, d].
+
+    ``c == d`` is the variance face of the box: the prior on sigma^2 is a
+    point mass at c.  The mean side stays a proper interval, ``a < b``.
+    """
 
     a: float
     b: float
@@ -57,8 +62,30 @@ class UniHyperparams:
                 raise DataError(f"{name} = {getattr(self, name)!r}, need finite")
         if not self.a < self.b:
             raise DataError(f"need a < b, got a = {self.a!r}, b = {self.b!r}")
-        if not 0 < self.c < self.d:
-            raise DataError(f"need 0 < c < d, got c = {self.c!r}, d = {self.d!r}")
+        if not 0 < self.c <= self.d:
+            raise DataError(f"need 0 < c <= d, got c = {self.c!r}, d = {self.d!r}")
+
+
+def _log_mu_integral(t, n, xbar, scatter, a, b):
+    """log L_i(e^t), the Gaussian likelihood of population i integrated
+    over mu in [a, b] at sigma^2 = e^t, with the standardized box edges
+    lo, hi and log(Phi(hi) - Phi(lo)) it is built from.  ``t`` is 2-d and
+    broadcasts against one row per population.
+    """
+    k = np.sqrt(n)[:, None] / np.exp(0.5 * t)
+    hi = (b - xbar)[:, None] * k
+    lo = (a - xbar)[:, None] * k
+    # The width goes in separately: forming hi - lo from the rounded
+    # endpoints costs ~1e-16/(b-a) in relative terms, which for sliver
+    # boxes turns into node-dependent noise that stalls the quadrature.
+    log_phi_diff = log_normal_cdf_diff(lo, hi, width=(b - a) * k)
+    log_l = (
+        -0.5 * (n - 1.0)[:, None] * (_LOG_2PI + t)
+        - 0.5 * np.log(n)[:, None]
+        - 0.5 * scatter[:, None] * np.exp(-t)
+        + log_phi_diff
+    )
+    return log_l, lo, hi, log_phi_diff
 
 
 def _log_sigma_integrals(
@@ -99,26 +126,11 @@ def _log_sigma_integrals(
     t_lo = math.log(hyper.c)
     dt = math.log1p((hyper.d - hyper.c) / hyper.c)
     t_hi = t_lo + dt
-    root_n = np.sqrt(n)
     scatter = (n - 1.0) * var
 
     def log_f(t):
-        # t broadcasts against one row per population.
         t = np.atleast_2d(t)
-        k = root_n[:, None] / np.exp(0.5 * t)
-        hi = (hyper.b - xbar)[:, None] * k
-        lo = (hyper.a - xbar)[:, None] * k
-        # The width goes in separately: forming hi - lo from the rounded
-        # endpoints costs ~1e-16/(b-a) in relative terms, which for sliver
-        # boxes turns into node-dependent noise that stalls the quadrature.
-        log_phi_diff = log_normal_cdf_diff(lo, hi, width=(hyper.b - hyper.a) * k)
-        return (
-            -0.5 * (n - 1.0)[:, None] * (_LOG_2PI + t)
-            - 0.5 * np.log(n)[:, None]
-            - 0.5 * scatter[:, None] * np.exp(-t)
-            + log_phi_diff
-            + t
-        )
+        return _log_mu_integral(t, n, xbar, scatter, hyper.a, hyper.b)[0] + t
 
     # The E rows: row k is population k % P with mu at a (k < P) or at b.
     q = (0.5 * (scatter + n * (xbar - np.array([[hyper.a], [hyper.b]])) ** 2)).ravel()
@@ -161,6 +173,51 @@ def _log_sigma_integrals(
     return log_all[:p], np.concatenate([log_all[p:].reshape(2, p), log_ends])
 
 
+def _face_log_marginal(n, xbar, scatter, a, b, c):
+    """The marginal on the variance face c = d, its gradient in (a, b, c),
+    and the coefficient that decides whether the face is a maximum.
+
+    With sigma^2 fixed at c, each population's integral is L_i(c), so the
+    value is sum_i log L_i(c) - P log(b - a), with no quadrature.  With
+    z_a, z_b the standardized box edges and r_z = phi(z) / (Phi(z_b) -
+    Phi(z_a)), the derivatives of log L_i are r_b sqrt(n_i / c) in b,
+    -r_a sqrt(n_i / c) in a, and, in sigma^2,
+
+        l' = -(n_i-1)/(2c) + (n_i-1) S_i/(2c^2) + D'/D,
+        D'/D = -(r_b z_b - r_a z_a) / (2c),
+        D''/D = (r_b z_b (3 - z_b^2) - r_a z_a (3 - z_a^2)) / (4c^2),
+        l'' = (n_i-1)/(2c^2) - (n_i-1) S_i/c^3 + D''/D - (D'/D)^2.
+
+    The interior marginal of the box [c - w/2, c + w/2] is the face value
+    plus K w^2 + O(w^4), with K = sum_i L_i''(c) / (24 L_i(c)) and
+    L''/L = l'' + l'^2: the mean of L_i over a centred interval has no
+    first-order term.  At a face optimum, re-optimizing the other
+    coordinates moves the value by O(w^4) only, so K <= 0 keeps the face
+    and K > 0 means a proper box beats it.  Returns (value, grad, K); at a
+    -inf value the gradient and K are NaN.
+    """
+    log_l, lo, hi, log_phi_diff = (v[:, 0] for v in _log_mu_integral(
+        np.array([[math.log(c)]]), n, xbar, scatter, a, b
+    ))
+    p = len(n)
+    if np.any(np.isneginf(log_l)):
+        return -math.inf, np.full(3, math.nan), math.nan
+    value = float(np.sum(log_l - math.log(b - a)))
+    r_hi = np.exp(-0.5 * hi * hi - _LOG_SQRT_2PI - log_phi_diff)
+    r_lo = np.exp(-0.5 * lo * lo - _LOG_SQRT_2PI - log_phi_diff)
+    d1 = -(r_hi * hi - r_lo * lo) / (2.0 * c)
+    d2 = (r_hi * hi * (3.0 - hi * hi) - r_lo * lo * (3.0 - lo * lo)) / (4.0 * c * c)
+    l1 = -0.5 * (n - 1.0) / c + 0.5 * scatter / (c * c) + d1
+    l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c**3 + d2 - d1 * d1
+    k = np.sqrt(n / c)
+    grad = np.array([
+        p / (b - a) - float(np.sum(r_lo * k)),
+        float(np.sum(r_hi * k)) - p / (b - a),
+        float(np.sum(l1)),
+    ])
+    return value, grad, float(np.sum(l2 + l1 * l1)) / 24.0
+
+
 def uni_log_marginal_likelihood(
     stats_list: Sequence[SufficientStats], hyper: UniHyperparams, *, gradient: bool = False
 ):
@@ -188,12 +245,22 @@ def uni_log_marginal_likelihood(
     run on both paths, so ``gradient`` only chooses the return shape.  At
     a -inf value the gradient is NaN.
 
+    On the variance face c == d the prior on sigma^2 is a point mass and
+    the value is the d -> c limit, sum_i log L_i(c) - P log(b-a), which
+    needs no quadrature.  The gradient there is that limit too: the c and
+    d derivatives are each half of the face value's derivative in c.
+
     Raises
     ------
     QuadratureError
         If adaptive quadrature fails to converge; carries partial results.
     """
     n, xbar, var = _stats_arrays(stats_list)
+    if hyper.c == hyper.d:
+        value, (ga, gb, gc), _ = _face_log_marginal(
+            n, xbar, (n - 1.0) * var, hyper.a, hyper.b, hyper.c
+        )
+        return (value, np.array([ga, gb, 0.5 * gc, 0.5 * gc])) if gradient else value
     log_int, log_pulls = _log_sigma_integrals(n, xbar, var, hyper)
     log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
     if np.any(np.isneginf(log_int)):
@@ -207,19 +274,33 @@ def uni_log_marginal_likelihood(
     return value, np.array([-1.0, 1.0, -1.0, 1.0]) * (pulls - len(n) / sides)
 
 
+# The interior search hands over to the variance face c = d at the first
+# new best point whose variance side d - c is below this fraction of its
+# data scale.
+_FACE_DEPTH = 1e-1
+
+
+class _FaceReached(Exception):
+    """Raised by the interior objective at the point where the search hands
+    over to the variance face, with its value."""
+
+    def __init__(self, z, value):
+        super().__init__()
+        self.z, self.value = z, value
+
+
 def _box_from_point(z) -> tuple[float, float, float, float]:
-    # Widths below one ulp of the anchor collapse in float arithmetic; map
-    # them to the closest representable proper box so the objective stays
-    # defined however deep the optimizer rides a flat width ridge.
+    # A mean width below one ulp of the anchor collapses in float
+    # arithmetic; map it to the closest representable proper interval so
+    # the objective stays defined however deep the optimizer rides a flat
+    # width ridge.  A point without a fourth coordinate is on the face c = d.
     m = float(z[0])
     w = math.exp(min(max(z[1], -_LOG_CLIP), _LOG_CLIP))
     a, b = m - 0.5 * w, m + 0.5 * w
     if b <= a:
         b = math.nextafter(a, math.inf)
     c = math.exp(min(max(z[2], -_LOG_CLIP), _LOG_CLIP))
-    d = c + math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP))
-    if d <= c:
-        d = math.nextafter(c, math.inf)
+    d = c + math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP)) if len(z) == 4 else c
     return a, b, c, d
 
 
@@ -241,30 +322,39 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     point with the data, so the search takes the same steps and the
     learned box moves with the data.
 
-    For some draws the type-II likelihood has no interior maximizer: it
-    increases monotonically toward a finite limit as one box side shrinks
-    to zero width (the limiting prior is a point mass in that coordinate).
-    The optimizer then stalls somewhere on the flat asymptote, at a width
-    too small to be numerically meaningful.  Such a side is widened back
-    to 1e-4 of its data scale; because the objective is flat there, this
-    changes the attained value by less than 1e-3 nats and keeps the MAP
-    arithmetic well conditioned.  A side that shrinks below 1e-6 of its
-    data scale while still *gaining* likelihood marks a genuinely
-    unbounded objective (e.g. identical samples in every population) and
-    aborts instead.
+    For many draws the type-II likelihood has no interior maximizer in the
+    variance side: it increases toward its value on the face c = d, where
+    the prior on sigma^2 is a point mass, and approaches it like (d - c)^2,
+    a ridge that BFGS would ride for many steps.  So at the first point
+    that beats every earlier one with d - c below 1e-1 of its data scale,
+    the search moves to the face and maximizes its closed-form value over
+    (m, log w, log c), from that point.  The face is kept, and the returned
+    box has c == d, if the (d - c)^2 coefficient of the marginal of a box
+    centred on the face optimum is not positive.  Otherwise a proper box
+    beats the face, and the interior search resumes once from the centred
+    box of height 1e-1 of the data scale.
+
+    The mean side can also shrink toward zero width on a flat asymptote.
+    Below 1e-6 of its data scale it is widened back to 1e-4 of that scale;
+    because the objective is flat there, this changes the attained value by
+    less than 1e-3 nats and keeps the MAP arithmetic well conditioned.  A
+    mean side that shrinks that far while still *gaining* likelihood marks
+    a genuinely unbounded objective and aborts instead.
 
     Raises
     ------
     DegeneratePriorError
-        If a box side collapses below 1e-6 of its data scale and widening
-        it back costs more than 1e-3 nats, i.e. the likelihood grows
-        without bound as the box degenerates.
+        If the search reaches the variance face and every population has
+        zero scatter, so the face value grows without bound as c -> 0; or
+        if the mean side collapses below 1e-6 of its data scale and
+        widening it back costs more than 1e-3 nats.
     OptimizationError
         On non-convergence; carries the best point and its objective.
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
     n, xbar, var = _stats_arrays(stats_list)
+    scatter = (n - 1.0) * var
 
     se = np.sqrt(var / n)
     span = float(xbar.max() - xbar.min())
@@ -279,41 +369,72 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         math.log(c0),
         math.log(d0 - c0),
     ]
+    scale_w = max(span, 2.0 * pad)
+    depth = _FACE_DEPTH * v0
 
     def natural(z):
-        return (init[0] + w0 * z[0], init[1] + z[1], init[2] + z[2], init[3] + z[3])
+        return (init[0] + w0 * z[0], *(x + y for x, y in zip(init[1:], z[1:])))
 
-    def objective(z):
+    # The best interior value so far; +inf turns the hand-over off.
+    best = -math.inf
+
+    def interior(z):
+        nonlocal best
         a, b, c, d = _box_from_point(natural(z))
         value, (ga, gb, gc, gd) = uni_log_marginal_likelihood(
             stats_list, UniHyperparams(a=a, b=b, c=c, d=d), gradient=True
         )
+        if d - c < depth and value > best:
+            raise _FaceReached(z, value)
+        best = max(best, value)
         return value, (w0 * (ga + gb), 0.5 * (b - a) * (gb - ga), c * (gc + gd), (d - c) * gd)
 
-    scale_w = max(span, 2.0 * pad)
-    scale_v = v0
+    # The face value goes through the private helper, never the public
+    # marginal, so every public marginal evaluation runs one quadrature.
+    def face(z):
+        a, b, c, _ = _box_from_point(natural(z))
+        value, (ga, gb, gc), _ = _face_log_marginal(n, xbar, scatter, a, b, c)
+        return value, (w0 * (ga + gb), 0.5 * (b - a) * (gb - ga), c * gc)
 
     # Boxes far from the data overflow on the way to a -inf marginal.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        result = maximize(objective, [0.0] * 4, gradient=True)
+        try:
+            result = maximize(interior, [0.0] * 4, gradient=True)
+        except _FaceReached as reached:
+            if not np.any(scatter > 0):
+                raise DegeneratePriorError(
+                    "every population has zero scatter, so the likelihood grows "
+                    "without bound as the variance prior collapses onto zero; no "
+                    "proper maximizer exists for this data",
+                    best_point=tuple(float(v) for v in natural(reached.z)),
+                    best_objective=reached.value,
+                ) from None
+            result = maximize(face, reached.z[:3], gradient=True)
+            a, b, c, _ = _box_from_point(natural(result.point))
+            if _face_log_marginal(n, xbar, scatter, a, b, c)[2] > 0.0:
+                # A proper box beats the face: resume the interior search
+                # once, from the box of height `depth` centred on the face
+                # optimum.
+                h = min(depth, c)
+                start = [*result.point[:2], math.log(c - 0.5 * h) - init[2], math.log(h) - init[3]]
+                best = math.inf
+                result = maximize(interior, start, gradient=True)
     best_point = tuple(float(v) for v in natural(result.point))
     a, b, c, d = _box_from_point(best_point)
-    if (b - a) < 1e-6 * scale_w or (d - c) < 1e-6 * scale_v:
-        collapsed = (b - a, d - c)
-        if (b - a) < 1e-6 * scale_w:
-            mid = 0.5 * (a + b)
-            a, b = mid - 5e-5 * scale_w, mid + 5e-5 * scale_w
-        if (d - c) < 1e-6 * scale_v:
-            mid = 0.5 * (c + d)
-            half = min(5e-5 * scale_v, 0.99 * mid)
-            c, d = mid - half, mid + half
+    if (b - a) < 1e-6 * scale_w:
+        collapsed = b - a
+        mid = 0.5 * (a + b)
+        a, b = mid - 5e-5 * scale_w, mid + 5e-5 * scale_w
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            widened = uni_log_marginal_likelihood(
-                stats_list, UniHyperparams(a=a, b=b, c=c, d=d)
-            )
+            if c == d:
+                widened = _face_log_marginal(n, xbar, scatter, a, b, c)[0]
+            else:
+                widened = uni_log_marginal_likelihood(
+                    stats_list, UniHyperparams(a=a, b=b, c=c, d=d)
+                )
         if not widened >= result.objective - 1e-3:
             raise DegeneratePriorError(
-                f"learned box degenerated to widths {collapsed!r} and the "
+                f"learned mean side degenerated to width {collapsed!r} and the "
                 "likelihood keeps growing as it collapses; no proper maximizer "
                 "exists for this data",
                 best_point=best_point,

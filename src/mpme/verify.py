@@ -428,15 +428,35 @@ def _uni_gradient_case(rng, kind: int):
     return stats, UniHyperparams(a=a, b=b, c=c, d=d)
 
 
+def _five_point(f, h: float) -> float:
+    """Five-point central difference of ``f`` at 0 with step ``h``."""
+    return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
+
+
 def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> SuiteResult:
-    """Closed-form gradient of the UNI marginal vs central differences.
+    """Closed-form gradient of the UNI marginal vs central differences, on
+    each case's box and on the variance face c = d at the box's c.
 
     Each partial derivative is compared with a five-point central
     difference whose step is 1e-3 of b - a for a and b, and 1e-3 of
-    min(d - c, c) for c and d; the error of a case is the largest
-    component difference over the largest component.
+    min(d - c, c) for c and d.  On the face, the derivative in c is the
+    sum of the marginal's c and d derivatives there, and its step is 1e-3
+    of c.  The face's second-order coefficient K, with which the marginal
+    of the box [c - w/2, c + w/2] leaves the face value F as F + K w^2,
+    is compared with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2) for
+    w = 1e-3 c, a central difference in w with the O(w^2) term removed.
+    The error of a case is the largest relative error of the three
+    checks: for a gradient, the largest component difference over the
+    largest component.
     """
-    from .prior_uni import uni_log_marginal_likelihood
+    from .prior_nix import _stats_arrays
+    from .prior_uni import _face_log_marginal, uni_log_marginal_likelihood
+
+    def marginal(stats, *box):
+        return uni_log_marginal_likelihood(stats, UniHyperparams(*box))
+
+    def rel_error(got, numeric):
+        return float(np.max(np.abs(got - numeric)) / np.max(np.abs(numeric)))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -446,23 +466,37 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
         stats, hyper = _uni_gradient_case(rng, kind)
         _value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
         box = [hyper.a, hyper.b, hyper.c, hyper.d]
-        numeric = []
         height = min(hyper.d - hyper.c, hyper.c)
+        numeric = []
         for i, side in enumerate((hyper.b - hyper.a,) * 2 + (height,) * 2):
-            h = 1e-3 * side
+            def moved(x, _i=i):
+                return marginal(stats, *(v + x if j == _i else v for j, v in enumerate(box)))
 
-            def at(offset, _i=i, _h=h):
-                moved = list(box)
-                moved[_i] += offset * _h
-                return uni_log_marginal_likelihood(stats, UniHyperparams(*moved))
+            numeric.append(_five_point(moved, 1e-3 * side))
+        rel = rel_error(grad, np.array(numeric))
 
-            numeric.append((8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h))
-        numeric = np.array(numeric)
-        rel = float(np.max(np.abs(grad - numeric)) / np.max(np.abs(numeric)))
-        worst = _worst(worst, rel)
+        a, b, c = hyper.a, hyper.b, hyper.c
+        face, (ga, gb, gc, gd) = uni_log_marginal_likelihood(
+            stats, UniHyperparams(a, b, c, c), gradient=True
+        )
+        face_numeric = np.array([
+            _five_point(lambda x: marginal(stats, a + x, b, c, c), 1e-3 * (b - a)),
+            _five_point(lambda x: marginal(stats, a, b + x, c, c), 1e-3 * (b - a)),
+            _five_point(lambda x: marginal(stats, a, b, c + x, c + x), 1e-3 * c),
+        ])
+        rel_face = rel_error(np.array([ga, gb, gc + gd]), face_numeric)
+
+        n, xbar, var = _stats_arrays(stats)
+        curvature = _face_log_marginal(n, xbar, (n - 1.0) * var, a, b, c)[2]
+        w = 1e-3 * c
+        rise = [marginal(stats, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
+        numeric_curvature = (16.0 * rise[0] - rise[1]) / (12.0 * w * w)
+        rel_k = abs(curvature - numeric_curvature) / abs(numeric_curvature)
+
+        worst = _worst(worst, rel, rel_face, rel_k)
         lines.append(
             f"case {k:2d} ({_GRADIENT_KINDS[kind]}): grad=({', '.join(f'{g:.9e}' for g in grad)}) "
-            f"rel={rel:.2e}"
+            f"rel={rel:.2e}; face grad rel={rel_face:.2e}, K={curvature:.9e} rel={rel_k:.2e}"
         )
     return SuiteResult("uni-gradient", worst <= tol, cases, worst, tol, lines)
 

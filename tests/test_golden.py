@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from mpme.core import PopulationSample, sufficient_stats
 from mpme.experiments import SyntheticConfig, generate_synthetic
@@ -145,26 +146,47 @@ def test_maximize_golden():
     assert got == GOLDEN_MAXIMIZE
 
 
-def test_learn_uni_reaches_nelder_mead_loglik():
-    # The log marginal likelihood of every learned box, against the one
-    # Nelder-Mead reached on the same 200 trials (the criterion-6 data),
-    # recorded before learn_uni moved to BFGS.  On average the fit must
-    # not get worse, and no trial may lose more than 0.05 nats; the
-    # trials that lose more than 1e-6 sit on or near a collapsed side.
-    doc = json.loads((Path(__file__).parent / "data" / "uni_nelder_mead_loglik.json").read_text())
-    golden = doc["loglik"]
+def recorded_loglik(name):
+    return json.loads((Path(__file__).parent / "data" / name).read_text())["loglik"]
+
+
+@pytest.fixture(scope="module")
+def criterion6_loglik():
+    """The log marginal likelihood of the box learn_uni returns on each of
+    the 200 trials of the criterion-6 data."""
     cfg = SyntheticConfig(
         populations=20,
         samples_per_population=5,
         mu_range=(9.5, 10.5),
         sigma_range=(0.95, 1.05),
-        trials=len(golden),
+        trials=200,
         seed=2026,
     )
-    gains = []
-    for t, want in enumerate(golden):
+    out = []
+    for t in range(cfg.trials):
         stats = [sufficient_stats(s) for s in generate_synthetic(cfg, t)[1]]
-        got = uni_log_marginal_likelihood(stats, learn_uni(stats))
+        out.append(uni_log_marginal_likelihood(stats, learn_uni(stats)))
+    return out
+
+
+def test_learn_uni_reaches_nelder_mead_loglik(criterion6_loglik):
+    # Against the value Nelder-Mead reached on the same trials, recorded
+    # before learn_uni moved to BFGS.  On average the fit must not get
+    # worse, and no trial may lose more than 0.05 nats; the trials that
+    # lose more than 1e-6 end with a collapsed mean side.
+    golden = recorded_loglik("uni_nelder_mead_loglik.json")
+    gains = []
+    for t, (got, want) in enumerate(zip(criterion6_loglik, golden, strict=True)):
         assert got >= want - 0.05, (t, got, want)
         gains.append(got - want)
     assert math.fsum(gains) >= 0.0
+
+
+def test_learn_uni_reaches_interior_bfgs_loglik(criterion6_loglik):
+    # Against the value BFGS reached when it searched the interior only,
+    # riding a collapsing variance side toward the face c = d, recorded
+    # before the search moved onto that face.  No trial may lose more
+    # than 1e-6 nats.
+    golden = recorded_loglik("uni_bfgs_loglik.json")
+    for t, (got, want) in enumerate(zip(criterion6_loglik, golden, strict=True)):
+        assert got >= want - 1e-6, (t, got, want)

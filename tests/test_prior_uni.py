@@ -35,8 +35,13 @@ def _gaussian_loglik(stats, mu, sigma_sq):
 
 def test_hyperparams_validation():
     UniHyperparams(a=0.0, b=1.0, c=0.5, d=1.5)
+    # c == d is the variance face, a point-mass prior on sigma^2; the mean
+    # side must still be a proper interval.
+    UniHyperparams(a=0.0, b=1.0, c=0.5, d=0.5)
     with pytest.raises(DataError):
         UniHyperparams(a=1.0, b=1.0, c=0.5, d=1.5)
+    with pytest.raises(DataError):
+        UniHyperparams(a=1.0, b=1.0, c=0.5, d=0.5)
     with pytest.raises(DataError):
         UniHyperparams(a=2.0, b=1.0, c=0.5, d=1.5)
     with pytest.raises(DataError):
@@ -91,6 +96,30 @@ def test_log_marginal_likelihood_flat_in_sliver_width():
         for w in (1e-8, 1e-10, 1e-12)
     ]
     assert max(vals) - min(vals) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        [_stats(5, 10.1, 1.2), _stats(4, 9.7, 0.8)],
+        [_stats(2, 9.5, 0.0), _stats(30, 10.2, 0.7), _stats(3, 12.0, 2.5)],
+    ],
+    ids=["box", "edge-and-far"],
+)
+def test_face_marginal_is_the_limit_of_the_interior(stats):
+    # On c == d the marginal is sum_i log L_i(c) - P log(b - a), computed
+    # without quadrature; a box of height w around c must approach it.
+    # Centred boxes leave it by K w^2, and K is O(1) here.
+    a, b, c = 9.6, 10.4, 0.9
+    face = uni_log_marginal_likelihood(stats, UniHyperparams(a=a, b=b, c=c, d=c))
+    for w in (1e-5, 1e-7):
+        centred = UniHyperparams(a=a, b=b, c=c - 0.5 * w, d=c + 0.5 * w)
+        assert uni_log_marginal_likelihood(stats, centred) == pytest.approx(face, abs=1e-9)
+    _value, grad = uni_log_marginal_likelihood(
+        stats, UniHyperparams(a=a, b=b, c=c, d=c), gradient=True
+    )
+    # The c and d derivatives share the face value's derivative in c.
+    assert grad[2] == grad[3]
 
 
 def test_log_marginal_likelihood_zero_warns_neg_inf():
@@ -246,7 +275,9 @@ def test_learn_uni_recovers_plausible_box():
     # inside the data range, not span the noisy sample means.
     assert 9.0 < h.a < h.b < 11.0
     assert h.b - h.a < 3.0
-    assert 0.0 < h.c < h.d < 10.0
+    # The true variances span only [0.95, 1.05]; this fit ends on the
+    # variance face, c == d.
+    assert 0.0 < h.c <= h.d < 10.0
 
 
 def test_learn_uni_deterministic():
@@ -259,12 +290,13 @@ def test_learn_uni_needs_two_populations():
         learn_uni([_stats(5, 0.0, 1.0)])
 
 
-def test_learn_uni_degenerate_data_raises():
-    # Zero scatter everywhere with equal means: the likelihood grows
-    # without bound as the variance side collapses, so no proper box
-    # maximizes it.
-    zstats = [_stats(3, 5.0, 0.0) for _ in range(3)]
-    with pytest.raises(DegeneratePriorError):
+@pytest.mark.parametrize("n, count", [(3, 3), (2, 4)])
+def test_learn_uni_degenerate_data_raises(n, count):
+    # Zero scatter everywhere with equal means: the search reaches the
+    # variance face, whose value grows without bound as c -> 0, so no
+    # proper box maximizes the likelihood.
+    zstats = [_stats(n, 5.0, 0.0) for _ in range(count)]
+    with pytest.raises(DegeneratePriorError, match="zero scatter"):
         learn_uni(zstats)
 
 

@@ -229,6 +229,21 @@ def test_suite_uni_gradient_catches_a_wrong_gradient(monkeypatch):
     assert not suite_uni_gradient(cases=6).passed
 
 
+@pytest.mark.parametrize("part", [1, 2], ids=["face-gradient", "face-curvature"])
+def test_suite_uni_gradient_catches_a_wrong_face(monkeypatch, part):
+    from mpme import prior_uni
+
+    real = prior_uni._face_log_marginal
+
+    def off(*args):
+        out = list(real(*args))
+        out[part] = out[part] * (1.0 + 1e-5)
+        return tuple(out)
+
+    monkeypatch.setattr(prior_uni, "_face_log_marginal", off)
+    assert not suite_uni_gradient(cases=1).passed
+
+
 # sha256 of what `mpme verify --suite NAME` printed before the UNI marginal
 # gained its gradient; the default suites must print the same bytes.  The
 # nix-likelihood suite (14 s) is left out: it runs no UNI code.
