@@ -426,6 +426,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         mid = 0.5 * (a + b)
         a, b = mid - 5e-5 * scale_w, mid + 5e-5 * scale_w
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # On the face through the private helper, as in `face`.
             if c == d:
                 widened = _face_log_marginal(n, xbar, scatter, a, b, c)[0]
             else:

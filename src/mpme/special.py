@@ -188,8 +188,8 @@ def log_normal_cdf_diff(lo, hi, width=None):
         out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
         # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
         # so the difference is too; the log-space subtraction above gives
-        # nan for these.  Such a high is below -1e154, where zm^2 overflows,
-        # so no narrow element below overrides it.
+        # nan for these.  Such a high is below -1e154; for lo <= hi so is
+        # zm, whose square overflows, so no narrow element below overrides it.
         out[(high <= low) | np.isneginf(log_hi)] = -np.inf
         h = high - low if width is None else np.broadcast_to(
             np.asarray(width, dtype=float), high.shape
