@@ -14,8 +14,14 @@ the quartiles of each end-to-end metric, the number of pairs in which the
 change read better on each metric, and from the traced run the
 objective-evaluation count, the share of converged fits, the cost per
 evaluation, the UNI marginal and quadrature counts, and the time spent
-in the UNI fit and in the I/O and per-population layers.  Runs are strictly sequential, so
-the two sides never compete for the processor.
+in the UNI fit and in the I/O and per-population layers.  Runs are
+strictly sequential, so the two sides never compete for the processor.
+
+perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
+and a UNI fit that moves to the variance face makes two or three of
+them.  So the record also gives, per ``learn_uni`` call, the UNI marginal
+calls (each one quadrature) and the objective calls (quadrature-backed
+or on the face); both are null on a workload without UNI fits.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_fr
           "prior_uni.uni_log_marginal_likelihood.calls",
           "special.integrand_calls_per_integral", "dataio.dump_json.s",
           "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s")
+# Ratios to prior_uni.learn_uni.calls, from the same traced run.
+PER_LEARN_UNI = {"uni_marginals": "prior_uni.uni_log_marginal_likelihood.calls",
+                 "objective_calls": "optim.objective.calls"}
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -95,9 +104,14 @@ def main(argv=None) -> int:
         entry = {"change_wins": wins}
         for side in SIDES:
             traced = run(dirs[side], workload, args.seed, seconds, 1)[1]
+            fits = traced["prior_uni.learn_uni.calls"]
             entry[side] = {
                 "end_to_end": {name: {**quartiles(v), "runs": v} for name, v in values[side].items()},
                 "traced": {name: traced[name] for name in TRACED},
+                "per_learn_uni": {
+                    name: traced[counter] / fits if fits else None
+                    for name, counter in PER_LEARN_UNI.items()
+                },
                 **accounting[side],
             }
         record["workloads"][workload] = entry

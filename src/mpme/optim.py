@@ -1,9 +1,11 @@
-"""Maximization: BFGS for objectives that supply their gradient,
-Nelder-Mead for those that do not.
+"""Maximization: Newton's method for objectives that supply their gradient
+and Hessian, Nelder-Mead for those that do not.
 
-The UNI marginal likelihood returns its exact gradient, so its fit runs
-a deterministic BFGS with a backtracking line search (Nocedal & Wright,
-Numerical Optimization, 2006, ch. 6).  The NIX fit still uses a simplex
+The UNI marginal likelihood returns its exact gradient and Hessian, so
+its fit runs a deterministic damped Newton method: the Hessian is shifted
+until it is safely positive definite, and the shift grows after a step
+that fails to improve the value (Nocedal & Wright, Numerical
+Optimization, 2006, sec. 3.4).  The NIX fit still uses a simplex
 search with deterministic restarts, whose reflection, expansion,
 contraction and shrink coefficients are 1, 2, 0.5 and 0.5.
 """
@@ -32,23 +34,25 @@ _F_TOL = 1e-10
 _RESTARTS = 2
 _SIMPLEX_SCALE = 0.1
 
-# BFGS stops when every gradient component is below _GRAD_TOL in absolute
-# value, or when the decrease of an iteration, achieved or predicted for
-# the next quasi-Newton step, is at most _REL_DECREASE times the whole
+# Newton's method stops when every gradient component is below _GRAD_TOL
+# in absolute value, or when the decrease of an iteration, achieved or
+# predicted for the next step, is at most _REL_DECREASE times the whole
 # decrease since the start, or after _MAX_ITERS iterations.  Measuring the
 # decrease against the progress made, not against the value, keeps the
 # rule blind to an additive constant such as the one a change of data
 # units adds to a log-likelihood; the predicted decrease stops the search
-# before the achieved one sinks into the rounding of the value.  Each step
-# is capped at max-norm _MAX_STEP and halved until it meets the Armijo
-# condition with constant _ARMIJO, at most _MAX_HALVINGS times.  The
-# inverse-Hessian update is skipped unless s.y > _CURVATURE * |s| |y|.
+# before the achieved one sinks into the rounding of the value.  The
+# Hessian is shifted until its smallest eigenvalue is at least the damping
+# lambda, which starts at _DAMPING, grows tenfold after a rejected step
+# and shrinks tenfold, down to _MIN_DAMPING, after an accepted one.  Each
+# step is capped at max-norm _MAX_STEP; after _MAX_REJECTIONS rejected
+# steps in a row no decrease is left to find.
 _GRAD_TOL = 1e-7
 _REL_DECREASE = 1e-12
 _MAX_STEP = 4.0
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 50
-_CURVATURE = 1e-12
+_DAMPING = 1e-3
+_MIN_DAMPING = 1e-6
+_MAX_REJECTIONS = 20
 
 
 @dataclass(frozen=True)
@@ -145,94 +149,77 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     return np.array(simplex[i_best]), values[i_best], iterations, converged
 
 
-def _bfgs(neg_f: Callable, x0: np.ndarray):
-    """Minimize ``neg_f``, which returns ``(value, gradient)``, from ``x0``.
+def _newton(neg_f: Callable, x0: np.ndarray):
+    """Minimize ``neg_f``, which returns ``(value, gradient, Hessian)``,
+    from ``x0``; returns (x, fx, iterations, converged).
 
-    Returns (x, fx, iterations, converged).  A trial point whose value is
-    infinite, or whose gradient is not finite, counts as a failed step and
-    halves it.  When no step along the quasi-Newton direction lowers the
-    value, the search retries once along the steepest descent direction;
-    if that fails too, no decrease is left to find and the search stops as
-    converged.
+    Each step solves (A + mu I) s = -g, with A the Hessian and
+    mu = max(0, lambda - lambda_min(A)), so the shifted Hessian is positive
+    definite and an indefinite start still descends (Nocedal & Wright,
+    Numerical Optimization, 2006, sec. 3.4).  A trial point whose value
+    is infinite, or whose gradient or Hessian is not finite, counts as a
+    rejected step, as does one that does not lower the value.  While lambda
+    does not exceed lambda_min(A) a rejected step would be tried again
+    unchanged, so lambda grows tenfold until it does.
     """
 
     def evaluate(x):
-        fx, grad = neg_f(x)
+        fx, grad, hess = neg_f(x)
         _check_value(fx, x)
         grad = np.asarray(grad, dtype=float)
-        return fx, grad, math.isfinite(fx) and bool(np.all(np.isfinite(grad)))
+        hess = np.asarray(hess, dtype=float)
+        ok = math.isfinite(fx) and bool(np.all(np.isfinite(grad)) and np.all(np.isfinite(hess)))
+        return fx, grad, hess, ok
 
     x = x0
-    fx, grad, ok = evaluate(x)
+    fx, grad, hess, ok = evaluate(x)
     if not ok:
         return x, fx, 0, False
     f0 = fx
-    inv_hess = None  # None: the identity, not yet scaled
+    damping = _DAMPING
     iterations = 0
-    converged = False
     while True:
         if float(np.max(np.abs(grad))) < _GRAD_TOL:
-            converged = True
-            break
+            return x, fx, iterations, True
         if iterations == _MAX_ITERS:
-            break
-        step = -grad if inv_hess is None else -(inv_hess @ grad)
-        slope = float(grad @ step)
-        if -0.5 * slope <= _REL_DECREASE * (f0 - fx):
-            converged = True
-            break
-        cap = min(1.0, _MAX_STEP / float(np.max(np.abs(step))))
-        step, slope = cap * step, cap * slope
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            x_new = x + alpha * step
-            f_new, grad_new, ok = evaluate(x_new)
-            if ok and f_new <= fx + _ARMIJO * alpha * slope:
+            return x, fx, iterations, False
+        eig, vec = np.linalg.eigh(hess)
+        along = vec.T @ grad
+        for _ in range(_MAX_REJECTIONS):
+            step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
+            if -0.5 * float(grad @ step) <= _REL_DECREASE * (f0 - fx):
+                return x, fx, iterations, True
+            step *= min(1.0, _MAX_STEP / float(np.max(np.abs(step))))
+            f_new, grad_new, hess_new, ok = evaluate(x + step)
+            if ok and f_new < fx:
                 break
-            alpha *= 0.5
+            damping *= 10.0
+            while damping <= eig[0]:
+                damping *= 10.0
         else:
-            if inv_hess is None:
-                converged = True
-                break
-            inv_hess = None
-            continue
+            return x, fx, iterations, True
+        damping = max(0.1 * damping, _MIN_DAMPING)
         iterations += 1
-        s = x_new - x
-        y = grad_new - grad
-        sy = float(s @ y)
-        if sy > _CURVATURE * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            if inv_hess is None:
-                # Shanno's scaling of the first inverse-Hessian guess.
-                inv_hess = (sy / float(y @ y)) * np.eye(len(x))
-            rho = 1.0 / sy
-            hy = inv_hess @ y
-            inv_hess = (
-                inv_hess
-                - rho * (np.outer(s, hy) + np.outer(hy, s))
-                + (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
-            )
         decrease = fx - f_new
-        x, fx, grad = x_new, f_new, grad_new
+        x, fx, grad, hess = x + step, f_new, grad_new, hess_new
         if decrease <= _REL_DECREASE * (f0 - fx):
-            converged = True
-            break
-    return x, fx, iterations, converged
+            return x, fx, iterations, True
 
 
 def maximize(
     objective: Callable[[Sequence[float]], float],
     init: Sequence[float],
     *,
-    gradient: bool = False,
+    hessian: bool = False,
 ) -> OptimResult:
     """Maximize a scalar objective.
 
-    With ``gradient=True`` the objective returns ``(value, gradient)`` and
-    the search is one deterministic BFGS run.  Otherwise it is Nelder-Mead
-    plus restarts: restart ``r`` starts from the best point found so far,
-    displaced by a fixed pseudo-random direction (seeded only by ``r``),
-    so the whole search is deterministic.  Either way the returned point
-    never scores below the initial point.
+    With ``hessian=True`` the objective returns ``(value, gradient,
+    Hessian)`` and the search is one deterministic run of Newton's method.
+    Otherwise it is Nelder-Mead plus restarts: restart ``r`` starts from
+    the best point found so far, displaced by a fixed pseudo-random
+    direction (seeded only by ``r``), so the whole search is deterministic.
+    Either way the returned point never scores below the initial point.
 
     Raises
     ------
@@ -244,13 +231,13 @@ def maximize(
     if x0.ndim != 1 or len(x0) == 0 or not np.all(np.isfinite(x0)):
         raise DataError(f"init point must be a finite 1-d vector, got {init!r}")
 
-    if gradient:
+    if hessian:
 
-        def neg_f_grad(x):
-            value, grad = objective(x)
-            return -float(value), -np.asarray(grad, dtype=float)
+        def neg_f_derivs(x):
+            value, grad, hess = objective(x)
+            return -float(value), -np.asarray(grad, dtype=float), -np.asarray(hess, dtype=float)
 
-        x, v, iters, conv = _bfgs(neg_f_grad, x0)
+        x, v, iters, conv = _newton(neg_f_derivs, x0)
         return OptimResult(
             point=tuple(float(t) for t in x),
             objective=float(-v),

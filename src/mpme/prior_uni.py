@@ -6,10 +6,12 @@ independently.  Its marginal likelihood has no closed form; the mu
 integral reduces to a difference of normal CDFs and the remaining
 sigma^2 integral is done by adaptive quadrature, shared across all
 populations and evaluated in log(sigma^2) to resolve the scale-free peak.
-The same quadrature yields the gradient in (a, b, c, d): the a and b
-derivatives need the likelihood with mu fixed at a box edge, integrated
-over sigma^2, which rides along as extra rows; the c and d derivatives
-are the integrand at the ends of the sigma^2 interval.
+The same quadrature yields the gradient and Hessian in (a, b, c, d): the
+a and b derivatives need the likelihood with mu fixed at a box edge,
+integrated over sigma^2 (and, for the second derivatives, over sigma^2
+divided by sigma^2), which rides along as extra rows; the c and d
+derivatives are the integrand and its slope at the ends of the sigma^2
+interval, and the mixed ones the likelihood at the box's corners.
 """
 
 from __future__ import annotations
@@ -88,16 +90,36 @@ def _log_mu_integral(t, n, xbar, scatter, a, b):
     return log_l, lo, hi, log_phi_diff
 
 
+def _log_l_slope(n, scatter, sigma_sq, lo, hi, log_phi_diff):
+    """d log L_i / d sigma^2 at ``sigma_sq``, with the pieces it is built
+    from: D'/D and the ratios r_lo = phi(lo) / D and r_hi = phi(hi) / D,
+    where D = Phi(hi) - Phi(lo).  See ``_face_log_marginal``."""
+    r_hi = np.exp(-0.5 * hi * hi - _LOG_SQRT_2PI - log_phi_diff)
+    r_lo = np.exp(-0.5 * lo * lo - _LOG_SQRT_2PI - log_phi_diff)
+    d1 = -(r_hi * hi - r_lo * lo) / (2.0 * sigma_sq)
+    l1 = -0.5 * (n - 1.0) / sigma_sq + 0.5 * scatter / (sigma_sq * sigma_sq) + d1
+    return l1, d1, r_lo, r_hi
+
+
 def _log_sigma_integrals(
     n: np.ndarray,
     xbar: np.ndarray,
     var: np.ndarray,
     hyper: UniHyperparams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-population log of the sigma^2 integral I_i over [c, d], and the
-    logs of the four integrals that its derivatives in (a, b, c, d) need,
-    one row each: E_i(a), E_i(b), and the integrand (in sigma^2) at
-    sigma^2 = c and at sigma^2 = d.
+):
+    """Per-population log of the sigma^2 integral I_i over [c, d], and
+    what its first and second derivatives in (a, b, c, d) need.
+
+    Returns ``(log_int, log_edges, log_corners, ends)``:
+
+    - ``log_int``, shape (P,): log I_i.
+    - ``log_edges``, shape (4, P): log E_i(a), log E_i(b), log F_i(a) and
+      log F_i(b), from the same quadrature as I_i.
+    - ``log_corners``, shape (2, P, 2): the log likelihood with mu at a
+      (first index 0) or b, and sigma^2 at c (last index 0) or d.
+    - ``ends``: log L_i(sigma^2) and the standardized box edges lo, hi
+      and log(Phi(hi) - Phi(lo)) it is built from, each of shape (P, 2),
+      at sigma^2 = c and d.
 
     Integrates, in t = log(sigma^2),
 
@@ -110,10 +132,11 @@ def _log_sigma_integrals(
 
         g_i(t) = exp(-(n_i/2) log(2 pi) - s_i t - q_i e^-t),
 
-    with s_i = n_i/2 - 1 and q_i = ((n_i-1) S_i + n_i (xbar_i - mu)^2) / 2.
-    All 3P rows share one adaptive quadrature.  Each row is shifted by its
-    maximum so the adaptive rule works on O(1) values; populations whose
-    integral underflows to zero come back as -inf.
+    with s_i = n_i/2 - 1 and q_i = ((n_i-1) S_i + n_i (xbar_i - mu)^2) / 2,
+    and F_i(mu) integrates the likelihood over sigma^2 divided by sigma^2,
+    g_i(t) e^-t.  All 5P rows share one adaptive quadrature.  Each row is
+    shifted by its maximum so the adaptive rule works on O(1) values;
+    populations whose integral underflows to zero come back as -inf.
 
     The interval length is formed as log1p((d-c)/c) and the quadrature
     runs in u = t - log(c) over [0, dt]: computing log(d) - log(c), or
@@ -143,71 +166,80 @@ def _log_sigma_integrals(
 
     # Shift f_i by its per-population peak; the un-truncated maximizer of
     # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].  One
-    # log_f call takes a 9-point scan and that point as a tenth column.
-    # linspace returns both ends exactly, so the scan's first and last
-    # columns are the integrand at sigma^2 = c and at sigma^2 = d.
+    # _log_mu_integral call takes a 9-point scan and that point as a tenth
+    # column.  linspace returns both ends exactly, so the scan's first and
+    # last columns are the integrand at sigma^2 = c and at sigma^2 = d.
     t_scan = np.empty((len(n), 10))
     t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
     t_scan[:, 9] = np.log(np.clip(var, hyper.c, hyper.d))
-    scan = log_f(t_scan)
-    shift = scan.max(axis=1)
+    scan = _log_mu_integral(t_scan, n, xbar, scatter, hyper.a, hyper.b)
+    shift = (scan[0] + t_scan).max(axis=1)
     safe_shift = np.where(np.isfinite(shift), shift, 0.0)
     # log g_i is concave in t and peaks at log(q/s), clipped into the
     # interval: at the right end when s = 0, at the left end when q = 0.
     # s = q = 0 (n = 2, S = 0, mean on the edge) is flat; any end will do.
+    # log g_i - t peaks at log(q/(s+1)), with s + 1 = n/2 > 0.
     with np.errstate(divide="ignore"):
         t_edge = np.log(np.divide(q, s, out=np.full_like(q, np.inf), where=s > 0))
+        t_over = np.clip(np.log(q / (s + 1.0)), t_lo, t_hi)[:, None]
     edge_shift = log_g(np.clip(t_edge, t_lo, t_hi)[:, None])[:, 0]
-    shifts = np.concatenate([safe_shift, edge_shift])
+    over_shift = (log_g(t_over) - t_over)[:, 0]
+    shifts = np.concatenate([safe_shift, edge_shift, over_shift])
 
     def integrand(u):
         t = u + t_lo
-        return np.exp(np.concatenate([log_f(t), log_g(t)]) - shifts[:, None])
+        log_e = log_g(t)
+        return np.exp(np.concatenate([log_f(t), log_e, log_e - t]) - shifts[:, None])
 
     value, _err = integrate_adaptive(integrand, 0.0, dt)
     with np.errstate(divide="ignore"):
         log_all = shifts + np.log(value)
     p = len(n)
-    # Drop the Jacobian e^t of the log(sigma^2) variable at the ends.
-    log_ends = [scan[:, 0] - t_lo, scan[:, 8] - t_hi]
-    return log_all[:p], np.concatenate([log_all[p:].reshape(2, p), log_ends])
+    t_ends = np.array([[t_lo, t_hi]])
+    log_corners = (log_g(t_ends) - t_ends).reshape(2, p, 2)
+    ends = tuple(v[:, [0, 8]] for v in scan)
+    return log_all[:p], log_all[p:].reshape(4, p), log_corners, ends
 
 
 def _face_log_marginal(n, xbar, scatter, a, b, c):
-    """The marginal on the variance face c = d, its gradient in (a, b, c),
-    and the coefficient that decides whether the face is a maximum.
+    """The marginal on the variance face c = d, its gradient and Hessian in
+    (a, b, c), and the coefficient that decides whether the face is a
+    maximum.
 
     With sigma^2 fixed at c, each population's integral is L_i(c), so the
     value is sum_i log L_i(c) - P log(b - a), with no quadrature.  With
-    z_a, z_b the standardized box edges and r_z = phi(z) / (Phi(z_b) -
-    Phi(z_a)), the derivatives of log L_i are r_b sqrt(n_i / c) in b,
-    -r_a sqrt(n_i / c) in a, and, in sigma^2,
+    z_a, z_b the standardized box edges, k = sqrt(n_i / c) and r_z =
+    phi(z) / (Phi(z_b) - Phi(z_a)), the derivatives of log L_i are r_b k
+    in b, -r_a k in a, and, in sigma^2,
 
         l' = -(n_i-1)/(2c) + (n_i-1) S_i/(2c^2) + D'/D,
         D'/D = -(r_b z_b - r_a z_a) / (2c),
         D''/D = (r_b z_b (3 - z_b^2) - r_a z_a (3 - z_a^2)) / (4c^2),
         l'' = (n_i-1)/(2c^2) - (n_i-1) S_i/c^3 + D''/D - (D'/D)^2.
 
+    Its second derivatives are k^2 (z_a r_a - r_a^2) in (a, a),
+    -k^2 (z_b r_b + r_b^2) in (b, b), k^2 r_a r_b in (a, b), l'' in (c, c),
+    and +-(k r_z / (2c)) (z^2 + r_b z_b - r_a z_a - 1) in (b, c) and, with
+    the minus sign and z = z_a, in (a, c).  -P log(b - a) adds P/(b-a)^2 in
+    (a, a) and (b, b), and takes it from (a, b).
+
     The interior marginal of the box [c - w/2, c + w/2] is the face value
     plus K w^2 + O(w^4), with K = sum_i L_i''(c) / (24 L_i(c)) and
     L''/L = l'' + l'^2: the mean of L_i over a centred interval has no
     first-order term.  At a face optimum, re-optimizing the other
     coordinates moves the value by O(w^4) only, so K <= 0 keeps the face
-    and K > 0 means a proper box beats it.  Returns (value, grad, K); at a
-    -inf value the gradient and K are NaN.
+    and K > 0 means a proper box beats it.  Returns (value, grad, hess, K);
+    at a -inf value the gradient, the Hessian and K are NaN.
     """
     log_l, lo, hi, log_phi_diff = (v[:, 0] for v in _log_mu_integral(
         np.array([[math.log(c)]]), n, xbar, scatter, a, b
     ))
     p = len(n)
     if np.any(np.isneginf(log_l)):
-        return -math.inf, np.full(3, math.nan), math.nan
+        return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
     value = float(np.sum(log_l - math.log(b - a)))
-    r_hi = np.exp(-0.5 * hi * hi - _LOG_SQRT_2PI - log_phi_diff)
-    r_lo = np.exp(-0.5 * lo * lo - _LOG_SQRT_2PI - log_phi_diff)
-    d1 = -(r_hi * hi - r_lo * lo) / (2.0 * c)
+    l1, d1, r_lo, r_hi = _log_l_slope(n, scatter, c, lo, hi, log_phi_diff)
     d2 = (r_hi * hi * (3.0 - hi * hi) - r_lo * lo * (3.0 - lo * lo)) / (4.0 * c * c)
-    l1 = -0.5 * (n - 1.0) / c + 0.5 * scatter / (c * c) + d1
     l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c**3 + d2 - d1 * d1
     k = np.sqrt(n / c)
     grad = np.array([
@@ -215,11 +247,25 @@ def _face_log_marginal(n, xbar, scatter, a, b, c):
         float(np.sum(r_hi * k)) - p / (b - a),
         float(np.sum(l1)),
     ])
-    return value, grad, float(np.sum(l2 + l1 * l1)) / 24.0
+    box = p / (b - a) ** 2
+    # r_b z_b - r_a z_a - 1, shared by the (a, c) and (b, c) entries
+    pull = r_hi * hi - r_lo * lo - 1.0
+    hac = -float(np.sum(k * r_lo * (lo * lo + pull))) / (2.0 * c)
+    hbc = float(np.sum(k * r_hi * (hi * hi + pull))) / (2.0 * c)
+    hab = float(np.sum(k * k * r_lo * r_hi)) - box
+    hess = np.array([
+        [float(np.sum(k * k * (lo * r_lo - r_lo * r_lo))) + box, hab, hac],
+        [hab, box - float(np.sum(k * k * (hi * r_hi + r_hi * r_hi))), hbc],
+        [hac, hbc, float(np.sum(l2))],
+    ])
+    return value, grad, hess, float(np.sum(l2 + l1 * l1)) / 24.0
 
 
 def uni_log_marginal_likelihood(
-    stats_list: Sequence[SufficientStats], hyper: UniHyperparams, *, gradient: bool = False
+    stats_list: Sequence[SufficientStats],
+    hyper: UniHyperparams,
+    *,
+    hessian: bool = False,
 ):
     """Log marginal likelihood of all populations under the box prior.
 
@@ -231,24 +277,40 @@ def uni_log_marginal_likelihood(
     Returns -inf if any population's integral is numerically zero, e.g.
     when the box excludes all plausible moments.
 
-    With ``gradient=True`` returns ``(value, grad)``, where ``value`` is
-    the same float and ``grad`` holds the partial derivatives in
-    (a, b, c, d).  With I_i the population's box integral and P the
-    number of populations,
+    With ``hessian=True`` returns ``(value, grad, hess)``, where ``value``
+    is the same float, ``grad`` holds the partial derivatives in
+    (a, b, c, d) and ``hess`` the 4 x 4 matrix of second derivatives.  With
+    I_i the population's box integral and P the number of populations,
 
         d/da = P/(b-a) - sum_i E_i(a) / I_i,   d/db = sum_i E_i(b) / I_i - P/(b-a),
         d/dc = P/(d-c) - sum_i L_i(c) / I_i,   d/dd = sum_i L_i(d) / I_i - P/(d-c),
 
     where E_i(mu) integrates the likelihood over sigma^2 with mu fixed at
     a box edge, and L_i(sigma^2) integrates it over mu with sigma^2 fixed
-    at one.  E_i comes from the same adaptive quadrature as I_i, which is
-    run on both paths, so ``gradient`` only chooses the return shape.  At
-    a -inf value the gradient is NaN.
+    at one.  The Hessian is
+
+        sum_i (H_i / I_i - (grad I_i)(grad I_i)^T / I_i^2) + P B,
+
+    where B holds 1/(b-a)^2 in (a, a) and (b, b), -1/(b-a)^2 in (a, b),
+    and the same in (c, d) with d - c.  The Hessian H_i of I_i has
+    -n_i (xbar_i - a) F_i(a) in (a, a), n_i (xbar_i - b) F_i(b) in (b, b),
+    l_i(a, c), -l_i(a, d), -l_i(b, c) and l_i(b, d) in (a, c), (a, d),
+    (b, c) and (b, d), -L_i'(c) in (c, c), L_i'(d) in (d, d), and zero in
+    (a, b) and (c, d).  F_i(mu) integrates the likelihood divided by
+    sigma^2 over sigma^2 with mu at a box edge, l_i(mu, sigma^2) is the
+    likelihood at a corner of the box, and L_i' is the derivative of L_i
+    in sigma^2.  E_i and F_i come from the same adaptive quadrature as
+    I_i, which is run on both paths, so ``hessian`` only chooses the
+    return shape.  At a -inf value the gradient and the Hessian are NaN.
 
     On the variance face c == d the prior on sigma^2 is a point mass and
     the value is the d -> c limit, sum_i log L_i(c) - P log(b-a), which
-    needs no quadrature.  The gradient there is that limit too: the c and
-    d derivatives are each half of the face value's derivative in c.
+    needs no quadrature.  The derivatives there are those of the limit
+    too: near the face the marginal is F((c+d)/2) + K (d-c)^2 + O((d-c)^4),
+    with F the face value and K the coefficient of ``_face_log_marginal``,
+    so the c and d derivatives are each half of F's derivative in c, and
+    the (c, c), (d, d) and (c, d) entries are F''/4 + 2K, F''/4 + 2K and
+    F''/4 - 2K.
 
     Raises
     ------
@@ -256,22 +318,51 @@ def uni_log_marginal_likelihood(
         If adaptive quadrature fails to converge; carries partial results.
     """
     n, xbar, var = _stats_arrays(stats_list)
+    scatter = (n - 1.0) * var
     if hyper.c == hyper.d:
-        value, (ga, gb, gc), _ = _face_log_marginal(
-            n, xbar, (n - 1.0) * var, hyper.a, hyper.b, hyper.c
+        value, (ga, gb, gc), face_hess, curvature = _face_log_marginal(
+            n, xbar, scatter, hyper.a, hyper.b, hyper.c
         )
-        return (value, np.array([ga, gb, 0.5 * gc, 0.5 * gc])) if gradient else value
-    log_int, log_pulls = _log_sigma_integrals(n, xbar, var, hyper)
+        if not hessian:
+            return value
+        lift = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
+        hess = lift @ face_hess @ lift.T
+        hess[2:, 2:] += 2.0 * curvature * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return value, np.array([ga, gb, 0.5 * gc, 0.5 * gc]), hess
+    log_int, log_edges, log_corners, (log_l, lo, hi, log_phi_diff) = _log_sigma_integrals(
+        n, xbar, var, hyper
+    )
     log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
     if np.any(np.isneginf(log_int)):
-        return (-math.inf, np.full(4, math.nan)) if gradient else -math.inf
+        return (-math.inf, np.full(4, math.nan), np.full((4, 4), math.nan)) if hessian else -math.inf
     value = float(np.sum(log_int - log_box))
-    if not gradient:
+    if not hessian:
         return value
-    # sum_i E_i(a) / I_i, sum_i E_i(b) / I_i, sum_i L_i(c) / I_i, sum_i L_i(d) / I_i
-    pulls = np.exp(log_pulls - log_int).sum(axis=1)
+    p = len(n)
+    # E_i(a), E_i(b), F_i(a), F_i(b), and L_i at c and d, each over I_i
+    e_a, e_b, f_a, f_b = np.exp(log_edges - log_int)
+    l_ends = np.exp(log_l - log_int[:, None])
+    # grad I_i / I_i, one column per population
+    pulls = np.stack([-e_a, e_b, -l_ends[:, 0], l_ends[:, 1]])
     sides = np.array([hyper.b - hyper.a] * 2 + [hyper.d - hyper.c] * 2)
-    return value, np.array([-1.0, 1.0, -1.0, 1.0]) * (pulls - len(n) / sides)
+    grad = pulls.sum(axis=1) + np.array([1.0, -1.0, 1.0, -1.0]) * (p / sides)
+    corners = np.exp(log_corners - log_int[:, None]).sum(axis=1)
+    slopes = _log_l_slope(
+        n[:, None], scatter[:, None], np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff
+    )[0]
+    rises = (slopes * l_ends).sum(axis=0)
+    upper = np.array([
+        [-np.sum(n * (xbar - hyper.a) * f_a), 0.0, corners[0, 0], -corners[0, 1]],
+        [0.0, np.sum(n * (xbar - hyper.b) * f_b), -corners[1, 0], corners[1, 1]],
+        [0.0, 0.0, -rises[0], 0.0],
+        [0.0, 0.0, 0.0, rises[1]],
+    ])
+    edge = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    box = np.zeros((4, 4))
+    box[:2, :2] = edge / sides[0] ** 2
+    box[2:, 2:] = edge / sides[2] ** 2
+    hess = upper + np.triu(upper, 1).T - pulls @ pulls.T + p * box
+    return value, grad, hess
 
 
 # The interior search hands over to the variance face c = d at the first
@@ -316,23 +407,28 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     start has to ride a nearly flat width ridge and tends to overshoot
     into the degeneracy guard.
 
-    The search is BFGS on the exact gradient, in centred, scaled
-    coordinates: (m - m_init) / w_init, and the three logs minus their
-    starting values.  A change of units x -> s x + t moves the starting
-    point with the data, so the search takes the same steps and the
-    learned box moves with the data.
+    The search is Newton's method on the exact gradient and Hessian,
+    damped where the Hessian is not safely negative definite (see
+    ``optim``), in centred, scaled coordinates: (m - m_init) / w_init, and
+    the three logs minus their starting values.  A change of units
+    x -> s x + t moves the starting point with the data, so the search
+    takes the same steps and the learned box moves with the data.  On the
+    200 trials of example 1 at seed 2026 a fit takes 12.5 quadrature-backed
+    marginal evaluations and 4.0 on the face, where BFGS took 28.2 and
+    15.1, and no fit ends lower by more than 5e-8 nats.
 
     For many draws the type-II likelihood has no interior maximizer in the
     variance side: it increases toward its value on the face c = d, where
     the prior on sigma^2 is a point mass, and approaches it like (d - c)^2,
-    a ridge that BFGS would ride for many steps.  So at the first point
-    that beats every earlier one with d - c below 1e-1 of its data scale,
-    the search moves to the face and maximizes its closed-form value over
-    (m, log w, log c), from that point.  The face is kept, and the returned
-    box has c == d, if the (d - c)^2 coefficient of the marginal of a box
-    centred on the face optimum is not positive.  Otherwise a proper box
-    beats the face, and the interior search resumes once from the centred
-    box of height 1e-1 of the data scale.
+    a ridge that a local search would ride for many steps.  So at the
+    first point that beats every earlier one with d - c below 1e-1 of its
+    data scale, the search moves to the face and maximizes its closed-form
+    value over (m, log w, log c), from that point, by the same method.
+    The face is kept, and the returned box has c == d, if the (d - c)^2
+    coefficient of the marginal of a box centred on the face optimum is
+    not positive.  Otherwise a proper box beats the face, and the interior
+    search resumes once from the centred box of height 1e-1 of the data
+    scale.
 
     The mean side can also shrink toward zero width on a flat asymptote.
     Below 1e-6 of its data scale it is widened back to 1e-4 of that scale;
@@ -378,28 +474,45 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     # The best interior value so far; +inf turns the hand-over off.
     best = -math.inf
 
+    def searched(value, grad, hess, jac):
+        # The chain rule to the search coordinates: jac holds the
+        # derivatives of (a, b, c[, d]) in them.  Each of the last
+        # coordinates is the log of a side or of c, whose second
+        # derivative equals its first.
+        g = jac.T @ grad
+        return value, g, jac.T @ hess @ jac + np.diag([0.0, *g[1:]])
+
+    def jacobian(a, b, c, d):
+        half = 0.5 * (b - a)
+        return np.array([
+            [w0, -half, 0.0, 0.0],
+            [w0, half, 0.0, 0.0],
+            [0.0, 0.0, c, 0.0],
+            [0.0, 0.0, c, d - c],
+        ])
+
     def interior(z):
         nonlocal best
         a, b, c, d = _box_from_point(natural(z))
-        value, (ga, gb, gc, gd) = uni_log_marginal_likelihood(
-            stats_list, UniHyperparams(a=a, b=b, c=c, d=d), gradient=True
+        value, grad, hess = uni_log_marginal_likelihood(
+            stats_list, UniHyperparams(a=a, b=b, c=c, d=d), hessian=True
         )
         if d - c < depth and value > best:
             raise _FaceReached(z, value)
         best = max(best, value)
-        return value, (w0 * (ga + gb), 0.5 * (b - a) * (gb - ga), c * (gc + gd), (d - c) * gd)
+        return searched(value, grad, hess, jacobian(a, b, c, d))
 
     # The face value goes through the private helper, never the public
     # marginal, so every public marginal evaluation runs one quadrature.
     def face(z):
         a, b, c, _ = _box_from_point(natural(z))
-        value, (ga, gb, gc), _ = _face_log_marginal(n, xbar, scatter, a, b, c)
-        return value, (w0 * (ga + gb), 0.5 * (b - a) * (gb - ga), c * gc)
+        value, grad, hess, _ = _face_log_marginal(n, xbar, scatter, a, b, c)
+        return searched(value, grad, hess, jacobian(a, b, c, c)[:3, :3])
 
     # Boxes far from the data overflow on the way to a -inf marginal.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            result = maximize(interior, [0.0] * 4, gradient=True)
+            result = maximize(interior, [0.0] * 4, hessian=True)
         except _FaceReached as reached:
             if not np.any(scatter > 0):
                 raise DegeneratePriorError(
@@ -409,16 +522,16 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
                     best_point=tuple(float(v) for v in natural(reached.z)),
                     best_objective=reached.value,
                 ) from None
-            result = maximize(face, reached.z[:3], gradient=True)
+            result = maximize(face, reached.z[:3], hessian=True)
             a, b, c, _ = _box_from_point(natural(result.point))
-            if _face_log_marginal(n, xbar, scatter, a, b, c)[2] > 0.0:
+            if _face_log_marginal(n, xbar, scatter, a, b, c)[3] > 0.0:
                 # A proper box beats the face: resume the interior search
                 # once, from the box of height `depth` centred on the face
                 # optimum.
                 h = min(depth, c)
                 start = [*result.point[:2], math.log(c - 0.5 * h) - init[2], math.log(h) - init[3]]
                 best = math.inf
-                result = maximize(interior, start, gradient=True)
+                result = maximize(interior, start, hessian=True)
     best_point = tuple(float(v) for v in natural(result.point))
     a, b, c, d = _box_from_point(best_point)
     if (b - a) < 1e-6 * scale_w:

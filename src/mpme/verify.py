@@ -434,69 +434,98 @@ def _five_point(f, h: float) -> float:
 
 
 def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> SuiteResult:
-    """Closed-form gradient of the UNI marginal vs central differences, on
-    each case's box and on the variance face c = d at the box's c.
+    """Closed-form gradient and Hessian of the UNI marginal vs central
+    differences, on each case's box and on the variance face c = d at the
+    box's c.
 
     Each partial derivative is compared with a five-point central
-    difference whose step is 1e-3 of b - a for a and b, and 1e-3 of
-    min(d - c, c) for c and d.  On the face, the derivative in c is the
-    sum of the marginal's c and d derivatives there, and its step is 1e-3
-    of c.  The face's second-order coefficient K, with which the marginal
-    of the box [c - w/2, c + w/2] leaves the face value F as F + K w^2,
-    is compared with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2) for
-    w = 1e-3 c, a central difference in w with the O(w^2) term removed.
-    The error of a case is the largest relative error of the three
-    checks: for a gradient, the largest component difference over the
-    largest component.
+    difference of the value, and each column of the Hessian with a
+    five-point central difference of the closed-form gradient.  The step
+    is 1e-3 of b - a for a and b, and 1e-3 of min(d - c, c) for c and d.
+    On the face the coordinates are (a, b, c): the derivative in c is the
+    sum of the marginal's c and d derivatives there, the Hessian is the
+    marginal's 4 x 4 Hessian with its c and d rows and columns summed,
+    and the step in c, which moves c and d together, is 1e-3 of c.  The
+    face's second-order coefficient K, with which the marginal of the box
+    [c - w/2, c + w/2] leaves the face value F as F + K w^2, is compared
+    with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2) for w = 1e-3 c, a
+    central difference in w with the O(w^2) term removed.  The error of a
+    case is the largest relative error of the five checks: for a gradient,
+    the largest component difference over the largest component.  For a
+    Hessian, entry (i, j) is first scaled by side_i side_j, so that entries
+    in a and in c weigh alike, and the largest difference is taken over
+    the largest entry or P, whichever is larger.  P is the size of the
+    scaled box term P/(b-a)^2, which the data terms cancel to O(1e-5) on a
+    narrow box: there the differences of the gradient carry noise of about
+    1e-9 P / 1e-3, which grows as the step shrinks, not the Hessian's
+    error.
     """
     from .prior_nix import _stats_arrays
     from .prior_uni import _face_log_marginal, uni_log_marginal_likelihood
 
-    def marginal(stats, *box):
-        return uni_log_marginal_likelihood(stats, UniHyperparams(*box))
+    def marginal(stats, *box, **derivs):
+        return uni_log_marginal_likelihood(stats, UniHyperparams(*box), **derivs)
 
-    def rel_error(got, numeric):
-        return float(np.max(np.abs(got - numeric)) / np.max(np.abs(numeric)))
+    def rel_error(got, numeric, floor=0.0):
+        return float(np.max(np.abs(got - numeric)) / max(np.max(np.abs(numeric)), floor))
 
+    def differences(f, sides):
+        """Five-point central differences of ``f`` at 0 along each axis,
+        with steps of 1e-3 of ``sides``; one column per axis."""
+        columns = []
+        for i, side in enumerate(sides):
+            def moved(x, _i=i):
+                return f(np.where(np.arange(len(sides)) == _i, x, 0.0))
+
+            columns.append(_five_point(moved, 1e-3 * side))
+        return np.array(columns).T
+
+    # The face in (a, b, c) from the box in (a, b, c, d): d moves with c.
+    fold = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
     rng = np.random.default_rng(seed)
     worst = 0.0
     lines = []
     for k in range(cases):
         kind = k % len(_GRADIENT_KINDS)
         stats, hyper = _uni_gradient_case(rng, kind)
-        _value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
-        box = [hyper.a, hyper.b, hyper.c, hyper.d]
+        box = np.array([hyper.a, hyper.b, hyper.c, hyper.d])
         height = min(hyper.d - hyper.c, hyper.c)
-        numeric = []
-        for i, side in enumerate((hyper.b - hyper.a,) * 2 + (height,) * 2):
-            def moved(x, _i=i):
-                return marginal(stats, *(v + x if j == _i else v for j, v in enumerate(box)))
-
-            numeric.append(_five_point(moved, 1e-3 * side))
-        rel = rel_error(grad, np.array(numeric))
+        sides = np.array([hyper.b - hyper.a] * 2 + [height] * 2)
+        _value, grad, hess = marginal(stats, *box, hessian=True)
+        rel = rel_error(grad, differences(lambda x: marginal(stats, *(box + x)), sides))
+        numeric_hess = differences(lambda x: marginal(stats, *(box + x), hessian=True)[1], sides)
+        scale = np.outer(sides, sides)
+        rel_hess = rel_error(hess * scale, numeric_hess * scale, len(stats))
 
         a, b, c = hyper.a, hyper.b, hyper.c
-        face, (ga, gb, gc, gd) = uni_log_marginal_likelihood(
-            stats, UniHyperparams(a, b, c, c), gradient=True
+        face_box = np.array([a, b, c, c])
+        face_sides = np.array([b - a, b - a, c])
+        face, face_grad, face_hess = marginal(stats, *face_box, hessian=True)
+
+        def face_point(x):
+            return marginal(stats, *(face_box + fold.T @ x), hessian=True)
+
+        rel_face = rel_error(
+            fold @ face_grad, differences(lambda x: face_point(x)[0], face_sides)
         )
-        face_numeric = np.array([
-            _five_point(lambda x: marginal(stats, a + x, b, c, c), 1e-3 * (b - a)),
-            _five_point(lambda x: marginal(stats, a, b + x, c, c), 1e-3 * (b - a)),
-            _five_point(lambda x: marginal(stats, a, b, c + x, c + x), 1e-3 * c),
-        ])
-        rel_face = rel_error(np.array([ga, gb, gc + gd]), face_numeric)
+        numeric_face_hess = differences(lambda x: fold @ face_point(x)[1], face_sides)
+        scale = np.outer(face_sides, face_sides)
+        rel_face_hess = rel_error(
+            fold @ face_hess @ fold.T * scale, numeric_face_hess * scale, len(stats)
+        )
 
         n, xbar, var = _stats_arrays(stats)
-        curvature = _face_log_marginal(n, xbar, (n - 1.0) * var, a, b, c)[2]
+        curvature = _face_log_marginal(n, xbar, (n - 1.0) * var, a, b, c)[3]
         w = 1e-3 * c
         rise = [marginal(stats, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
         numeric_curvature = (16.0 * rise[0] - rise[1]) / (12.0 * w * w)
         rel_k = abs(curvature - numeric_curvature) / abs(numeric_curvature)
 
-        worst = _worst(worst, rel, rel_face, rel_k)
+        worst = _worst(worst, rel, rel_hess, rel_face, rel_face_hess, rel_k)
         lines.append(
             f"case {k:2d} ({_GRADIENT_KINDS[kind]}): grad=({', '.join(f'{g:.9e}' for g in grad)}) "
-            f"rel={rel:.2e}; face grad rel={rel_face:.2e}, K={curvature:.9e} rel={rel_k:.2e}"
+            f"rel={rel:.2e} hess rel={rel_hess:.2e}; face grad rel={rel_face:.2e} "
+            f"hess rel={rel_face_hess:.2e}, K={curvature:.9e} rel={rel_k:.2e}"
         )
     return SuiteResult("uni-gradient", worst <= tol, cases, worst, tol, lines)
 

@@ -31,14 +31,15 @@ def test_maximize_one_dimensional():
 
 def test_maximize_never_below_init():
     # A plateau objective: the returned point must not score worse than
-    # the starting point, for either algorithm.  The BFGS gradient points
-    # off the plateau, so every step it tries fails.
+    # the starting point, for either algorithm.  The gradient handed to
+    # Newton's method points off the plateau, so every step it tries fails.
     def f(x):
         return min(0.0, -abs(x[0]))
 
-    for objective, gradient in ((f, False), (lambda x: (f(x), np.array([-1.0])), True)):
-        res = maximize(objective, [0.0], gradient=gradient)
-        assert res.objective >= f([0.0]), gradient
+    with_derivs = (lambda x: (f(x), np.array([-1.0]), np.array([[-1.0]])))
+    for objective, hessian in ((f, False), (with_derivs, True)):
+        res = maximize(objective, [0.0], hessian=hessian)
+        assert res.objective >= f([0.0]), hessian
 
 
 def test_maximize_is_deterministic():
@@ -182,112 +183,139 @@ def test_nelder_mead_keeps_bits(monkeypatch, f, x0, max_iters):
     assert got[1:] == want[1:]
 
 
-def _with_gradient(f, grad):
-    return lambda x: (f(x), grad(x))
+def _rosenbrock(x):
+    value = -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+    grad = -np.array([
+        -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+        200.0 * (x[1] - x[0] ** 2),
+    ])
+    hess = -np.array([
+        [2.0 - 400.0 * (x[1] - 3.0 * x[0] ** 2), -400.0 * x[0]],
+        [-400.0 * x[0], 200.0],
+    ])
+    return value, grad, hess
 
 
-def test_bfgs_quadratic():
+def _log_barrier(x):
+    # log x - x, maximal at 1, and -inf with NaN derivatives at x <= 0.
+    if x[0] <= 0:
+        return -math.inf, np.array([math.nan]), np.array([[math.nan]])
+    return math.log(x[0]) - x[0], np.array([1.0 / x[0] - 1.0]), np.array([[-1.0 / x[0] ** 2]])
+
+
+def test_newton_quadratic_in_one_step():
     target = np.array([1.5, -2.0, 0.25])
     scales = np.array([1.0, 10.0, 0.1])
 
-    def f(x):
+    def objective(x):
         d = np.asarray(x) - target
-        return -float(d @ (scales * d))
+        return -float(d @ (scales * d)), -2.0 * scales * d, -2.0 * np.diag(scales)
 
-    res = maximize(_with_gradient(f, lambda x: -2.0 * scales * (np.asarray(x) - target)),
-                   [0.0, 0.0, 0.0], gradient=True)
+    res = maximize(objective, [0.0, 0.0, 0.0], hessian=True)
+    # The Hessian is negative definite well beyond the damping, so the
+    # first step is the full Newton step, which lands on the maximum.
+    assert res.converged and res.iterations == 1
+    assert res.objective == pytest.approx(0.0, abs=1e-20)
+    assert res.point == pytest.approx(tuple(target), abs=1e-12)
+
+
+def test_newton_rosenbrock():
+    res = maximize(_rosenbrock, [-1.2, 1.0], hessian=True)
+    assert res.converged
+    assert res.objective == pytest.approx(0.0, abs=1e-16)
+    assert res.point == pytest.approx((1.0, 1.0), abs=1e-8)
+    assert res.iterations < 50
+
+
+def test_newton_ascends_from_an_indefinite_start():
+    # -(x^2 - 1)^2 - y^2 curves upward in x at x = 0.1: an unmodified
+    # Newton step would head for the minimum at x = 0.  The shifted
+    # Hessian turns it uphill, toward the maximum at x = 1.
+    def objective(x):
+        u = x[0] * x[0] - 1.0
+        return (
+            -(u * u) - x[1] ** 2,
+            np.array([-4.0 * x[0] * u, -2.0 * x[1]]),
+            np.array([[-12.0 * x[0] ** 2 + 4.0, 0.0], [0.0, -2.0]]),
+        )
+
+    res = maximize(objective, [0.1, 0.5], hessian=True)
     assert res.converged
     # The run stops once the next step would gain at most 1e-12 of the
-    # progress made (about 40 here), which pins the point to ~1e-5.
-    assert res.objective == pytest.approx(0.0, abs=1e-10)
-    assert res.point == pytest.approx(tuple(target), abs=1e-5)
-    # A quasi-Newton run needs a handful of iterations on a quadratic.
-    assert res.iterations <= 20
+    # progress made, which pins the point to ~1e-6.
+    assert res.point == pytest.approx((1.0, 0.0), abs=1e-6)
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bfgs_rosenbrock():
-    def f(x):
-        return -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
+def test_newton_neg_inf_region_is_a_failed_step():
+    # From x = 3 the full Newton step, capped at 4, lands at x = -1, where
+    # the objective is -inf and its derivatives NaN; it must be rejected
+    # and the damping raised until a step stays inside.
+    seen = []
 
-    def grad(x):
-        return -np.array([
-            -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
-            200.0 * (x[1] - x[0] ** 2),
-        ])
-
-    res = maximize(_with_gradient(f, grad), [-1.2, 1.0], gradient=True)
-    assert res.converged
-    assert res.objective == pytest.approx(0.0, abs=1e-10)
-    assert res.point == pytest.approx((1.0, 1.0), abs=1e-4)
-    assert res.iterations < 200
-
-
-def test_bfgs_neg_inf_region_is_a_failed_step():
-    # Left of zero the objective is -inf and its gradient NaN; the first
-    # capped step lands there and has to be halved back.
     def objective(x):
-        if x[0] < 0:
-            return -math.inf, np.array([math.nan])
-        return -((x[0] - 0.5) ** 2), np.array([-2.0 * (x[0] - 0.5)])
+        seen.append(float(x[0]))
+        return _log_barrier(x)
 
-    res = maximize(objective, [2.0], gradient=True)
+    res = maximize(objective, [3.0], hessian=True)
+    assert seen[0] == 3.0 and seen[1] == pytest.approx(-1.0, abs=1e-12)
     assert res.converged
-    assert res.point[0] == pytest.approx(0.5, abs=1e-8)
+    assert res.point[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bfgs_non_finite_gradient_at_finite_value_is_a_failed_step():
+@pytest.mark.parametrize("bad", ["gradient", "hessian"])
+def test_newton_non_finite_derivative_at_finite_value_is_a_failed_step(bad):
+    # Left of zero the value is 0, above every value of log x - x, but a
+    # derivative is not finite: the step there must still be rejected.
     def objective(x):
-        grad = np.array([-2.0 * (x[0] - 0.5)])
-        return -((x[0] - 0.5) ** 2), (grad if x[0] < 3.0 else np.array([math.inf]))
+        if x[0] > 0:
+            return _log_barrier(x)
+        grad, hess = np.array([-1.0]), np.array([[-1.0]])
+        if bad == "gradient":
+            grad = np.array([math.inf])
+        else:
+            hess = np.array([[math.nan]])
+        return 0.0, grad, hess
 
-    res = maximize(objective, [2.5], gradient=True)
+    res = maximize(objective, [3.0], hessian=True)
     assert res.converged
-    assert res.point[0] == pytest.approx(0.5, abs=1e-8)
+    assert res.point[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_bfgs_neg_inf_start_is_not_converged():
-    res = maximize(lambda x: (-math.inf, np.array([math.nan])), [1.0], gradient=True)
+def test_newton_neg_inf_start_is_not_converged():
+    res = maximize(lambda x: _log_barrier([-1.0]), [1.0], hessian=True)
     assert not res.converged
     assert res.point == (1.0,) and res.objective == -math.inf and res.iterations == 0
 
 
-def test_bfgs_nan_raises():
+def test_newton_nan_raises():
     with pytest.raises(NumericalError, match=r"NaN at point \(5\.0, 52\.6\)$"):
-        maximize(lambda x: (math.nan, np.zeros(2)), [5.0, 52.6], gradient=True)
+        maximize(lambda x: (math.nan, np.zeros(2), np.zeros((2, 2))), [5.0, 52.6], hessian=True)
 
     def objective(x):
-        # NaN at the first trial point, x0 + 4 (the capped step).
-        if x[0] > 4.0:
-            return math.nan, np.zeros(1)
-        return -((x[0] - 3.0) ** 2), np.array([-2.0 * (x[0] - 3.0)])
+        # NaN at the first trial point, the Newton step from 0.5 to 3.0.
+        if x[0] > 2.9:
+            return math.nan, np.zeros(1), np.zeros((1, 1))
+        return -((x[0] - 3.0) ** 2), np.array([-2.0 * (x[0] - 3.0)]), np.array([[-2.0]])
 
-    with pytest.raises(NumericalError, match=r"NaN at point \(4\.5\)$"):
-        maximize(objective, [0.5], gradient=True)
+    with pytest.raises(NumericalError, match=r"NaN at point \(3\.0\)$"):
+        maximize(objective, [0.5], hessian=True)
 
 
-def test_bfgs_iteration_cap(monkeypatch):
+def test_newton_iteration_cap(monkeypatch):
     monkeypatch.setattr(optim, "_MAX_ITERS", 3)
-
-    def f(x):
-        return -((1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2)
-
-    def grad(x):
-        return -np.array([
-            -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
-            200.0 * (x[1] - x[0] ** 2),
-        ])
-
-    res = maximize(_with_gradient(f, grad), [-1.2, 1.0], gradient=True)
+    res = maximize(_rosenbrock, [-1.2, 1.0], hessian=True)
     assert not res.converged
     assert res.iterations == 3
-    assert res.objective > f([-1.2, 1.0])
+    assert res.objective > _rosenbrock([-1.2, 1.0])[0]
 
 
-def test_bfgs_is_deterministic():
+def test_newton_is_deterministic():
     def objective(x):
         value = -((x[0] - 1.0) ** 2) - (x[1] + 2.0) ** 2 + 0.1 * math.sin(5.0 * x[0])
         grad = np.array([-2.0 * (x[0] - 1.0) + 0.5 * math.cos(5.0 * x[0]), -2.0 * (x[1] + 2.0)])
-        return value, grad
+        hess = np.array([[-2.0 - 2.5 * math.sin(5.0 * x[0]), 0.0], [0.0, -2.0]])
+        return value, grad, hess
 
     seen = [[], []]
     results = []
@@ -296,23 +324,26 @@ def test_bfgs_is_deterministic():
             run.append(np.asarray(x).tobytes())
             return objective(x)
 
-        results.append(maximize(recorded, [0.3, 0.7], gradient=True))
+        results.append(maximize(recorded, [0.3, 0.7], hessian=True))
     assert results[0] == results[1]
     assert seen[0] == seen[1]
+    assert results[0].converged
 
 
-def test_bfgs_stops_when_no_step_decreases(monkeypatch):
-    # A flat value with a gradient that claims otherwise: every halved
-    # step along steepest descent fails the Armijo test, so no decrease is
-    # left to find and the search stops at the start.
-    monkeypatch.setattr(optim, "_MAX_HALVINGS", 5)
+def test_newton_stops_when_no_step_decreases(monkeypatch):
+    # A flat value with derivatives that claim otherwise.  The full step
+    # to 1 fails; the damping then grows past the Hessian's eigenvalue 1
+    # (a smaller damping would retry the same step) and tenfold after
+    # each further failure, so the steps shrink tenfold.  After
+    # _MAX_REJECTIONS failures in a row no decrease is left to find.
+    monkeypatch.setattr(optim, "_MAX_REJECTIONS", 5)
     calls = []
 
     def objective(x):
         calls.append(float(x[0]))
-        return 0.0, np.array([1.0])
+        return 0.0, np.array([1.0]), np.array([[-1.0]])
 
-    res = maximize(objective, [0.0], gradient=True)
+    res = maximize(objective, [0.0], hessian=True)
     assert res.converged and res.iterations == 0
     assert res.point == (0.0,) and res.objective == 0.0
-    assert calls == [0.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+    assert calls == [0.0, 1.0, 0.1, 0.01, 0.001, 0.0001]

@@ -115,11 +115,17 @@ def test_face_marginal_is_the_limit_of_the_interior(stats):
     for w in (1e-5, 1e-7):
         centred = UniHyperparams(a=a, b=b, c=c - 0.5 * w, d=c + 0.5 * w)
         assert uni_log_marginal_likelihood(stats, centred) == pytest.approx(face, abs=1e-9)
-    _value, grad = uni_log_marginal_likelihood(
-        stats, UniHyperparams(a=a, b=b, c=c, d=c), gradient=True
+    _value, grad, hess = uni_log_marginal_likelihood(
+        stats, UniHyperparams(a=a, b=b, c=c, d=c), hessian=True
     )
     # The c and d derivatives share the face value's derivative in c.
     assert grad[2] == grad[3]
+    # The Hessian is the limit too, K terms included: a centred box's
+    # Hessian leaves it linearly in w.
+    for w in (1e-4, 1e-5):
+        centred = UniHyperparams(a=a, b=b, c=c - 0.5 * w, d=c + 0.5 * w)
+        near = uni_log_marginal_likelihood(stats, centred, hessian=True)[2]
+        assert np.max(np.abs(near - hess)) <= 10.0 * w * np.max(np.abs(hess)), w
 
 
 def test_log_marginal_likelihood_zero_warns_neg_inf():
@@ -203,18 +209,47 @@ _GRADIENT_BOXES = [
 def test_gradient_keeps_the_value_bits(hyper):
     stats = [_stats(5, 10.1, 1.2), _stats(4, 9.7, 0.8), _stats(2, 10.4, 0.0)]
     plain = uni_log_marginal_likelihood(stats, hyper)
-    value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+    value, grad, hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
     assert type(plain) is float and type(value) is float
     assert repr(value) == repr(plain)
     assert grad.shape == (4,)
+    assert hess.shape == (4, 4) and np.array_equal(hess, hess.T)
+
+
+def _central_hessian(stats, hyper):
+    # Five-point central differences of the closed-form gradient, with the
+    # steps of _central_gradient.
+    box = [hyper.a, hyper.b, hyper.c, hyper.d]
+    steps = [1e-3 * (hyper.b - hyper.a)] * 2 + [1e-3 * min(hyper.d - hyper.c, hyper.c)] * 2
+    columns = []
+    for i, h in enumerate(steps):
+        def at(k):
+            moved = list(box)
+            moved[i] += k * h
+            return uni_log_marginal_likelihood(stats, UniHyperparams(*moved), hessian=True)[1]
+
+        columns.append((8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h))
+    return np.array(columns).T, np.array(steps)
+
+
+@pytest.mark.parametrize(
+    "hyper", _GRADIENT_BOXES[:1] + _GRADIENT_BOXES[2:], ids=["box", "low", "high"]
+)
+def test_hessian_matches_central_differences(hyper):
+    stats = [_stats(5, 10.1, 1.2), _stats(4, 9.7, 0.8), _stats(2, 10.4, 0.0)]
+    _value, _grad, hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
+    numeric, steps = _central_hessian(stats, hyper)
+    # Entry (i, j) in units of the steps, so that a and c entries weigh alike.
+    scale = np.outer(steps, steps)
+    assert np.max(np.abs(hess - numeric) * scale) <= 1e-7 * np.max(np.abs(numeric) * scale)
 
 
 def test_gradient_at_neg_inf_is_nan():
-    value, grad = uni_log_marginal_likelihood(
-        [_stats(5, 0.0, 1.0)], UniHyperparams(a=100.0, b=101.0, c=0.01, d=0.02), gradient=True
+    value, grad, hess = uni_log_marginal_likelihood(
+        [_stats(5, 0.0, 1.0)], UniHyperparams(a=100.0, b=101.0, c=0.01, d=0.02), hessian=True
     )
     assert value == -math.inf
-    assert np.all(np.isnan(grad))
+    assert np.all(np.isnan(grad)) and np.all(np.isnan(hess))
 
 
 @pytest.mark.parametrize(
@@ -232,7 +267,7 @@ def test_gradient_far_from_underflow(hyper):
     # sharply peaked in sigma^2; each row is shifted by its own maximum in
     # the shared quadrature, so both still pull on the box.
     stats = [_stats(5, 0.1, 1.0), _stats(5, -0.2, 0.9), _stats(5, 40.0, 1.1), _stats(2000, 0.0, 1.0)]
-    _value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+    _value, grad, _hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
     numeric = _central_gradient(stats, hyper)
     assert np.max(np.abs(grad - numeric)) <= 1e-8 * np.max(np.abs(numeric))
 
@@ -250,7 +285,7 @@ def test_gradient_far_from_underflow(hyper):
 def test_gradient_zero_scatter_on_a_box_edge(stats, hyper):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, grad = uni_log_marginal_likelihood(stats, hyper, gradient=True)
+        value, grad, _hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
         numeric = _central_gradient(stats, hyper)
     assert value == uni_log_marginal_likelihood(stats, hyper)
     assert math.isfinite(value)

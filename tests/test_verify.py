@@ -219,17 +219,39 @@ def test_suite_uni_gradient_catches_a_wrong_gradient(monkeypatch):
 
     real = prior_uni.uni_log_marginal_likelihood
 
-    def off(stats_list, hyper, *, gradient=False):
-        if not gradient:
+    def off(stats_list, hyper, **derivs):
+        if not derivs:
             return real(stats_list, hyper)
-        value, grad = real(stats_list, hyper, gradient=True)
-        return value, grad * (1.0 + 1e-5)
+        value, grad, *hess = real(stats_list, hyper, **derivs)
+        return value, grad * (1.0 + 1e-5), *hess
 
     monkeypatch.setattr(prior_uni, "uni_log_marginal_likelihood", off)
     assert not suite_uni_gradient(cases=6).passed
 
 
-@pytest.mark.parametrize("part", [1, 2], ids=["face-gradient", "face-curvature"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 2)], ids=["a-a", "a-c"])
+def test_suite_uni_gradient_catches_a_wrong_hessian_entry(monkeypatch, entry):
+    from mpme import prior_uni
+
+    real = prior_uni.uni_log_marginal_likelihood
+
+    def off(stats_list, hyper, **derivs):
+        if not derivs.get("hessian"):
+            return real(stats_list, hyper, **derivs)
+        value, grad, hess = real(stats_list, hyper, **derivs)
+        hess = hess.copy()
+        i, j = entry
+        hess[i, j] *= 1.0 + 1e-5
+        hess[j, i] = hess[i, j]
+        return value, grad, hess
+
+    monkeypatch.setattr(prior_uni, "uni_log_marginal_likelihood", off)
+    assert not suite_uni_gradient(cases=6).passed
+
+
+@pytest.mark.parametrize(
+    "part", [1, 3, 2], ids=["face-gradient", "face-curvature", "face-hessian"]
+)
 def test_suite_uni_gradient_catches_a_wrong_face(monkeypatch, part):
     from mpme import prior_uni
 
