@@ -69,10 +69,13 @@ class OptimResult:
     converged: bool
 
 
+def _point_text(x: np.ndarray) -> str:
+    return "(" + ", ".join(repr(float(t)) for t in x) + ")"
+
+
 def _check_value(fx: float, x: np.ndarray) -> float:
     if math.isnan(fx):
-        point = ", ".join(repr(float(t)) for t in x)
-        raise NumericalError(f"objective returned NaN at point ({point})")
+        raise NumericalError(f"objective returned NaN at point {_point_text(x)}")
     return fx
 
 
@@ -160,7 +163,8 @@ def _newton(neg_f: Callable, x0: np.ndarray):
     is infinite, or whose gradient or Hessian is not finite, counts as a
     rejected step, as does one that does not lower the value.  While lambda
     does not exceed lambda_min(A) a rejected step would be tried again
-    unchanged, so lambda grows tenfold until it does.
+    unchanged, so lambda grows tenfold until it does.  A step that is not
+    finite raises ``NumericalError``.
     """
 
     def evaluate(x):
@@ -186,7 +190,12 @@ def _newton(neg_f: Callable, x0: np.ndarray):
         eig, vec = np.linalg.eigh(hess)
         along = vec.T @ grad
         for _ in range(_MAX_REJECTIONS):
-            step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
+            # When |lambda_min(A)| dwarfs lambda, the shifted smallest
+            # eigenvalue rounds to zero and the step overflows.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
+            if not np.all(np.isfinite(step)):
+                raise NumericalError(f"Newton step is not finite at point {_point_text(x)}")
             if -0.5 * float(grad @ step) <= _REL_DECREASE * (f0 - fx):
                 return x, fx, iterations, True
             step *= min(1.0, _MAX_STEP / float(np.max(np.abs(step))))
@@ -224,7 +233,8 @@ def maximize(
     Raises
     ------
     NumericalError
-        If the objective evaluates to NaN; the offending point is named.
+        If the objective evaluates to NaN, or a Newton step is not finite;
+        the offending point is named.
         Values of -inf are allowed and treated as "worse than anything".
     """
     x0 = np.asarray(init, dtype=float)

@@ -373,11 +373,11 @@ _FACE_DEPTH = 1e-1
 
 class _FaceReached(Exception):
     """Raised by the interior objective at the point where the search hands
-    over to the variance face, with its value."""
+    over to the variance face."""
 
-    def __init__(self, z, value):
+    def __init__(self, z):
         super().__init__()
-        self.z, self.value = z, value
+        self.z = z
 
 
 def _box_from_point(z) -> tuple[float, float, float, float]:
@@ -404,8 +404,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     sample means (clamping noisy means toward the consensus is what makes
     the box prior useful), so the search starts from a standard-error
     sized box at the median rather than one spanning the data; a spanning
-    start has to ride a nearly flat width ridge and tends to overshoot
-    into the degeneracy guard.
+    start has to ride a nearly flat width ridge for many steps.
 
     The search is Newton's method on the exact gradient and Hessian,
     damped where the Hessian is not safely negative definite (see
@@ -430,20 +429,20 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     search resumes once from the centred box of height 1e-1 of the data
     scale.
 
-    The mean side can also shrink toward zero width on a flat asymptote.
-    Below 1e-6 of its data scale it is widened back to 1e-4 of that scale;
-    because the objective is flat there, this changes the attained value by
-    less than 1e-3 nats and keeps the MAP arithmetic well conditioned.  A
-    mean side that shrinks that far while still *gaining* likelihood marks
-    a genuinely unbounded objective and aborts instead.
+    The returned box is the point where the search stopped.  Its mean
+    side can be narrow: the likelihood may rise toward the mean face
+    a = b, and the search stops on that ridge by its tolerances.
+
+    If every population has positive scatter the likelihood is bounded:
+    each population's average over the box is at most its maximum
+    Gaussian likelihood.  If none has, it grows without bound as c -> 0,
+    and the data is refused before any evaluation.
 
     Raises
     ------
     DegeneratePriorError
-        If the search reaches the variance face and every population has
-        zero scatter, so the face value grows without bound as c -> 0; or
-        if the mean side collapses below 1e-6 of its data scale and
-        widening it back costs more than 1e-3 nats.
+        If every population has zero scatter, so no proper maximizer
+        exists.
     OptimizationError
         On non-convergence; carries the best point and its objective.
     """
@@ -451,6 +450,12 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         raise DataError("learn_uni needs at least 2 populations")
     n, xbar, var = _stats_arrays(stats_list)
     scatter = (n - 1.0) * var
+    if not np.any(scatter > 0):
+        raise DegeneratePriorError(
+            "every population has zero scatter, so the likelihood grows "
+            "without bound as the variance prior collapses onto zero; no "
+            "proper maximizer exists for this data"
+        )
 
     se = np.sqrt(var / n)
     span = float(xbar.max() - xbar.min())
@@ -465,7 +470,6 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         math.log(c0),
         math.log(d0 - c0),
     ]
-    scale_w = max(span, 2.0 * pad)
     depth = _FACE_DEPTH * v0
 
     def natural(z):
@@ -498,7 +502,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
             stats_list, UniHyperparams(a=a, b=b, c=c, d=d), hessian=True
         )
         if d - c < depth and value > best:
-            raise _FaceReached(z, value)
+            raise _FaceReached(z)
         best = max(best, value)
         return searched(value, grad, hess, jacobian(a, b, c, d))
 
@@ -514,14 +518,6 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         try:
             result = maximize(interior, [0.0] * 4, hessian=True)
         except _FaceReached as reached:
-            if not np.any(scatter > 0):
-                raise DegeneratePriorError(
-                    "every population has zero scatter, so the likelihood grows "
-                    "without bound as the variance prior collapses onto zero; no "
-                    "proper maximizer exists for this data",
-                    best_point=tuple(float(v) for v in natural(reached.z)),
-                    best_objective=reached.value,
-                ) from None
             result = maximize(face, reached.z[:3], hessian=True)
             a, b, c, _ = _box_from_point(natural(result.point))
             if _face_log_marginal(n, xbar, scatter, a, b, c)[3] > 0.0:
@@ -533,34 +529,13 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
                 best = math.inf
                 result = maximize(interior, start, hessian=True)
     best_point = tuple(float(v) for v in natural(result.point))
-    a, b, c, d = _box_from_point(best_point)
-    if (b - a) < 1e-6 * scale_w:
-        collapsed = b - a
-        mid = 0.5 * (a + b)
-        a, b = mid - 5e-5 * scale_w, mid + 5e-5 * scale_w
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # On the face through the private helper, as in `face`.
-            if c == d:
-                widened = _face_log_marginal(n, xbar, scatter, a, b, c)[0]
-            else:
-                widened = uni_log_marginal_likelihood(
-                    stats_list, UniHyperparams(a=a, b=b, c=c, d=d)
-                )
-        if not widened >= result.objective - 1e-3:
-            raise DegeneratePriorError(
-                f"learned mean side degenerated to width {collapsed!r} and the "
-                "likelihood keeps growing as it collapses; no proper maximizer "
-                "exists for this data",
-                best_point=best_point,
-                best_objective=result.objective,
-            )
     if not result.converged:
         raise OptimizationError(
             "learn_uni did not converge",
             best_point=best_point,
             best_objective=result.objective,
         )
-    return UniHyperparams(a=a, b=b, c=c, d=d)
+    return UniHyperparams(*_box_from_point(best_point))
 
 
 def uni_map(

@@ -212,6 +212,23 @@ def test_estimate_numerical_failure_exits_3(clustered_csv, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_estimate_uni_overflowing_step_exits_3(tmp_path, capsys):
+    # Tight, well separated clusters put the UNI start box far out in the
+    # tail, where Newton's step overflows: a numerical failure, exit 3.
+    path = tmp_path / "tail.csv"
+    path.write_text(
+        "population,value\n"
+        "pop-000,-1.4648666760420443\n"
+        "pop-000,-1.3878114684069169\n"
+        "pop-001,50.595715935349332\n"
+        "pop-001,49.871652090186679\n"
+        "pop-002,99.439434166227713\n"
+        "pop-002,99.472532913238581\n"
+    )
+    assert cli_main(["estimate", "--input", str(path), "--prior", "uni"]) == 3
+    assert "Newton step is not finite" in capsys.readouterr().err
+
+
 def test_synth_sample_only_report(capsys):
     code = cli_main(
         ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--seed", "3",

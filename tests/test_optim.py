@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,24 @@ def test_newton_nan_raises():
 
     with pytest.raises(NumericalError, match=r"NaN at point \(3\.0\)$"):
         maximize(objective, [0.5], hessian=True)
+
+
+def test_newton_non_finite_step_raises():
+    # f = 0.5e69 x^2 + x curves upward far beyond the damping 1e-3: the
+    # shifted Hessian's eigenvalue -1e69 + (1e-3 + 1e69) rounds to 0, so
+    # the step overflows.  The search raises there, and never hands the
+    # objective a point that is not finite.
+    seen = []
+
+    def objective(x):
+        seen.append(float(x[0]))
+        return 0.5e69 * x[0] ** 2 + x[0], np.array([1e69 * x[0] + 1.0]), np.array([[1e69]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"Newton step is not finite at point \(0\.0\)$"):
+            maximize(objective, [0.0], hessian=True)
+    assert seen == [0.0]
 
 
 def test_newton_iteration_cap(monkeypatch):

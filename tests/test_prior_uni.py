@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpme import prior_uni
 from mpme.core import (
     DataError,
     DegeneratePriorError,
+    NumericalError,
+    PopulationSample,
     SufficientStats,
+    sufficient_stats,
 )
+from mpme.experiments import SyntheticConfig, generate_synthetic
 from mpme.prior_uni import (
     UniHyperparams,
     learn_uni,
@@ -325,14 +330,85 @@ def test_learn_uni_needs_two_populations():
         learn_uni([_stats(5, 0.0, 1.0)])
 
 
-def test_learn_uni_degenerate_data_raises():
-    # Zero scatter everywhere with equal means: the search reaches the
-    # variance face, whose value grows without bound as c -> 0, so no
-    # proper box maximizes the likelihood.
+def test_learn_uni_degenerate_data_raises(monkeypatch):
+    # Zero scatter everywhere: the likelihood grows without bound as
+    # c -> 0, so no proper box maximizes it.  That is decided from the
+    # data, before any marginal is evaluated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a UNI marginal was evaluated")
+
+    monkeypatch.setattr(prior_uni, "uni_log_marginal_likelihood", unreachable)
+    monkeypatch.setattr(prior_uni, "_face_log_marginal", unreachable)
     for n, count in [(3, 3), (2, 4)]:
         zstats = [_stats(n, 5.0, 0.0) for _ in range(count)]
         with pytest.raises(DegeneratePriorError, match="zero scatter"):
             learn_uni(zstats)
+
+
+def _synthetic_stats(cfg, trial):
+    return [sufficient_stats(s) for s in generate_synthetic(cfg, trial)[1]]
+
+
+def test_learn_uni_returns_the_box_it_reached():
+    # Every population has positive scatter, so the likelihood is bounded,
+    # yet the search ends with a mean side near 8e-7 of the span of the
+    # means.  The fit returns that box, not a wider one of lower value
+    # (-234.0236126 for a side of 1e-4 of the span).
+    cfg = SyntheticConfig(
+        populations=50,
+        samples_per_population=2,
+        mu_range=(9.5, 10.5),
+        sigma_range=(0.2, 5.0),
+        trials=7,
+        seed=99,
+    )
+    stats = _synthetic_stats(cfg, 6)
+    h = learn_uni(stats)
+    assert h.c < h.d
+    assert uni_log_marginal_likelihood(stats, h) >= -234.0232
+
+
+def test_learn_uni_resumes_inside_when_the_face_loses(monkeypatch):
+    # The search reaches the variance face, but its (d - c)^2 coefficient
+    # is positive there, so the fit resumes inside and ends on a proper
+    # box.
+    cfg = SyntheticConfig(
+        populations=3,
+        samples_per_population=5,
+        mu_range=(0.0, 100.0),
+        sigma_range=(0.5, 2.0),
+        trials=6,
+        seed=7,
+    )
+    face_calls = []
+    face = prior_uni._face_log_marginal
+
+    def counted(*args):
+        face_calls.append(args)
+        return face(*args)
+
+    monkeypatch.setattr(prior_uni, "_face_log_marginal", counted)
+    h = learn_uni(_synthetic_stats(cfg, 0))
+    assert face_calls
+    assert h.c < h.d
+    assert (h.a, h.b, h.c, h.d) == pytest.approx(
+        (-1.13711, 101.37747, 0.20308, 1.61442), abs=5e-6
+    )
+
+
+def test_learn_uni_overflowing_step_is_a_numerical_error():
+    # Tight, well separated clusters: the start box lies far out in the
+    # likelihood's tail, where the Hessian's eigenvalues run from about
+    # -1.7e69 to 1.3e85 and Newton's step overflows.  That is a numerical
+    # failure, not invalid data.
+    values = {
+        "pop-000": (-1.4648666760420443, -1.3878114684069169),
+        "pop-001": (50.595715935349332, 49.871652090186679),
+        "pop-002": (99.439434166227713, 99.472532913238581),
+    }
+    stats = [sufficient_stats(PopulationSample(id=k, values=v)) for k, v in values.items()]
+    with pytest.raises(NumericalError, match="Newton step is not finite"):
+        learn_uni(stats)
 
 
 def test_uni_map_interior_passthrough():
@@ -363,9 +439,6 @@ def test_uni_map_variance_conventions():
 def _example1_trial_stats():
     # Trial 0 of example 1 at seed 7; its type-II optimum is interior,
     # with both box sides near 1.
-    from mpme.experiments import SyntheticConfig, generate_synthetic
-    from mpme.core import sufficient_stats
-
     cfg = SyntheticConfig(
         populations=20,
         samples_per_population=5,
