@@ -13,9 +13,12 @@ on each.  The record gives, per workload and side, every run's value and
 the quartiles of each end-to-end metric, the number of pairs in which the
 change read better on each metric, and from the traced run the
 objective-evaluation count, the share of converged fits, the cost per
-evaluation, the UNI marginal and quadrature counts, and the time spent
-in the UNI fit and in the I/O and per-population layers.  Runs are
-strictly sequential, so the two sides never compete for the processor.
+evaluation, the optimizer's self time, the median NIX fit time, the UNI
+marginal and quadrature counts, and the time spent in the UNI fit and
+in the I/O and per-population layers.  Runs are strictly sequential, so the two sides never compete for the processor.
+A run whose output checks fail (exit 1) is recorded like any other, and
+counts in ``failed`` and against ``correct_runs``; the script stops only
+when a run could not be made (exit 2) or printed no result line.
 
 perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
 and a UNI fit that moves to the variance face makes two or three of
@@ -35,7 +38,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_frac",
-          "optim.objective.calls", "optim.objective.s_per_eval", "prior_nix.learn_nix.calls",
+          "optim.objective.calls", "optim.objective.s_per_eval", "optim.maximize.self_s",
+          "prior_nix.learn_nix.calls", "prior_nix.learn_nix.s_p50",
           "prior_uni.learn_uni.calls", "prior_uni.learn_uni.s",
           "prior_uni.uni_log_marginal_likelihood.calls",
           "special.integrand_calls_per_integral", "dataio.dump_json.s",
@@ -52,13 +56,17 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
+    # Exit 1 means an output check failed; the run still measured, and its
+    # result line says so through "correct", "attempted" and "failed".
+    if proc.returncode not in (0, 1) or len(lines) < 2:
         raise SystemExit(f"{checkout} {workload}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
     return json.loads(lines[-2]), {k: v["value"] for k, v in result["metrics"].items()}, result
 
 
 def quartiles(values):
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": q2, "q3": q3}
 

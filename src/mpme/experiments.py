@@ -4,7 +4,6 @@ bootstrap resampling, error metrics, and outlier pruning."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -172,6 +171,14 @@ def _spaced(lo: float, hi: float, count: int, what: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _ground_truth(cfg: SyntheticConfig) -> GroundTruth:
+    """The true moments of every trial: equally spaced over the ranges."""
+    return GroundTruth(
+        mu=tuple(_spaced(*cfg.mu_range, cfg.populations, "mu_range")),
+        sigma=tuple(_spaced(*cfg.sigma_range, cfg.populations, "sigma_range")),
+    )
+
+
 def generate_synthetic(
     cfg: SyntheticConfig, trial_index: int
 ) -> tuple[GroundTruth, list[PopulationSample]]:
@@ -180,14 +187,13 @@ def generate_synthetic(
         raise DataError(
             f"trial_index = {trial_index!r}, need integer in [0, {cfg.trials})"
         )
-    mus = _spaced(*cfg.mu_range, cfg.populations, "mu_range")
-    sigmas = _spaced(*cfg.sigma_range, cfg.populations, "sigma_range")
+    truth = _ground_truth(cfg)
     samples = []
-    for i, (mu, sigma) in enumerate(zip(mus, sigmas)):
+    for i, (mu, sigma) in enumerate(zip(truth.mu, truth.sigma)):
         rng = _population_rng(cfg.seed, trial_index, i)
         values = mu + sigma * _gaussian(rng, cfg.samples_per_population)
         samples.append(PopulationSample(id=f"pop-{i:03d}", values=values))
-    return GroundTruth(mu=tuple(mus), sigma=tuple(sigmas)), samples
+    return truth, samples
 
 
 def error_report(
@@ -330,6 +336,10 @@ def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> Benc
     if not isinstance(threads, int) or threads < 1:
         raise DataError(f"threads = {threads!r}, need integer >= 1")
     if threads > 1:
+        # Imported only here: it loads multiprocessing, which would slow
+        # every start-up of the command line.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_run_trial, [spec] * trials, range(trials), chunksize=8))
     else:
@@ -372,9 +382,8 @@ def run_benchmark_detailed(
     estimates every population; ``None`` turns pruning off.
     """
     methods = _check_methods(methods)
-    truth, _ = generate_synthetic(cfg, 0)
     spec = _TrialSpec(methods, prune_k, synth=cfg)
-    return _execute(spec, cfg.trials, truth, threads)
+    return _execute(spec, cfg.trials, _ground_truth(cfg), threads)
 
 
 def run_benchmark(

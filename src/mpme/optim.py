@@ -7,13 +7,21 @@ until it is safely positive definite, and the shift grows after a step
 that fails to improve the value (Nocedal & Wright, Numerical
 Optimization, 2006, sec. 3.4).  The NIX fit still uses a simplex
 search with deterministic restarts, whose reflection, expansion,
-contraction and shrink coefficients are 1, 2, 0.5 and 0.5.
+contraction and shrink coefficients are 1, 2, 0.5 and 0.5 (Nelder &
+Mead, Computer Journal 7:308, 1965).
+
+Newton's method hands the objective each point as a numpy array.  The
+simplex search hands it the list of Python floats it computes with,
+which spares an array per evaluation and the numpy scalars read from it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,11 +77,11 @@ class OptimResult:
     converged: bool
 
 
-def _point_text(x: np.ndarray) -> str:
+def _point_text(x: Sequence[float]) -> str:
     return "(" + ", ".join(repr(float(t)) for t in x) + ")"
 
 
-def _check_value(fx: float, x: np.ndarray) -> float:
+def _check_value(fx: float, x: Sequence[float]) -> float:
     if math.isnan(fx):
         raise NumericalError(f"objective returned NaN at point {_point_text(x)}")
     return fx
@@ -84,33 +92,34 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
 
     Vertices and values are kept as Python floats, which is several times
     cheaper than small-array arithmetic for the few dimensions used here;
-    each vertex is handed to ``neg_f`` as an array.  The centroid is a
-    sequential sum from 0.0 divided by ``dim``, as ``mean(axis=0)``
-    computes it, so every vertex keeps the bits of the array arithmetic.
+    ``neg_f`` receives each vertex as the list of floats it is, and must
+    not modify it.  The centroid is a sequential sum from 0.0 divided by
+    ``dim``, as ``mean(axis=0)`` computes it, so every vertex keeps the
+    bits of the array arithmetic.  The simplex is kept in the order a
+    stable sort by value gives: a new vertex goes after every vertex whose
+    value it ties, and only a shrink sorts the whole simplex again.
     """
     dim = len(x0)
-
-    def evaluate(v):
-        x = np.array(v)
-        return _check_value(neg_f(x), x)
+    alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
 
     simplex = [x0.tolist()]
     for i in range(dim):
         v = x0.tolist()
         v[i] += _SIMPLEX_SCALE * max(1.0, abs(v[i]))
         simplex.append(v)
-    values = [evaluate(v) for v in simplex]
+    values = []
+    for v in simplex:
+        fx = neg_f(v)
+        if fx != fx:  # NaN; _check_value raises, naming the point
+            _check_value(fx, v)
+        values.append(fx)
+    simplex, values = _stable_sort(simplex, values)
 
-    alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
     iterations = 0
     converged = False
     for iterations in range(_MAX_ITERS + 1):
-        # A stable sort: tied vertices keep their order.
-        order = sorted(range(dim + 1), key=values.__getitem__)
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
         best = simplex[0]
-        diameter = max([abs(p - b) for v in simplex[1:] for p, b in zip(v, best)])
+        diameter = max(map(abs, map(sub, chain.from_iterable(simplex[1:]), best * dim)))
         # The values are sorted, so the ends are finite only if all are.
         finite = math.isfinite(values[0]) and math.isfinite(values[-1])
         spread = values[-1] - values[0] if finite else math.inf
@@ -122,34 +131,52 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
 
         centroid = [0.0] * dim
         for v in simplex[:-1]:
-            centroid = [c + p for c, p in zip(centroid, v)]
+            centroid = map(add, centroid, v)
         centroid = [c / dim for c in centroid]
         worst = simplex[-1]
         xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-        fr = evaluate(xr)
+        fr = neg_f(xr)
+        if fr != fr:
+            _check_value(fr, xr)
         if fr < values[0]:
             xe = [c + gamma * (r - c) for c, r in zip(centroid, xr)]
-            fe = evaluate(xe)
-            if fe < fr:
-                simplex[-1], values[-1] = xe, fe
-            else:
-                simplex[-1], values[-1] = xr, fr
+            fe = neg_f(xe)
+            if fe != fe:
+                _check_value(fe, xe)
+            new, f_new = (xe, fe) if fe < fr else (xr, fr)
         elif fr < values[-2]:
-            simplex[-1], values[-1] = xr, fr
+            new, f_new = xr, fr
         else:
             if fr < values[-1]:
                 xc = [c + beta * (r - c) for c, r in zip(centroid, xr)]
             else:
                 xc = [c - beta * (c - w) for c, w in zip(centroid, worst)]
-            fc = evaluate(xc)
+            fc = neg_f(xc)
+            if fc != fc:
+                _check_value(fc, xc)
             if fc < min(fr, values[-1]):
-                simplex[-1], values[-1] = xc, fc
+                new, f_new = xc, fc
             else:
                 for k in range(1, dim + 1):
-                    simplex[k] = [b + delta * (p - b) for b, p in zip(best, simplex[k])]
-                    values[k] = evaluate(simplex[k])
-    i_best = min(range(dim + 1), key=values.__getitem__)
-    return np.array(simplex[i_best]), values[i_best], iterations, converged
+                    v = [b + delta * (p - b) for b, p in zip(best, simplex[k])]
+                    fx = neg_f(v)
+                    if fx != fx:
+                        _check_value(fx, v)
+                    simplex[k], values[k] = v, fx
+                simplex, values = _stable_sort(simplex, values)
+                continue
+        del simplex[-1], values[-1]
+        k = bisect_right(values, f_new)
+        simplex.insert(k, new)
+        values.insert(k, f_new)
+    return np.array(simplex[0]), values[0], iterations, converged
+
+
+def _stable_sort(simplex: list, values: list):
+    """The simplex and its values in ascending order of value; tied
+    vertices keep their order."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [simplex[k] for k in order], [values[k] for k in order]
 
 
 def _newton(neg_f: Callable, x0: np.ndarray):
@@ -229,6 +256,8 @@ def maximize(
     the best point found so far, displaced by a fixed pseudo-random
     direction (seeded only by ``r``), so the whole search is deterministic.
     Either way the returned point never scores below the initial point.
+    Newton's method passes the objective a numpy array, Nelder-Mead a
+    list of floats that the objective must not modify.
 
     Raises
     ------
@@ -259,7 +288,7 @@ def maximize(
         return -float(objective(x))
 
     best_x = x0.copy()
-    best_v = _check_value(neg_f(x0), x0)
+    best_v = _check_value(neg_f(x0.tolist()), x0)
     total_iters = 0
     all_converged = True
     for r in range(_RESTARTS + 1):

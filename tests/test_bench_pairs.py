@@ -1,0 +1,60 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+# A stand-in for perfbench/run.py: it prints an info line and a result
+# line that give every metric the value 1.0, and exits with CODE.  A run
+# with exit code 1 failed its output checks, as perfbench reports it.
+_FAKE_RUN = """
+import json, sys
+spec = json.load(open("BENCHMARK.json"))
+trace = sys.argv[sys.argv.index("--trace") + 1] == "1"
+names = [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
+print(json.dumps({"nproc": 2, "cpu_model": "x", "python": "3", "numpy": "1", "scipy": "1"}))
+if CODE != 2:
+    print(json.dumps({"correct": CODE == 0, "attempted": 4, "failed": 1 if CODE else 0,
+                      "metrics": {n: {"value": 1.0, "unit": ""} for n in names}}))
+sys.exit(CODE)
+"""
+
+
+def _checkout(tmp_path, name, code):
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (root / "perfbench" / "run.py").write_text(_FAKE_RUN.replace("CODE", str(code)))
+    return root
+
+
+def _main(tmp_path, parent, change, pairs):
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seed", "1",
+                      "--seconds", "1", "--pairs", str(pairs), "--out", str(out), "synth-nix"])
+    return json.loads(out.read_text())["workloads"]["synth-nix"]
+
+
+def test_failed_checks_are_recorded(tmp_path):
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 1), 2)
+    assert (entry["parent"]["correct_runs"], entry["parent"]["failed"]) == (2, 0)
+    assert (entry["change"]["correct_runs"], entry["change"]["failed"]) == (0, 2)
+    assert entry["change"]["attempted"] == 8
+    assert entry["change"]["end_to_end"]["trials_per_s"]["runs"] == [1.0, 1.0]
+
+
+def test_one_pair_gives_its_value_as_every_quartile(tmp_path):
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 1)
+    assert entry["change"]["end_to_end"]["setup_s"] == {
+        "q1": 1.0, "median": 1.0, "q3": 1.0, "runs": [1.0],
+    }
+
+
+def test_a_run_that_could_not_be_made_stops_the_record(tmp_path):
+    with pytest.raises(SystemExit, match="exit 2"):
+        _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 2), 1)

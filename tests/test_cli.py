@@ -342,6 +342,12 @@ def test_import_footprint():
     assert proc.stdout == f"{cli.__version__}\n"
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    # The process pool is imported only when --threads asks for workers.
+    proc = _fresh_python("-c", "import sys, mpme.cli; print('multiprocessing' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_module_run_exits_with_cli_main_code(tmp_path):
     proc = _fresh_python("-m", "mpme.cli", "--version")
     assert (proc.returncode, proc.stdout) == (0, f"mpme {cli.__version__}\n")

@@ -155,6 +155,26 @@ def test_run_benchmark_detailed_collects_hypers_and_failures():
     assert result.truth == generate_synthetic(cfg, 0)[0]
 
 
+def test_run_benchmark_generates_each_trial_once(monkeypatch):
+    cfg = _cfg(populations=8, trials=3)
+    calls = []
+
+    def counting(cfg, trial):
+        calls.append(trial)
+        return generate_synthetic(cfg, trial)
+
+    monkeypatch.setattr(experiments, "generate_synthetic", counting)
+    result = run_benchmark_detailed(cfg, [Method.SAMPLE_EST])
+    assert calls == [0, 1, 2]
+    assert result.truth == generate_synthetic(cfg, 0)[0]
+
+
+def test_run_benchmark_one_population_needs_equal_range_ends():
+    cfg = _cfg(populations=1, mu_range=(9.5, 10.5), sigma_range=(1.0, 1.0))
+    with pytest.raises(DataError, match="mu_range .* equal spacing undefined"):
+        run_benchmark_detailed(cfg, [Method.SAMPLE_EST])
+
+
 def test_run_benchmark_bit_identical_across_threads():
     cfg = _cfg(populations=8, trials=4, seed=7)
     methods = [Method.SAMPLE_EST, Method.MPME_NIX]

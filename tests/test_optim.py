@@ -77,6 +77,18 @@ def test_maximize_nan_raises():
         maximize(f, [0.9])
 
 
+def test_maximize_hands_the_objective_floats():
+    # Every point, the initial one included, arrives as a list of floats.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return -((x[0] - 1.0) ** 2) - (x[1] + 2.0) ** 2
+
+    maximize(f, np.array([0.3, 0.7]))
+    assert seen and all(type(x) is list and all(type(t) is float for t in x) for x in seen)
+
+
 def test_maximize_rejects_bad_init():
     with pytest.raises(DataError):
         maximize(lambda x: 0.0, [])
@@ -98,6 +110,8 @@ def test_converged_requires_all_restarts(monkeypatch):
 
 def _reference_nelder_mead(neg_f, x0):
     # The array arrangement the float loop replaced; it must keep its bits.
+    # Each point is handed to neg_f as a list of floats, as the float loop
+    # hands it.
     dim = len(x0)
     simplex = [x0.copy()]
     for i in range(dim):
@@ -105,7 +119,7 @@ def _reference_nelder_mead(neg_f, x0):
         v[i] += optim._SIMPLEX_SCALE * max(1.0, abs(v[i]))
         simplex.append(v)
     simplex = np.array(simplex)
-    values = np.array([_check_value(neg_f(v), v) for v in simplex])
+    values = np.array([_check_value(neg_f(v.tolist()), v) for v in simplex])
     iterations = 0
     converged = False
     for iterations in range(optim._MAX_ITERS + 1):
@@ -120,10 +134,10 @@ def _reference_nelder_mead(neg_f, x0):
             break
         centroid = simplex[:-1].mean(axis=0)
         xr = centroid + 1.0 * (centroid - simplex[-1])
-        fr = _check_value(neg_f(xr), xr)
+        fr = _check_value(neg_f(xr.tolist()), xr)
         if fr < values[0]:
             xe = centroid + 2.0 * (xr - centroid)
-            fe = _check_value(neg_f(xe), xe)
+            fe = _check_value(neg_f(xe.tolist()), xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
             else:
@@ -135,13 +149,13 @@ def _reference_nelder_mead(neg_f, x0):
                 xc = centroid + 0.5 * (xr - centroid)
             else:
                 xc = centroid - 0.5 * (centroid - simplex[-1])
-            fc = _check_value(neg_f(xc), xc)
+            fc = _check_value(neg_f(xc.tolist()), xc)
             if fc < min(fr, values[-1]):
                 simplex[-1], values[-1] = xc, fc
             else:
                 for k in range(1, dim + 1):
                     simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-                    values[k] = _check_value(neg_f(simplex[k]), simplex[k])
+                    values[k] = _check_value(neg_f(simplex[k].tolist()), simplex[k])
     i_best = int(np.argmin(values))
     return simplex[i_best], values[i_best], iterations, converged
 
@@ -150,8 +164,8 @@ def _recording(f):
     seen = []
 
     def neg_f(x):
-        assert isinstance(x, np.ndarray)
-        seen.append(x.tobytes())  # keeps the sign of zero
+        assert type(x) is list and all(type(t) is float for t in x)
+        seen.append(np.array(x).tobytes())  # keeps the sign of zero
         return -float(f(x))
 
     return neg_f, seen

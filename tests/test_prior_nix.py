@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +153,11 @@ def test_learn_nix_returns_the_point_it_scored(monkeypatch):
     # Over the 400 fits of the criterion 6/7 data (examples 1 and 2, 200
     # trials each, seed 2026), the returned prior is the optimizer's point
     # mapped exactly as the objective maps it, so it scores exactly the
-    # optimizer's reported objective.
+    # optimizer's reported objective.  Each prior also keeps the bits
+    # recorded before the simplex loop stopped building arrays.
+    recorded = json.loads(
+        (Path(__file__).parent / "data" / "nix_criterion67_priors.json").read_text()
+    )["priors"]
     results = []
 
     def spy(objective, init, **kwargs):
@@ -168,6 +174,8 @@ def test_learn_nix_returns_the_point_it_scored(monkeypatch):
             result = results[-1]
             assert hyper == NixHyperparams(*_natural(result.point)), (example, t)
             assert nix_log_marginal_likelihood(stats, hyper) == result.objective, (example, t)
+            want = [float.fromhex(h) for h in recorded[str(example)][t]]
+            assert [hyper.mu0, hyper.kappa0, hyper.nu0, hyper.sigma0_sq] == want, (example, t)
     assert len(results) == 400
 
 
