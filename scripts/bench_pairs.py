@@ -14,8 +14,9 @@ the quartiles of each end-to-end metric, the number of pairs in which the
 change read better on each metric, and from the traced run the
 objective-evaluation count, the share of converged fits, the cost per
 evaluation, the optimizer's self time, the median NIX fit time, the UNI
-marginal and quadrature counts, and the time spent in the UNI fit and
-in the I/O and per-population layers.  Runs are strictly sequential, so the two sides never compete for the processor.
+marginal and quadrature counts and self times, the integrand's time and
+nodes per integral, and the time spent in the UNI fit and in the I/O
+and per-population layers.  Runs are strictly sequential, so the two sides never compete for the processor.
 A run whose output checks fail (exit 1) is recorded like any other, and
 counts in ``failed`` and against ``correct_runs``; the script stops only
 when a run could not be made (exit 2) or printed no result line.
@@ -24,7 +25,10 @@ perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
 and a UNI fit that moves to the variance face makes two or three of
 them.  So the record also gives, per ``learn_uni`` call, the UNI marginal
 calls (each one quadrature) and the objective calls (quadrature-backed
-or on the face); both are null on a workload without UNI fits.
+or on the face); both are null on a workload without UNI fits.  And it
+gives the seconds of one UNI marginal evaluation, ``per_uni_marginal``:
+the marginal's self time plus its quadrature's self time plus the
+integrand's time, over the marginal calls; null without UNI marginals.
 """
 
 from __future__ import annotations
@@ -42,11 +46,16 @@ TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_fr
           "prior_nix.learn_nix.calls", "prior_nix.learn_nix.s_p50",
           "prior_uni.learn_uni.calls", "prior_uni.learn_uni.s",
           "prior_uni.uni_log_marginal_likelihood.calls",
-          "special.integrand_calls_per_integral", "dataio.dump_json.s",
+          "prior_uni.uni_log_marginal_likelihood.self_s", "special.integrate_adaptive.self_s",
+          "prior_uni.integrand.s", "special.integrand_calls_per_integral",
+          "special.nodes_per_integral", "dataio.dump_json.s",
           "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s")
 # Ratios to prior_uni.learn_uni.calls, from the same traced run.
 PER_LEARN_UNI = {"uni_marginals": "prior_uni.uni_log_marginal_likelihood.calls",
                  "objective_calls": "optim.objective.calls"}
+# The spans that together make one UNI marginal evaluation.
+UNI_MARGINAL = ("prior_uni.uni_log_marginal_likelihood.self_s",
+                "special.integrate_adaptive.self_s", "prior_uni.integrand.s")
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -113,12 +122,16 @@ def main(argv=None) -> int:
         for side in SIDES:
             traced = run(dirs[side], workload, args.seed, seconds, 1)[1]
             fits = traced["prior_uni.learn_uni.calls"]
+            marginals = traced["prior_uni.uni_log_marginal_likelihood.calls"]
             entry[side] = {
                 "end_to_end": {name: {**quartiles(v), "runs": v} for name, v in values[side].items()},
                 "traced": {name: traced[name] for name in TRACED},
                 "per_learn_uni": {
                     name: traced[counter] / fits if fits else None
                     for name, counter in PER_LEARN_UNI.items()
+                },
+                "per_uni_marginal": {
+                    "s": sum(traced[name] for name in UNI_MARGINAL) / marginals if marginals else None
                 },
                 **accounting[side],
             }

@@ -87,8 +87,10 @@ def _check_value(fx: float, x: Sequence[float]) -> float:
     return fx
 
 
-def _nelder_mead(neg_f: Callable, x0: np.ndarray):
+def _nelder_mead(neg_f: Callable, x0: np.ndarray, f0: float | None = None):
     """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged).
+
+    ``f0``, when given, is ``neg_f(x0)``, which is then not evaluated again.
 
     Vertices and values are kept as Python floats, which is several times
     cheaper than small-array arithmetic for the few dimensions used here;
@@ -107,8 +109,8 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
         v = x0.tolist()
         v[i] += _SIMPLEX_SCALE * max(1.0, abs(v[i]))
         simplex.append(v)
-    values = []
-    for v in simplex:
+    values = [] if f0 is None else [f0]
+    for v in simplex[len(values):]:
         fx = neg_f(v)
         if fx != fx:  # NaN; _check_value raises, naming the point
             _check_value(fx, v)
@@ -196,10 +198,11 @@ def _newton(neg_f: Callable, x0: np.ndarray):
 
     def evaluate(x):
         fx, grad, hess = neg_f(x)
-        _check_value(fx, x)
+        if fx != fx:  # NaN; _check_value raises, naming the point
+            _check_value(fx, x)
         grad = np.asarray(grad, dtype=float)
         hess = np.asarray(hess, dtype=float)
-        ok = math.isfinite(fx) and bool(np.all(np.isfinite(grad)) and np.all(np.isfinite(hess)))
+        ok = math.isfinite(fx) and bool(np.isfinite(grad).all()) and bool(np.isfinite(hess).all())
         return fx, grad, hess, ok
 
     x = x0
@@ -210,7 +213,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
     damping = _DAMPING
     iterations = 0
     while True:
-        if float(np.max(np.abs(grad))) < _GRAD_TOL:
+        if float(np.abs(grad).max()) < _GRAD_TOL:
             return x, fx, iterations, True
         if iterations == _MAX_ITERS:
             return x, fx, iterations, False
@@ -221,11 +224,11 @@ def _newton(neg_f: Callable, x0: np.ndarray):
             # eigenvalue rounds to zero and the step overflows.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise NumericalError(f"Newton step is not finite at point {_point_text(x)}")
             if -0.5 * float(grad @ step) <= _REL_DECREASE * (f0 - fx):
                 return x, fx, iterations, True
-            step *= min(1.0, _MAX_STEP / float(np.max(np.abs(step))))
+            step *= min(1.0, _MAX_STEP / float(np.abs(step).max()))
             f_new, grad_new, hess_new, ok = evaluate(x + step)
             if ok and f_new < fx:
                 break
@@ -298,7 +301,10 @@ def maximize(
             rng = np.random.default_rng(2654435761 + r)
             step = rng.standard_normal(len(x0))
             start = best_x + _SIMPLEX_SCALE * step * np.maximum(1.0, np.abs(best_x))
-        x, v, iters, conv = _nelder_mead(neg_f, np.asarray(start, dtype=float))
+        # Restart 0 starts from x0, whose value is already known.
+        x, v, iters, conv = _nelder_mead(
+            neg_f, np.asarray(start, dtype=float), best_v if r == 0 else None
+        )
         all_converged = all_converged and conv
         total_iters += iters
         if v < best_v:

@@ -68,23 +68,39 @@ class UniHyperparams:
             raise DataError(f"need 0 < c <= d, got c = {self.c!r}, d = {self.d!r}")
 
 
-def _log_mu_integral(t, n, xbar, scatter, a, b):
+def _mu_columns(n, xbar, scatter, a, b):
+    """The per-population columns ``_log_mu_integral`` needs for the mean
+    side [a, b], each of shape (P, 1), and the side's width."""
+    return (
+        np.sqrt(n)[:, None],
+        (a - xbar)[:, None],
+        (b - xbar)[:, None],
+        b - a,
+        -0.5 * (n - 1.0)[:, None],
+        0.5 * np.log(n)[:, None],
+        0.5 * scatter[:, None],
+    )
+
+
+def _log_mu_integral(t, columns, decay):
     """log L_i(e^t), the Gaussian likelihood of population i integrated
     over mu in [a, b] at sigma^2 = e^t, with the standardized box edges
     lo, hi and log(Phi(hi) - Phi(lo)) it is built from.  ``t`` is 2-d and
-    broadcasts against one row per population.
+    broadcasts against the rows of ``columns``, from ``_mu_columns``;
+    ``decay`` is e^-t, which the caller may share with other rows.
     """
-    k = np.sqrt(n)[:, None] / np.exp(0.5 * t)
-    hi = (b - xbar)[:, None] * k
-    lo = (a - xbar)[:, None] * k
+    root_n, a_off, b_off, width, neg_half_dof, half_log_n, half_scatter = columns
+    k = root_n / np.exp(0.5 * t)
+    hi = b_off * k
+    lo = a_off * k
     # The width goes in separately: forming hi - lo from the rounded
     # endpoints costs ~1e-16/(b-a) in relative terms, which for sliver
     # boxes turns into node-dependent noise that stalls the quadrature.
-    log_phi_diff = log_normal_cdf_diff(lo, hi, width=(b - a) * k)
+    log_phi_diff = log_normal_cdf_diff(lo, hi, width=width * k)
     log_l = (
-        -0.5 * (n - 1.0)[:, None] * (_LOG_2PI + t)
-        - 0.5 * np.log(n)[:, None]
-        - 0.5 * scatter[:, None] * np.exp(-t)
+        neg_half_dof * (_LOG_2PI + t)
+        - half_log_n
+        - half_scatter * decay
         + log_phi_diff
     )
     return log_l, lo, hi, log_phi_diff
@@ -105,6 +121,7 @@ def _log_sigma_integrals(
     n: np.ndarray,
     xbar: np.ndarray,
     var: np.ndarray,
+    scatter: np.ndarray,
     hyper: UniHyperparams,
 ):
     """Per-population log of the sigma^2 integral I_i over [c, d], and
@@ -149,55 +166,61 @@ def _log_sigma_integrals(
     t_lo = math.log(hyper.c)
     dt = math.log1p((hyper.d - hyper.c) / hyper.c)
     t_hi = t_lo + dt
-    scatter = (n - 1.0) * var
-
-    def log_f(t):
-        t = np.atleast_2d(t)
-        return _log_mu_integral(t, n, xbar, scatter, hyper.a, hyper.b)[0] + t
+    p = len(n)
+    columns = _mu_columns(n, xbar, scatter, hyper.a, hyper.b)
 
     # The E rows: row k is population k % P with mu at a (k < P) or at b.
     q = (0.5 * (scatter + n * (xbar - np.array([[hyper.a], [hyper.b]])) ** 2)).ravel()
-    s = np.tile(0.5 * n - 1.0, 2)
-    log_norm = np.tile(-0.5 * n * _LOG_2PI, 2)
+    n_rows = np.concatenate([n, n])
+    s = 0.5 * n_rows - 1.0
+    log_norm = (-0.5 * n_rows * _LOG_2PI)[:, None]
+    s_col, q_col = s[:, None], q[:, None]
 
-    def log_g(t):
-        t = np.atleast_2d(t)
-        return log_norm[:, None] - s[:, None] * t - q[:, None] * np.exp(-t)
+    def log_g(t, decay):
+        return log_norm - s_col * t - q_col * decay
 
     # Shift f_i by its per-population peak; the un-truncated maximizer of
     # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].  One
     # _log_mu_integral call takes a 9-point scan and that point as a tenth
     # column.  linspace returns both ends exactly, so the scan's first and
     # last columns are the integrand at sigma^2 = c and at sigma^2 = d.
-    t_scan = np.empty((len(n), 10))
+    t_scan = np.empty((p, 10))
     t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
     t_scan[:, 9] = np.log(np.clip(var, hyper.c, hyper.d))
-    scan = _log_mu_integral(t_scan, n, xbar, scatter, hyper.a, hyper.b)
+    scan = _log_mu_integral(t_scan, columns, np.exp(-t_scan))
     shift = (scan[0] + t_scan).max(axis=1)
-    safe_shift = np.where(np.isfinite(shift), shift, 0.0)
     # log g_i is concave in t and peaks at log(q/s), clipped into the
     # interval: at the right end when s = 0, at the left end when q = 0.
     # s = q = 0 (n = 2, S = 0, mean on the edge) is flat; any end will do.
-    # log g_i - t peaks at log(q/(s+1)), with s + 1 = n/2 > 0.
+    # log g_i - t peaks at log(q/(s+1)), with s + 1 = n/2 > 0.  One log_g
+    # call takes both peaks and, as its last two columns, the corners of
+    # the box at sigma^2 = c and d.
+    t_peaks = np.empty((2 * p, 4))
     with np.errstate(divide="ignore"):
-        t_edge = np.log(np.divide(q, s, out=np.full_like(q, np.inf), where=s > 0))
-        t_over = np.clip(np.log(q / (s + 1.0)), t_lo, t_hi)[:, None]
-    edge_shift = log_g(np.clip(t_edge, t_lo, t_hi)[:, None])[:, 0]
-    over_shift = (log_g(t_over) - t_over)[:, 0]
-    shifts = np.concatenate([safe_shift, edge_shift, over_shift])
+        t_peaks[:, 0] = np.log(np.divide(q, s, out=np.full_like(q, np.inf), where=s > 0))
+        t_peaks[:, 1] = np.log(q / (s + 1.0))
+    t_peaks[:, 2] = t_lo
+    t_peaks[:, 3] = t_hi
+    np.clip(t_peaks, t_lo, t_hi, out=t_peaks)
+    log_peaks = log_g(t_peaks, np.exp(-t_peaks))
+    shifts = np.concatenate([
+        np.where(np.isfinite(shift), shift, 0.0),
+        log_peaks[:, 0],
+        log_peaks[:, 1] - t_peaks[:, 1],
+    ])[:, None]
 
     def integrand(u):
-        t = u + t_lo
-        log_e = log_g(t)
-        return np.exp(np.concatenate([log_f(t), log_e, log_e - t]) - shifts[:, None])
+        t = (u + t_lo)[None, :]
+        decay = np.exp(-t)
+        log_e = log_g(t, decay)
+        log_f = _log_mu_integral(t, columns, decay)[0] + t
+        return np.exp(np.concatenate([log_f, log_e, log_e - t]) - shifts)
 
     value, _err = integrate_adaptive(integrand, 0.0, dt)
     with np.errstate(divide="ignore"):
-        log_all = shifts + np.log(value)
-    p = len(n)
-    t_ends = np.array([[t_lo, t_hi]])
-    log_corners = (log_g(t_ends) - t_ends).reshape(2, p, 2)
-    ends = tuple(v[:, [0, 8]] for v in scan)
+        log_all = shifts[:, 0] + np.log(value)
+    log_corners = (log_peaks[:, 2:] - t_peaks[:, 2:]).reshape(2, p, 2)
+    ends = tuple(v[:, ::8] for v in scan)
     return log_all[:p], log_all[p:].reshape(4, p), log_corners, ends
 
 
@@ -231,8 +254,9 @@ def _face_log_marginal(n, xbar, scatter, a, b, c):
     and K > 0 means a proper box beats it.  Returns (value, grad, hess, K);
     at a -inf value the gradient, the Hessian and K are NaN.
     """
+    t = np.array([[math.log(c)]])
     log_l, lo, hi, log_phi_diff = (v[:, 0] for v in _log_mu_integral(
-        np.array([[math.log(c)]]), n, xbar, scatter, a, b
+        t, _mu_columns(n, xbar, scatter, a, b), np.exp(-t)
     ))
     p = len(n)
     if np.any(np.isneginf(log_l)):
@@ -330,12 +354,13 @@ def uni_log_marginal_likelihood(
         hess[2:, 2:] += 2.0 * curvature * np.array([[1.0, -1.0], [-1.0, 1.0]])
         return value, np.array([ga, gb, 0.5 * gc, 0.5 * gc]), hess
     log_int, log_edges, log_corners, (log_l, lo, hi, log_phi_diff) = _log_sigma_integrals(
-        n, xbar, var, hyper
+        n, xbar, var, scatter, hyper
     )
-    log_box = math.log(hyper.b - hyper.a) + math.log(hyper.d - hyper.c)
-    if np.any(np.isneginf(log_int)):
+    mean_side, var_side = hyper.b - hyper.a, hyper.d - hyper.c
+    log_box = math.log(mean_side) + math.log(var_side)
+    if (log_int == -np.inf).any():
         return (-math.inf, np.full(4, math.nan), np.full((4, 4), math.nan)) if hessian else -math.inf
-    value = float(np.sum(log_int - log_box))
+    value = float((log_int - log_box).sum())
     if not hessian:
         return value
     p = len(n)
@@ -344,25 +369,32 @@ def uni_log_marginal_likelihood(
     l_ends = np.exp(log_l - log_int[:, None])
     # grad I_i / I_i, one column per population
     pulls = np.stack([-e_a, e_b, -l_ends[:, 0], l_ends[:, 1]])
-    sides = np.array([hyper.b - hyper.a] * 2 + [hyper.d - hyper.c] * 2)
-    grad = pulls.sum(axis=1) + np.array([1.0, -1.0, 1.0, -1.0]) * (p / sides)
-    corners = np.exp(log_corners - log_int[:, None]).sum(axis=1)
+    grad = pulls.sum(axis=1) + np.array(
+        [p / mean_side, -(p / mean_side), p / var_side, -(p / var_side)]
+    )
+    (c_ac, c_ad), (c_bc, c_bd) = np.exp(log_corners - log_int[:, None]).sum(axis=1).tolist()
     slopes = _log_l_slope(
         n[:, None], scatter[:, None], np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff
     )[0]
-    rises = (slopes * l_ends).sum(axis=0)
-    upper = np.array([
-        [-np.sum(n * (xbar - hyper.a) * f_a), 0.0, corners[0, 0], -corners[0, 1]],
-        [0.0, np.sum(n * (xbar - hyper.b) * f_b), -corners[1, 0], corners[1, 1]],
-        [0.0, 0.0, -rises[0], 0.0],
-        [0.0, 0.0, 0.0, rises[1]],
+    rise_c, rise_d = (slopes * l_ends).sum(axis=0).tolist()
+    h_aa = -float((n * (xbar - hyper.a) * f_a).sum())
+    h_bb = float((n * (xbar - hyper.b) * f_b).sum())
+    # P B: the second derivatives of -P log(b - a) - P log(d - c)
+    ab_in, ab_out = p * (1.0 / mean_side**2), p * (-1.0 / mean_side**2)
+    cd_in, cd_out = p * (1.0 / var_side**2), p * (-1.0 / var_side**2)
+    h_sum = np.array([
+        [h_aa, 0.0, c_ac, -c_ad],
+        [0.0, h_bb, -c_bc, c_bd],
+        [c_ac, -c_bc, -rise_c, 0.0],
+        [-c_ad, c_bd, 0.0, rise_d],
     ])
-    edge = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    box = np.zeros((4, 4))
-    box[:2, :2] = edge / sides[0] ** 2
-    box[2:, 2:] = edge / sides[2] ** 2
-    hess = upper + np.triu(upper, 1).T - pulls @ pulls.T + p * box
-    return value, grad, hess
+    box = np.array([
+        [ab_in, ab_out, 0.0, 0.0],
+        [ab_out, ab_in, 0.0, 0.0],
+        [0.0, 0.0, cd_in, cd_out],
+        [0.0, 0.0, cd_out, cd_in],
+    ])
+    return value, grad, h_sum - pulls @ pulls.T + box
 
 
 # The interior search hands over to the variance face c = d at the first

@@ -76,12 +76,10 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray):
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _XGK[None, :]
+    x = mid[:, None] + half[:, None] * _XGK
     y = np.asarray(f(x.reshape(-1)), dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
-    y = y.reshape(y.shape[0], len(a), 15)
-    if not np.all(np.isfinite(y)):
+    y = y.reshape(-1, len(a), 15)
+    if not np.isfinite(y).all():
         raise QuadratureError("integrand returned a non-finite value")
     k15 = (y @ _WGK) * half
     g7 = (y[:, :, _GAUSS_IDX] @ _WG) * half
@@ -129,11 +127,12 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
             return total, total_err
         # Split every interval whose error exceeds its width-proportional
         # share of the tolerance for some still-unconverged component.
+        err_pending = err[pending]
         share = (b - a) / width
-        split = (err[pending] > tol[pending, None] * share[None, :]).any(axis=0)
+        split = (err_pending > tol[pending, None] * share).any(axis=0)
         if not split.any():
-            split[np.argmax(err[pending].max(axis=0))] = True
-        n_split = int(split.sum())
+            split[np.argmax(err_pending.max(axis=0))] = True
+        n_split = np.count_nonzero(split)
         if n_split > splits_left:
             raise QuadratureError(
                 f"quadrature did not converge within "
@@ -143,13 +142,15 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
             )
         splits_left -= n_split
         keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[keep], a[split], mid])
-        new_b = np.concatenate([b[keep], mid, b[split]])
-        new_est, new_err = _gk15(f, new_a[len(a[keep]):], new_b[len(b[keep]):])
+        a_split, b_split = a[split], b[split]
+        mid = 0.5 * (a_split + b_split)
+        new_a = np.concatenate([a_split, mid])
+        new_b = np.concatenate([mid, b_split])
+        new_est, new_err = _gk15(f, new_a, new_b)
         est = np.concatenate([est[:, keep], new_est], axis=1)
         err = np.concatenate([err[:, keep], new_err], axis=1)
-        a, b = new_a, new_b
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
 
 
 def log_normal_cdf_diff(lo, hi, width=None):
@@ -169,7 +170,9 @@ def log_normal_cdf_diff(lo, hi, width=None):
     1e-16.  The log-space difference degrades there: its inputs carry one
     ulp of absolute error each, so the relative error of the difference
     grows like 1e-16 / (h |z|), which for h ~ 1e-9 is loud enough that
-    adaptive quadrature over these values never settles.
+    adaptive quadrature over these values never settles.  Since
+    h^2 (z^2 + 1) >= h^2, the mask of narrow elements is built only when
+    some h^2 alone is below 2.4e-7; a call on wide intervals skips it.
 
     ``width``, when given, is used as ``hi - lo`` in the expansion.  For
     interval endpoints formed as q*x - s and q*y - s the subtraction
@@ -183,27 +186,33 @@ def log_normal_cdf_diff(lo, hi, width=None):
     flip = (lo + hi) > 0
     low = np.where(flip, -hi, lo)
     high = np.where(flip, -lo, hi)
-    log_hi, log_lo = _sp.log_ndtr(np.stack([high, low]))
+    log_hi = _sp.log_ndtr(high)
+    log_lo = _sp.log_ndtr(low)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
         # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
         # so the difference is too; the log-space subtraction above gives
         # nan for these.  Such a high is below -1e154; for lo <= hi so is
         # zm, whose square overflows, so no narrow element below overrides it.
-        out[(high <= low) | np.isneginf(log_hi)] = -np.inf
-        h = high - low if width is None else np.broadcast_to(
-            np.asarray(width, dtype=float), high.shape
-        )
-        zm = 0.5 * (high + low)
-        zm_sq = zm * zm
-        narrow = (h > 0) & (h * h * (zm_sq + 1.0) < 2.4e-7)
-        if narrow.any():
-            # Elementwise, so the narrow elements alone give the same bits.
-            h, zm_sq = h[narrow], zm_sq[narrow]
-            series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (
-                zm_sq * (zm_sq - 6.0) + 3.0
-            ) / 1920.0
-            out[narrow] = -0.5 * zm_sq - _LOG_SQRT_2PI + np.log(h) + np.log1p(series)
+        out[(high <= low) | (log_hi == -np.inf)] = -np.inf
+        if width is None:
+            h = high - low
+        else:
+            h = np.asarray(width, dtype=float)
+            if h.shape != high.shape:
+                h = np.broadcast_to(h, high.shape)
+        h_sq = h * h
+        if (h_sq < 2.4e-7).any():
+            zm = 0.5 * (high + low)
+            zm_sq = zm * zm
+            narrow = (h > 0) & (h_sq * (zm_sq + 1.0) < 2.4e-7)
+            if narrow.any():
+                # Elementwise, so the narrow elements alone give the same bits.
+                h, h_sq, zm_sq = h[narrow], h_sq[narrow], zm_sq[narrow]
+                series = h_sq * (zm_sq - 1.0) / 24.0 + h**4 * (
+                    zm_sq * (zm_sq - 6.0) + 3.0
+                ) / 1920.0
+                out[narrow] = -0.5 * zm_sq - _LOG_SQRT_2PI + np.log(h) + np.log1p(series)
     if out.ndim == 0:
         return float(out)
     return out

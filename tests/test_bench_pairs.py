@@ -58,3 +58,16 @@ def test_one_pair_gives_its_value_as_every_quartile(tmp_path):
 def test_a_run_that_could_not_be_made_stops_the_record(tmp_path):
     with pytest.raises(SystemExit, match="exit 2"):
         _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 2), 1)
+
+
+def test_the_uni_marginal_layer_is_recorded(tmp_path):
+    # Every stand-in metric is 1.0: one marginal call whose own, quadrature
+    # and integrand times are 1 s each.
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 1)
+    for side in ("parent", "change"):
+        traced = entry[side]["traced"]
+        for name in ("prior_uni.uni_log_marginal_likelihood.self_s",
+                     "special.integrate_adaptive.self_s", "prior_uni.integrand.s",
+                     "special.nodes_per_integral"):
+            assert traced[name] == 1.0, name
+        assert entry[side]["per_uni_marginal"] == {"s": 3.0}

@@ -156,9 +156,9 @@ def recorded_loglik(name):
 
 
 @pytest.fixture(scope="module")
-def criterion6_loglik():
-    """The log marginal likelihood of the box learn_uni returns on each of
-    the 200 trials of the criterion-6 data."""
+def criterion6_fits():
+    """The box learn_uni returns on each of the 200 trials of the
+    criterion-6 data, with its log marginal likelihood."""
     cfg = SyntheticConfig(
         populations=20,
         samples_per_population=5,
@@ -170,8 +170,26 @@ def criterion6_loglik():
     out = []
     for t in range(cfg.trials):
         stats = [sufficient_stats(s) for s in generate_synthetic(cfg, t)[1]]
-        out.append(uni_log_marginal_likelihood(stats, learn_uni(stats)))
+        hyper = learn_uni(stats)
+        out.append((hyper, uni_log_marginal_likelihood(stats, hyper)))
     return out
+
+
+@pytest.fixture(scope="module")
+def criterion6_loglik(criterion6_fits):
+    return [value for _, value in criterion6_fits]
+
+
+def test_learn_uni_criterion6_boxes_golden(criterion6_fits):
+    # Recorded as float hex before the marginal's quadrature was trimmed
+    # for speed; every box and its value must keep its bits.  A change to
+    # the estimator that is meant to move results re-records this file.
+    recorded = json.loads((Path(__file__).parent / "data" / "uni_criterion6_boxes.json").read_text())
+    for t, ((hyper, value), box, loglik) in enumerate(
+        zip(criterion6_fits, recorded["boxes"], recorded["loglik"], strict=True)
+    ):
+        assert [hyper.a, hyper.b, hyper.c, hyper.d] == [float.fromhex(h) for h in box], t
+        assert value == float.fromhex(loglik), t
 
 
 def test_learn_uni_reaches_nelder_mead_loglik(criterion6_loglik):

@@ -89,6 +89,38 @@ def test_maximize_hands_the_objective_floats():
     assert seen and all(type(x) is list and all(type(t) is float for t in x) for x in seen)
 
 
+def test_maximize_evaluates_the_initial_point_once(monkeypatch):
+    # maximize scores the initial point itself and hands that value to the
+    # first simplex search, so the objective sees the point once, and a
+    # fit makes one evaluation fewer than maximize's own one plus its
+    # searches run alone.
+    def wavy(x):
+        return -((x[0] - 1.0) ** 2) - (x[1] + 2.0) ** 2 + 0.1 * math.sin(5.0 * x[0])
+
+    seen = []
+
+    def f(x):
+        seen.append(list(x))
+        return wavy(x)
+
+    starts = []
+    real = optim._nelder_mead
+
+    def spy(neg_f, x0, *args):
+        starts.append(x0.copy())
+        return real(neg_f, x0, *args)
+
+    monkeypatch.setattr(optim, "_nelder_mead", spy)
+    maximize(f, [0.3, 0.7])
+    assert seen[0] == [0.3, 0.7]
+    assert seen[1] != seen[0]
+    alone = []
+    for x0 in starts:
+        real(lambda x: alone.append(x) or -wavy(x), x0)
+    assert len(starts) == optim._RESTARTS + 1
+    assert len(seen) == 1 + len(alone) - 1
+
+
 def test_maximize_rejects_bad_init():
     with pytest.raises(DataError):
         maximize(lambda x: 0.0, [])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
 
 from mpme.core import DataError, QuadratureError
 from mpme import special
@@ -104,6 +107,94 @@ def test_log_normal_cdf_diff_keeps_reference_bits():
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     for a, b, w in [(1.0, 1.0 + 1e-9, 1e-9), (1.0, 1.0, None), (-1.0, 2.0, None)]:
         assert log_normal_cdf_diff(a, b, width=w) == float(reference_log_normal_cdf_diff(a, b, w))
+
+
+def frozen_log_normal_cdf_diff(lo, hi, width=None):
+    """``log_normal_cdf_diff`` as it was before it built the narrow mask
+    only on demand, evaluated ``log_ndtr`` once per endpoint array and
+    broadcast ``width`` only when needed; the present function must give
+    its bits."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    flip = (lo + hi) > 0
+    low = np.where(flip, -hi, lo)
+    high = np.where(flip, -lo, hi)
+    log_hi, log_lo = sp.log_ndtr(np.stack([high, low]))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
+        out[(high <= low) | np.isneginf(log_hi)] = -np.inf
+        h = high - low if width is None else np.broadcast_to(
+            np.asarray(width, dtype=float), high.shape
+        )
+        zm = 0.5 * (high + low)
+        zm_sq = zm * zm
+        narrow = (h > 0) & (h * h * (zm_sq + 1.0) < 2.4e-7)
+        if narrow.any():
+            h, zm_sq = h[narrow], zm_sq[narrow]
+            series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (
+                zm_sq * (zm_sq - 6.0) + 3.0
+            ) / 1920.0
+            out[narrow] = -0.5 * zm_sq - special._LOG_SQRT_2PI + np.log(h) + np.log1p(series)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+_EDGES = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e200, -1e200])
+# Interval midpoints, and widths: narrow (down to 1e-12), wide, empty,
+# reversed (hi <= lo) and non-finite.
+_MIDS = st.one_of(st.floats(-40.0, 40.0), _EDGES)
+_WIDTHS = st.one_of(
+    st.floats(1e-12, 1e-3),
+    st.floats(1e-3, 10.0),
+    st.floats(-10.0, 0.0),
+    st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+)
+
+
+@st.composite
+def cdf_diff_cases(draw):
+    """(lo, hi, width): 0-d, 1-d or 2-d endpoints, and a width that is
+    absent, full-shaped, a scalar, or a row broadcast over a 2-d block."""
+    shape = draw(st.sampled_from([(), (1,), (6,), (3, 4)]))
+    size = math.prod(shape)
+    z = np.array(draw(st.lists(_MIDS, min_size=size, max_size=size))).reshape(shape)
+    h = np.array(draw(st.lists(_WIDTHS, min_size=size, max_size=size))).reshape(shape)
+    with np.errstate(all="ignore"):
+        lo, hi = z - 0.5 * h, z + 0.5 * h
+    # Some elements take independent endpoints, such as (-inf, -1e200).
+    loose = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    ends = np.array(draw(st.lists(st.tuples(_MIDS, _MIDS), min_size=size, max_size=size)))
+    lo = np.where(loose.reshape(shape), ends[:, 0].reshape(shape), lo)
+    hi = np.where(loose.reshape(shape), ends[:, 1].reshape(shape), hi)
+    kind = draw(st.sampled_from(["none", "full", "scalar"] + ["row"] * (len(shape) == 2)))
+    if kind == "none":
+        width = None
+    elif kind == "full":
+        width = h
+    elif kind == "scalar":
+        width = draw(_WIDTHS)
+    else:
+        width = h[0]
+    if shape == () and draw(st.booleans()):
+        lo, hi = float(lo), float(hi)
+    return lo, hi, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(cdf_diff_cases())
+def test_log_normal_cdf_diff_keeps_frozen_bits(case):
+    lo, hi, width = case
+    with np.errstate(all="ignore"):
+        got = log_normal_cdf_diff(lo, hi, width=width)
+        want = frozen_log_normal_cdf_diff(lo, hi, width=width)
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # Bit patterns, so -0.0 and 0.0 differ.
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 def test_integrate_adaptive_polynomial_exact():
