@@ -16,10 +16,11 @@ objective-evaluation count, the share of converged fits, the cost per
 evaluation, the optimizer's self time, the median NIX fit time, the UNI
 marginal and quadrature counts and self times, the integrand's time and
 nodes per integral, and the time spent in the UNI fit and in the I/O
-and per-population layers.  Runs are strictly sequential, so the two sides never compete for the processor.
-A run whose output checks fail (exit 1) is recorded like any other, and
-counts in ``failed`` and against ``correct_runs``; the script stops only
-when a run could not be made (exit 2) or printed no result line.
+and per-population layers.  Runs are strictly sequential, so the two
+sides never compete for the processor.  A run whose output checks fail
+(exit 1) is recorded like any other, and counts in ``failed`` and
+against ``correct_runs``; the script stops only when a run could not be
+made (exit 2) or printed no result line.
 
 perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
 and a UNI fit that moves to the variance face makes two or three of

@@ -76,8 +76,6 @@ def test_log_normal_cdf_diff_vectorized():
 def reference_log_normal_cdf_diff(lo, hi, width=None):
     """The kernel with every branch evaluated on every element and chosen
     by ``np.where``; ``log_normal_cdf_diff`` must give its bits."""
-    from scipy import special as sp
-
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     flip = (lo + hi) > 0
     low, high = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
