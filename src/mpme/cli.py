@@ -75,10 +75,10 @@ def _cmd_estimate(args) -> int:
         if removed_ids:
             print(f"pruned populations: {', '.join(removed_ids)}", file=sys.stderr)
 
-    name = "nix-unbiased" if args.prior == "nix" and args.unbiased_variance else args.prior
-    method = METHOD_NAMES[name]
+    method = METHOD_NAMES[args.prior]
     estimates, hypers = estimate_populations([method], stats_list, learn_stats)
-    hyper = hypers.get(args.prior)
+    # One method learns at most one prior.
+    hyper = next(iter(hypers.values()), None)
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -87,7 +87,6 @@ def _cmd_estimate(args) -> int:
         "config": {
             "input": str(args.input),
             "prior": args.prior,
-            "unbiased_variance": bool(args.unbiased_variance),
             "prune_outliers": args.prune_outliers,
         },
         "method": method.value,
@@ -213,13 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate per-population moments from a dataset")
     est.add_argument("--input", required=True, help="dataset file (CSV or JSON)")
-    est.add_argument("--prior", choices=("nix", "uni", "sample"), required=True)
-    est.add_argument(
-        "--unbiased-variance",
-        action="store_true",
-        help="with --prior nix, report the unbiased posterior variance instead of "
-        "the MAP mode; sample and uni always report the unbiased plug-in",
-    )
+    est.add_argument("--prior", choices=tuple(METHOD_NAMES), required=True)
     est.add_argument("--prune-outliers", type=float, metavar="K", default=None)
     est.add_argument("--output", default=None, help="output path; default stdout")
     est.set_defaults(handler=_cmd_estimate)

@@ -49,7 +49,9 @@ class OptimizationError(NumericalError):
 
 
 class DegeneratePriorError(OptimizationError):
-    """Prior learning collapsed onto a degenerate (zero-width) prior."""
+    """The data admit no proper prior: ``learn_uni`` raises it before any
+    search when every population has zero scatter, as the likelihood then
+    grows without bound while the variance prior collapses onto zero."""
 
 
 class Method(Enum):

@@ -87,10 +87,8 @@ def _check_value(fx: float, x: Sequence[float]) -> float:
     return fx
 
 
-def _nelder_mead(neg_f: Callable, x0: np.ndarray, f0: float | None = None):
+def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     """Minimize ``neg_f`` from ``x0``; returns (x, fx, iterations, converged).
-
-    ``f0``, when given, is ``neg_f(x0)``, which is then not evaluated again.
 
     Vertices and values are kept as Python floats, which is several times
     cheaper than small-array arithmetic for the few dimensions used here;
@@ -109,12 +107,7 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray, f0: float | None = None):
         v = x0.tolist()
         v[i] += _SIMPLEX_SCALE * max(1.0, abs(v[i]))
         simplex.append(v)
-    values = [] if f0 is None else [f0]
-    for v in simplex[len(values):]:
-        fx = neg_f(v)
-        if fx != fx:  # NaN; _check_value raises, naming the point
-            _check_value(fx, v)
-        values.append(fx)
+    values = [_check_value(neg_f(v), v) for v in simplex]
     simplex, values = _stable_sort(simplex, values)
 
     iterations = 0
@@ -182,8 +175,9 @@ def _stable_sort(simplex: list, values: list):
 
 
 def _newton(neg_f: Callable, x0: np.ndarray):
-    """Minimize ``neg_f``, which returns ``(value, gradient, Hessian)``,
-    from ``x0``; returns (x, fx, iterations, converged).
+    """Minimize ``neg_f``, which returns ``(value, gradient, Hessian)`` as a
+    float and two float arrays, from ``x0``; returns (x, fx, iterations,
+    converged).
 
     Each step solves (A + mu I) s = -g, with A the Hessian and
     mu = max(0, lambda - lambda_min(A)), so the shifted Hessian is positive
@@ -200,8 +194,6 @@ def _newton(neg_f: Callable, x0: np.ndarray):
         fx, grad, hess = neg_f(x)
         if fx != fx:  # NaN; _check_value raises, naming the point
             _check_value(fx, x)
-        grad = np.asarray(grad, dtype=float)
-        hess = np.asarray(hess, dtype=float)
         ok = math.isfinite(fx) and bool(np.isfinite(grad).all()) and bool(np.isfinite(hess).all())
         return fx, grad, hess, ok
 
@@ -209,7 +201,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
     fx, grad, hess, ok = evaluate(x)
     if not ok:
         return x, fx, 0, False
-    f0 = fx
+    f_start = fx
     damping = _DAMPING
     iterations = 0
     while True:
@@ -226,7 +218,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
                 step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
             if not np.isfinite(step).all():
                 raise NumericalError(f"Newton step is not finite at point {_point_text(x)}")
-            if -0.5 * float(grad @ step) <= _REL_DECREASE * (f0 - fx):
+            if -0.5 * float(grad @ step) <= _REL_DECREASE * (f_start - fx):
                 return x, fx, iterations, True
             step *= min(1.0, _MAX_STEP / float(np.abs(step).max()))
             f_new, grad_new, hess_new, ok = evaluate(x + step)
@@ -241,7 +233,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
         iterations += 1
         decrease = fx - f_new
         x, fx, grad, hess = x + step, f_new, grad_new, hess_new
-        if decrease <= _REL_DECREASE * (f0 - fx):
+        if decrease <= _REL_DECREASE * (f_start - fx):
             return x, fx, iterations, True
 
 
@@ -279,39 +271,21 @@ def maximize(
             value, grad, hess = objective(x)
             return -float(value), -np.asarray(grad, dtype=float), -np.asarray(hess, dtype=float)
 
-        x, v, iters, conv = _newton(neg_f_derivs, x0)
-        return OptimResult(
-            point=tuple(float(t) for t in x),
-            objective=float(-v),
-            iterations=iters,
-            converged=conv,
-        )
+        x, v, iterations, converged = _newton(neg_f_derivs, x0)
+    else:
 
-    def neg_f(x):
-        return -float(objective(x))
+        def neg_f(x):
+            return -float(objective(x))
 
-    best_x = x0.copy()
-    best_v = _check_value(neg_f(x0.tolist()), x0)
-    total_iters = 0
-    all_converged = True
-    for r in range(_RESTARTS + 1):
-        if r == 0:
-            start = x0
-        else:
-            rng = np.random.default_rng(2654435761 + r)
-            step = rng.standard_normal(len(x0))
-            start = best_x + _SIMPLEX_SCALE * step * np.maximum(1.0, np.abs(best_x))
-        # Restart 0 starts from x0, whose value is already known.
-        x, v, iters, conv = _nelder_mead(
-            neg_f, np.asarray(start, dtype=float), best_v if r == 0 else None
-        )
-        all_converged = all_converged and conv
-        total_iters += iters
-        if v < best_v:
-            best_x, best_v = x, v
-    return OptimResult(
-        point=tuple(float(t) for t in best_x),
-        objective=float(-best_v),
-        iterations=total_iters,
-        converged=all_converged,
-    )
+        # The first search scores x0 as its first vertex, and returns it
+        # unless some point scores strictly better.
+        x, v, iterations, converged = _nelder_mead(neg_f, x0)
+        for r in range(1, _RESTARTS + 1):
+            step = np.random.default_rng(2654435761 + r).standard_normal(len(x0))
+            start = x + _SIMPLEX_SCALE * step * np.maximum(1.0, np.abs(x))
+            x_r, v_r, iters, conv = _nelder_mead(neg_f, start)
+            iterations += iters
+            converged = converged and conv
+            if v_r < v:
+                x, v = x_r, v_r
+    return OptimResult(tuple(float(t) for t in x), float(-v), iterations, converged)

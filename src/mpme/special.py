@@ -183,12 +183,13 @@ def log_normal_cdf_diff(lo, hi, width=None):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    flip = (lo + hi) > 0
-    low = np.where(flip, -hi, lo)
-    high = np.where(flip, -lo, hi)
-    log_hi = _sp.log_ndtr(high)
-    log_lo = _sp.log_ndtr(low)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # lo = -inf, hi = inf sums to NaN, which is not > 0: not reflected.
+        flip = (lo + hi) > 0
+        low = np.where(flip, -hi, lo)
+        high = np.where(flip, -lo, hi)
+        log_hi = _sp.log_ndtr(high)
+        log_lo = _sp.log_ndtr(low)
         out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
         # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
         # so the difference is too; the log-space subtraction above gives

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _sp
@@ -26,7 +26,6 @@ __all__ = [
     "grid_map_argmax",
     "nix_posterior_windows",
     "nix_prior_density",
-    "QuadResult",
     "owen_q",
     "uni_log_marginal_via_q",
     "SuiteResult",
@@ -143,7 +142,6 @@ def numeric_marginal(
 
 
 def grid_map_argmax(
-    stats: SufficientStats,
     log_posterior: Callable,
     mu_window: tuple[float, float],
     sigma_sq_window: tuple[float, float],
@@ -182,36 +180,26 @@ def grid_map_argmax(
     return float(mu[i]), float(s2[j])
 
 
-class QuadResult(NamedTuple):
-    value: float
-    error: float
-
-
-def owen_q(f: int, t: float, delta: float, r: float) -> QuadResult:
-    """Integral of the normalized chi density against a shifted normal CDF.
+def owen_q(f: int, t: float, r: float) -> float:
+    """Integral of the normalized chi density against a normal CDF: Owen's
+    Q function at noncentrality zero.
 
     Computes
 
     .. math::
 
-        Q_f(t, \\delta; 0, R) = \\int_0^R
+        Q_f(t, 0; 0, R) = \\int_0^R
             \\frac{\\sqrt{2\\pi}\\, y^{f-1} \\varphi(y)}
                  {\\Gamma(f/2)\\, 2^{(f-2)/2}}
-            \\, \\Phi\\!\\left(\\frac{t y}{\\sqrt{f}} - \\delta\\right) dy,
+            \\, \\Phi\\!\\left(\\frac{t y}{\\sqrt{f}}\\right) dy,
 
     where the y-density integrates to one over (0, inf).  ``t`` may be
-    +/-inf (the CDF factor saturates); ``r`` may be +inf, handled by the
-    substitution ``y = u / (1 - u)``.
-
-    Returns
-    -------
-    QuadResult
-        The value together with the quadrature error estimate.
+    +/-inf, as a subnormal scatter makes it in ``uni_log_marginal_via_q``
+    (the CDF factor saturates); ``r`` may be +inf, as a subnormal variance
+    bound makes it there, handled by the substitution ``y = u / (1 - u)``.
     """
     if not isinstance(f, (int, np.integer)) or f < 1:
         raise DataError(f"degrees of freedom f = {f!r}, need integer >= 1")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
-        raise DataError(f"delta = {delta!r}, need finite real")
     if math.isnan(t):
         raise DataError("t must not be NaN")
     if not (r > 0):
@@ -226,7 +214,7 @@ def owen_q(f: int, t: float, delta: float, r: float) -> QuadResult:
 
     def cdf_part(y):
         with np.errstate(invalid="ignore", over="ignore"):
-            arg = t * y / sqrt_f - delta
+            arg = t * y / sqrt_f
             # t = +/-inf saturates the CDF for every y > 0
             arg = np.where(np.isnan(arg), math.copysign(1, t) * np.inf, arg)
         return _sp.ndtr(arg)
@@ -243,8 +231,8 @@ def owen_q(f: int, t: float, delta: float, r: float) -> QuadResult:
             return np.exp(chi_part(y)) * cdf_part(y)
         lo, hi = 0.0, float(r)
 
-    value, err = integrate_adaptive(integrand, lo, hi)
-    return QuadResult(float(value[0]), float(err[0]))
+    value, _ = integrate_adaptive(integrand, lo, hi)
+    return float(value[0])
 
 
 def uni_log_marginal_via_q(
@@ -274,10 +262,10 @@ def uni_log_marginal_via_q(
         r_c = math.sqrt(scatter / hyper.c)
         r_d = math.sqrt(scatter / hyper.d)
         comb = (
-            owen_q(f, t_b, 0.0, r_c).value
-            - owen_q(f, t_a, 0.0, r_c).value
-            - owen_q(f, t_b, 0.0, r_d).value
-            + owen_q(f, t_a, 0.0, r_d).value
+            owen_q(f, t_b, r_c)
+            - owen_q(f, t_a, r_c)
+            - owen_q(f, t_b, r_d)
+            + owen_q(f, t_a, r_d)
         )
         if comb <= 0:
             return -math.inf
@@ -559,7 +547,7 @@ def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> Suite
             with np.errstate(divide="ignore"):
                 return _log_likelihood(_stats, mu, s2) + np.log(_density(mu, s2))
 
-        mu_g, s2_g = grid_map_argmax(stats, log_post, mu_w, s_w, nodes)
+        mu_g, s2_g = grid_map_argmax(log_post, mu_w, s_w, nodes)
         cell_mu = (mu_w[1] - mu_w[0]) / (nodes - 1)
         cell_s2 = s2_g * (math.log(s_w[1] / s_w[0]) / (nodes - 1))
         err = _worst(abs(est.mu - mu_g) / cell_mu, abs(est.sigma_sq - s2_g) / cell_s2)
@@ -575,9 +563,7 @@ def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> Suite
             inside = (mu >= _h.a) & (mu <= _h.b) & (s2 >= _h.c) & (s2 <= _h.d)
             return np.where(inside, lp, -np.inf)
 
-        mu_g, s2_g = grid_map_argmax(
-            stats, log_post, (hyper.a, hyper.b), (hyper.c, hyper.d), nodes
-        )
+        mu_g, s2_g = grid_map_argmax(log_post, (hyper.a, hyper.b), (hyper.c, hyper.d), nodes)
         cell_mu = (hyper.b - hyper.a) / (nodes - 1)
         cell_s2 = s2_g * (math.log(hyper.d / hyper.c) / (nodes - 1))
         err = _worst(abs(est.mu - mu_g) / cell_mu, abs(est.sigma_sq - s2_g) / cell_s2)

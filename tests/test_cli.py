@@ -74,23 +74,31 @@ def test_estimate_nix_prior_writes_output_file(clustered_csv, tmp_path, capsys):
         assert lo <= row["mu"] <= hi
 
 
-def test_estimate_nix_unbiased_variance_flag(clustered_csv, capsys):
-    assert (
-        cli_main(
-            [
-                "estimate",
-                "--input",
-                str(clustered_csv),
-                "--prior",
-                "nix",
-                "--unbiased-variance",
-            ]
-        )
-        == 0
-    )
+def test_estimate_nix_unbiased_prior(clustered_csv, capsys):
+    argv = ["estimate", "--input", str(clustered_csv), "--prior"]
+    assert cli_main(argv + ["nix"]) == 0
+    mode = json.loads(capsys.readouterr().out)
+    assert cli_main(argv + ["nix-unbiased"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == "mpme-nix-unbiased"
-    assert doc["config"]["unbiased_variance"] is True
+    assert doc["config"] == {
+        "input": str(clustered_csv),
+        "prior": "nix-unbiased",
+        "prune_outliers": None,
+    }
+    # Both learn the same prior; the unbiased posterior variance divides
+    # the same scatter by nu_n - 1 instead of the mode's nu_n + 3.
+    assert doc["hyperparameters"] == mode["hyperparameters"]
+    for row, mode_row in zip(doc["estimates"], mode["estimates"], strict=True):
+        assert row["mu"] == mode_row["mu"]
+        assert row["sigma_sq"] > mode_row["sigma_sq"]
+
+
+def test_estimate_unbiased_variance_flag_is_gone(clustered_csv):
+    # The variance mode is part of the method name, so the old flag is a
+    # usage error.
+    argv = ["estimate", "--input", str(clustered_csv), "--prior", "nix", "--unbiased-variance"]
+    assert cli_main(argv) == 1
 
 
 def test_estimate_uni_prior(tmp_path, capsys):
@@ -114,19 +122,10 @@ def test_estimate_uni_prior(tmp_path, capsys):
         assert h["c"] <= row["sigma_sq"] <= h["d"]
 
 
-@pytest.mark.parametrize(
-    "flags, name",
-    [
-        (["--prior", "sample"], "sample"),
-        (["--prior", "nix"], "nix"),
-        (["--prior", "nix", "--unbiased-variance"], "nix-unbiased"),
-        (["--prior", "uni"], "uni"),
-    ],
-    ids=["sample", "nix", "nix-unbiased", "uni"],
-)
-def test_estimate_matches_shared_estimators(clustered_csv, capsys, flags, name):
+@pytest.mark.parametrize("name", ["sample", "nix", "nix-unbiased", "uni"])
+def test_estimate_matches_shared_estimators(clustered_csv, capsys, name):
     # The CLI and the benchmark harness compute one estimator per name.
-    assert cli_main(["estimate", "--input", str(clustered_csv)] + flags) == 0
+    assert cli_main(["estimate", "--input", str(clustered_csv), "--prior", name]) == 0
     doc = json.loads(capsys.readouterr().out)
     method = METHOD_NAMES[name]
     assert doc["method"] == method.value

@@ -7,6 +7,7 @@ single bit of a learned prior fails here.  Rewrite these values only for
 a change that is meant to alter results, and say so in CHANGES.md.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mpme import prior_nix
 from mpme.core import PopulationSample, sufficient_stats
 from mpme.experiments import SyntheticConfig, generate_synthetic
 from mpme.optim import maximize
@@ -149,6 +151,44 @@ def test_maximize_golden():
         "iterations": res.iterations,
     }
     assert got == GOLDEN_MAXIMIZE
+
+
+# The number of evaluations and the SHA-256 of their float-hex lines, one
+# "point... value" line per evaluation in the order the objective received
+# them: from maximize on bumpy, and from learn_nix on trial 0 of the
+# criterion-6 data (example 1, seed 2026).
+GOLDEN_CALL_SEQUENCES = {
+    "bumpy": (426, "79f82e5c77d1132a8ba8dab63bab2ab95780685d6efa5edc5054558e53d502ff"),
+    "learn_nix": (717, "b7c56964992ebf9070d5cfb9902cb38de10e08c9cfa65ddfe2f1450d7484d7f3"),
+}
+
+
+def recording(objective, lines):
+    """``objective``, appending each point and value it sees to ``lines``."""
+
+    def recorded(x):
+        value = objective(x)
+        lines.append(" ".join(float(t).hex() for t in (*x, value)))
+        return value
+
+    return recorded
+
+
+def test_maximize_call_sequences_golden(monkeypatch):
+    bumpy_lines = []
+    maximize(recording(bumpy, bumpy_lines), [-1.2, 1.0, 0.8])
+    nix_lines = []
+    monkeypatch.setattr(
+        prior_nix,
+        "maximize",
+        lambda objective, init, **kw: maximize(recording(objective, nix_lines), init, **kw),
+    )
+    learn_nix(example1_stats(2026))
+    got = {
+        name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+        for name, lines in (("bumpy", bumpy_lines), ("learn_nix", nix_lines))
+    }
+    assert got == GOLDEN_CALL_SEQUENCES
 
 
 def recorded_loglik(name):

@@ -90,10 +90,9 @@ def test_maximize_hands_the_objective_floats():
 
 
 def test_maximize_evaluates_the_initial_point_once(monkeypatch):
-    # maximize scores the initial point itself and hands that value to the
-    # first simplex search, so the objective sees the point once, and a
-    # fit makes one evaluation fewer than maximize's own one plus its
-    # searches run alone.
+    # maximize leaves the initial point to the first simplex search, which
+    # scores it as its first vertex, so the objective sees the point once,
+    # and a fit makes exactly the evaluations of its searches run alone.
     def wavy(x):
         return -((x[0] - 1.0) ** 2) - (x[1] + 2.0) ** 2 + 0.1 * math.sin(5.0 * x[0])
 
@@ -106,9 +105,9 @@ def test_maximize_evaluates_the_initial_point_once(monkeypatch):
     starts = []
     real = optim._nelder_mead
 
-    def spy(neg_f, x0, *args):
+    def spy(neg_f, x0):
         starts.append(x0.copy())
-        return real(neg_f, x0, *args)
+        return real(neg_f, x0)
 
     monkeypatch.setattr(optim, "_nelder_mead", spy)
     maximize(f, [0.3, 0.7])
@@ -118,7 +117,17 @@ def test_maximize_evaluates_the_initial_point_once(monkeypatch):
     for x0 in starts:
         real(lambda x: alone.append(x) or -wavy(x), x0)
     assert len(starts) == optim._RESTARTS + 1
-    assert len(seen) == 1 + len(alone) - 1
+    assert len(seen) == len(alone)
+
+
+def test_maximize_keeps_the_initial_point_when_nothing_scores_better():
+    # On a plateau every vertex ties with the initial one, which a stable
+    # order keeps first, so the point comes back with its bits, the sign
+    # of zero included.
+    res = maximize(lambda x: 1.5, [-0.0, 2.0])
+    assert res.objective == 1.5
+    assert [math.copysign(1.0, t) for t in res.point] == [-1.0, 1.0]
+    assert res.point == (0.0, 2.0)
 
 
 def test_maximize_rejects_bad_init():

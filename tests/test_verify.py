@@ -66,44 +66,36 @@ def test_numeric_marginal_validation():
 
 
 def test_grid_map_argmax_finds_interior_peak():
-    stats = _stats(5, 1.0, 0.8)
-
     def log_post(mu, s2):
         return -((mu - 0.7) ** 2) - (np.log(s2) - math.log(1.3)) ** 2
 
-    mu_g, s2_g = grid_map_argmax(stats, log_post, (0.0, 2.0), (0.5, 3.0), nodes=2000)
+    mu_g, s2_g = grid_map_argmax(log_post, (0.0, 2.0), (0.5, 3.0), nodes=2000)
     assert mu_g == pytest.approx(0.7, abs=2.0 / 1999)
     assert s2_g == pytest.approx(1.3, rel=2.0 * math.log(6.0) / 1999)
 
 
 def test_grid_map_argmax_flat_tie_breaks_to_first_point():
-    stats = _stats(5, 1.0, 0.8)
     mu_g, s2_g = grid_map_argmax(
-        stats, lambda mu, s2: np.zeros(np.broadcast(mu, s2).shape), (0.0, 2.0), (0.5, 3.0), nodes=101
+        lambda mu, s2: np.zeros(np.broadcast(mu, s2).shape), (0.0, 2.0), (0.5, 3.0), nodes=101
     )
     assert mu_g == 0.0
     assert s2_g == 0.5
 
 
 def test_grid_map_argmax_boundary_max_rejected():
-    stats = _stats(5, 1.0, 0.8)
     with pytest.raises(NumericalError, match="window too small"):
-        grid_map_argmax(
-            stats, lambda mu, s2: mu + 0.0 * s2, (0.0, 2.0), (0.5, 3.0), nodes=101
-        )
+        grid_map_argmax(lambda mu, s2: mu + 0.0 * s2, (0.0, 2.0), (0.5, 3.0), nodes=101)
 
 
 def test_grid_map_argmax_rejects_nan_and_bad_nodes():
-    stats = _stats(5, 1.0, 0.8)
     with pytest.raises(NumericalError):
         grid_map_argmax(
-            stats,
             lambda mu, s2: np.full(np.broadcast(mu, s2).shape, np.nan),
             (0.0, 2.0),
             (0.5, 3.0),
         )
     with pytest.raises(DataError):
-        grid_map_argmax(stats, lambda mu, s2: mu, (0.0, 2.0), (0.5, 3.0), nodes=2)
+        grid_map_argmax(lambda mu, s2: mu, (0.0, 2.0), (0.5, 3.0), nodes=2)
 
 
 def test_nix_posterior_windows_cover_posterior_center():
