@@ -15,8 +15,9 @@ change read better on each metric, and from the traced run the
 objective-evaluation count, the share of converged fits, the cost per
 evaluation, the optimizer's self time, the median NIX fit time, the UNI
 marginal and quadrature counts and self times, the integrand's time and
-nodes per integral, and the time spent in the UNI fit and in the I/O
-and per-population layers.  Runs are strictly sequential, so the two
+nodes per integral, the time spent in the UNI fit and in the I/O
+and per-population layers, ``cli_main``'s own time (argument parsing
+and report building) and the time spent generating synthetic data.  Runs are strictly sequential, so the two
 sides never compete for the processor.  A run whose output checks fail
 (exit 1) is recorded like any other, and counts in ``failed`` and
 against ``correct_runs``; the script stops only when a run could not be
@@ -50,7 +51,8 @@ TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_fr
           "prior_uni.uni_log_marginal_likelihood.self_s", "special.integrate_adaptive.self_s",
           "prior_uni.integrand.s", "special.integrand_calls_per_integral",
           "special.nodes_per_integral", "dataio.dump_json.s",
-          "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s")
+          "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s",
+          "cli.cli_main.self_s", "experiments.generate_synthetic.s")
 # Ratios to prior_uni.learn_uni.calls, from the same traced run.
 PER_LEARN_UNI = {"uni_marginals": "prior_uni.uni_log_marginal_likelihood.calls",
                  "objective_calls": "optim.objective.calls"}

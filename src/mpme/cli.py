@@ -8,6 +8,7 @@ path (or standard output); diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -202,6 +203,7 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpme",
@@ -258,6 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
+    """Run one ``mpme`` command and return its exit code.
+
+    The argument parser is built on the first call and reused by every
+    later one in the same process, so a harness that calls ``cli_main``
+    in a loop pays for it once; it is not built at import.  Parsing keeps
+    no state between calls: each call gets a fresh namespace.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

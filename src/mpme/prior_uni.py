@@ -68,17 +68,43 @@ class UniHyperparams:
             raise DataError(f"need 0 < c <= d, got c = {self.c!r}, d = {self.d!r}")
 
 
-def _mu_columns(n, xbar, scatter, a, b):
+class _UniData:
+    """The hyperparameter-free parts of the UNI marginal for one dataset:
+    the statistics and scatter, the per-population columns of
+    ``_log_mu_integral`` (sqrt n, the halved log n, and the halved
+    degrees of freedom and scatter), each of shape (P, 1), and the
+    constants of the E rows of ``_log_sigma_integrals``.  ``learn_uni``
+    builds it once per fit.
+    """
+
+    __slots__ = ("n", "xbar", "var", "scatter", "root_n", "half_log_n",
+                 "neg_half_dof", "half_scatter", "e_s", "e_log_norm")
+
+    def __init__(self, stats_list: Sequence[SufficientStats]):
+        n, xbar, var = _stats_arrays(stats_list)
+        self.n, self.xbar, self.var = n, xbar, var
+        self.scatter = (n - 1.0) * var
+        self.root_n = np.sqrt(n)[:, None]
+        self.half_log_n = 0.5 * np.log(n)[:, None]
+        self.neg_half_dof = -0.5 * (n - 1.0)[:, None]
+        self.half_scatter = 0.5 * self.scatter[:, None]
+        # Two E rows per population, one per edge of the mean side.
+        n_rows = np.concatenate([n, n])
+        self.e_s = 0.5 * n_rows - 1.0
+        self.e_log_norm = (-0.5 * n_rows * _LOG_2PI)[:, None]
+
+
+def _mu_columns(data: _UniData, a, b):
     """The per-population columns ``_log_mu_integral`` needs for the mean
     side [a, b], each of shape (P, 1), and the side's width."""
     return (
-        np.sqrt(n)[:, None],
-        (a - xbar)[:, None],
-        (b - xbar)[:, None],
+        data.root_n,
+        (a - data.xbar)[:, None],
+        (b - data.xbar)[:, None],
         b - a,
-        -0.5 * (n - 1.0)[:, None],
-        0.5 * np.log(n)[:, None],
-        0.5 * scatter[:, None],
+        data.neg_half_dof,
+        data.half_log_n,
+        data.half_scatter,
     )
 
 
@@ -106,24 +132,20 @@ def _log_mu_integral(t, columns, decay):
     return log_l, lo, hi, log_phi_diff
 
 
-def _log_l_slope(n, scatter, sigma_sq, lo, hi, log_phi_diff):
+def _log_l_slope(data: _UniData, sigma_sq, lo, hi, log_phi_diff):
     """d log L_i / d sigma^2 at ``sigma_sq``, with the pieces it is built
     from: D'/D and the ratios r_lo = phi(lo) / D and r_hi = phi(hi) / D,
-    where D = Phi(hi) - Phi(lo).  See ``_face_log_marginal``."""
+    where D = Phi(hi) - Phi(lo).  ``lo``, ``hi`` and ``log_phi_diff`` have
+    one row per population, like the columns of ``data``.  See
+    ``_face_log_marginal``."""
     r_hi = np.exp(-0.5 * hi * hi - _LOG_SQRT_2PI - log_phi_diff)
     r_lo = np.exp(-0.5 * lo * lo - _LOG_SQRT_2PI - log_phi_diff)
     d1 = -(r_hi * hi - r_lo * lo) / (2.0 * sigma_sq)
-    l1 = -0.5 * (n - 1.0) / sigma_sq + 0.5 * scatter / (sigma_sq * sigma_sq) + d1
+    l1 = data.neg_half_dof / sigma_sq + data.half_scatter / (sigma_sq * sigma_sq) + d1
     return l1, d1, r_lo, r_hi
 
 
-def _log_sigma_integrals(
-    n: np.ndarray,
-    xbar: np.ndarray,
-    var: np.ndarray,
-    scatter: np.ndarray,
-    hyper: UniHyperparams,
-):
+def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     """Per-population log of the sigma^2 integral I_i over [c, d], and
     what its first and second derivatives in (a, b, c, d) need.
 
@@ -153,7 +175,11 @@ def _log_sigma_integrals(
     and F_i(mu) integrates the likelihood over sigma^2 divided by sigma^2,
     g_i(t) e^-t.  All 5P rows share one adaptive quadrature.  Each row is
     shifted by its maximum so the adaptive rule works on O(1) values;
-    populations whose integral underflows to zero come back as -inf.
+    populations whose integral underflows to zero come back as -inf.  The
+    f rows' maxima come from a 10-point scan in t that rides along in the
+    integrand's first call: one ``_log_mu_integral`` call takes the first
+    nodes and the scan, and the shifts are taken from the scan's columns
+    before anything is exponentiated.
 
     The interval length is formed as log1p((d-c)/c) and the quadrature
     runs in u = t - log(c) over [0, dt]: computing log(d) - log(c), or
@@ -166,29 +192,26 @@ def _log_sigma_integrals(
     t_lo = math.log(hyper.c)
     dt = math.log1p((hyper.d - hyper.c) / hyper.c)
     t_hi = t_lo + dt
+    n, xbar, scatter = data.n, data.xbar, data.scatter
     p = len(n)
-    columns = _mu_columns(n, xbar, scatter, hyper.a, hyper.b)
+    columns = _mu_columns(data, hyper.a, hyper.b)
 
     # The E rows: row k is population k % P with mu at a (k < P) or at b.
     q = (0.5 * (scatter + n * (xbar - np.array([[hyper.a], [hyper.b]])) ** 2)).ravel()
-    n_rows = np.concatenate([n, n])
-    s = 0.5 * n_rows - 1.0
-    log_norm = (-0.5 * n_rows * _LOG_2PI)[:, None]
+    s, log_norm = data.e_s, data.e_log_norm
     s_col, q_col = s[:, None], q[:, None]
 
     def log_g(t, decay):
         return log_norm - s_col * t - q_col * decay
 
     # Shift f_i by its per-population peak; the un-truncated maximizer of
-    # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].  One
-    # _log_mu_integral call takes a 9-point scan and that point as a tenth
-    # column.  linspace returns both ends exactly, so the scan's first and
-    # last columns are the integrand at sigma^2 = c and at sigma^2 = d.
+    # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].  The
+    # scan is 9 points and that point as a tenth column.  linspace returns
+    # both ends exactly, so the scan's first and ninth columns are the
+    # integrand at sigma^2 = c and at sigma^2 = d.
     t_scan = np.empty((p, 10))
     t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
-    t_scan[:, 9] = np.log(np.clip(var, hyper.c, hyper.d))
-    scan = _log_mu_integral(t_scan, columns, np.exp(-t_scan))
-    shift = (scan[0] + t_scan).max(axis=1)
+    t_scan[:, 9] = np.log(np.clip(data.var, hyper.c, hyper.d))
     # log g_i is concave in t and peaks at log(q/s), clipped into the
     # interval: at the right end when s = 0, at the left end when q = 0.
     # s = q = 0 (n = 2, S = 0, mean on the edge) is flat; any end will do.
@@ -203,28 +226,37 @@ def _log_sigma_integrals(
     t_peaks[:, 3] = t_hi
     np.clip(t_peaks, t_lo, t_hi, out=t_peaks)
     log_peaks = log_g(t_peaks, np.exp(-t_peaks))
-    shifts = np.concatenate([
-        np.where(np.isfinite(shift), shift, 0.0),
-        log_peaks[:, 0],
-        log_peaks[:, 1] - t_peaks[:, 1],
-    ])[:, None]
+    e_shifts = [log_peaks[:, 0], log_peaks[:, 1] - t_peaks[:, 1]]
+    # Set by the integrand's first call, from the scan.
+    shifts = ends = None
 
     def integrand(u):
+        nonlocal shifts, ends
         t = (u + t_lo)[None, :]
         decay = np.exp(-t)
         log_e = log_g(t, decay)
-        log_f = _log_mu_integral(t, columns, decay)[0] + t
+        if shifts is None:
+            k = len(u)
+            t_first = np.empty((p, k + 10))
+            t_first[:, :k] = t
+            t_first[:, k:] = t_scan
+            first = _log_mu_integral(t_first, columns, np.exp(-t_first))
+            shift = (first[0][:, k:] + t_scan).max(axis=1)
+            shifts = np.concatenate([np.where(np.isfinite(shift), shift, 0.0), *e_shifts])[:, None]
+            ends = tuple(v[:, k::8] for v in first)
+            log_f = first[0][:, :k] + t
+        else:
+            log_f = _log_mu_integral(t, columns, decay)[0] + t
         return np.exp(np.concatenate([log_f, log_e, log_e - t]) - shifts)
 
     value, _err = integrate_adaptive(integrand, 0.0, dt)
     with np.errstate(divide="ignore"):
         log_all = shifts[:, 0] + np.log(value)
     log_corners = (log_peaks[:, 2:] - t_peaks[:, 2:]).reshape(2, p, 2)
-    ends = tuple(v[:, ::8] for v in scan)
     return log_all[:p], log_all[p:].reshape(4, p), log_corners, ends
 
 
-def _face_log_marginal(n, xbar, scatter, a, b, c):
+def _face_log_marginal(data: _UniData, a, b, c):
     """The marginal on the variance face c = d, its gradient and Hessian in
     (a, b, c), and the coefficient that decides whether the face is a
     maximum.
@@ -255,14 +287,14 @@ def _face_log_marginal(n, xbar, scatter, a, b, c):
     at a -inf value the gradient, the Hessian and K are NaN.
     """
     t = np.array([[math.log(c)]])
-    log_l, lo, hi, log_phi_diff = (v[:, 0] for v in _log_mu_integral(
-        t, _mu_columns(n, xbar, scatter, a, b), np.exp(-t)
-    ))
+    at_c = _log_mu_integral(t, _mu_columns(data, a, b), np.exp(-t))
+    log_l, lo, hi, log_phi_diff = (v[:, 0] for v in at_c)
+    n, scatter = data.n, data.scatter
     p = len(n)
     if np.any(np.isneginf(log_l)):
         return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
     value = float(np.sum(log_l - math.log(b - a)))
-    l1, d1, r_lo, r_hi = _log_l_slope(n, scatter, c, lo, hi, log_phi_diff)
+    l1, d1, r_lo, r_hi = (v[:, 0] for v in _log_l_slope(data, c, *at_c[1:]))
     d2 = (r_hi * hi * (3.0 - hi * hi) - r_lo * lo * (3.0 - lo * lo)) / (4.0 * c * c)
     l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c**3 + d2 - d1 * d1
     k = np.sqrt(n / c)
@@ -286,7 +318,7 @@ def _face_log_marginal(n, xbar, scatter, a, b, c):
 
 
 def uni_log_marginal_likelihood(
-    stats_list: Sequence[SufficientStats],
+    stats_list: Sequence[SufficientStats] | _UniData,
     hyper: UniHyperparams,
     *,
     hessian: bool = False,
@@ -300,6 +332,10 @@ def uni_log_marginal_likelihood(
 
     Returns -inf if any population's integral is numerically zero, e.g.
     when the box excludes all plausible moments.
+
+    ``stats_list`` is a sequence of sufficient statistics, or the
+    ``_UniData`` that ``learn_uni`` prepares from one once per fit; both
+    give the same bits.
 
     With ``hessian=True`` returns ``(value, grad, hess)``, where ``value``
     is the same float, ``grad`` holds the partial derivatives in
@@ -341,11 +377,10 @@ def uni_log_marginal_likelihood(
     QuadratureError
         If adaptive quadrature fails to converge; carries partial results.
     """
-    n, xbar, var = _stats_arrays(stats_list)
-    scatter = (n - 1.0) * var
+    data = stats_list if isinstance(stats_list, _UniData) else _UniData(stats_list)
     if hyper.c == hyper.d:
         value, (ga, gb, gc), face_hess, curvature = _face_log_marginal(
-            n, xbar, scatter, hyper.a, hyper.b, hyper.c
+            data, hyper.a, hyper.b, hyper.c
         )
         if not hessian:
             return value
@@ -354,7 +389,7 @@ def uni_log_marginal_likelihood(
         hess[2:, 2:] += 2.0 * curvature * np.array([[1.0, -1.0], [-1.0, 1.0]])
         return value, np.array([ga, gb, 0.5 * gc, 0.5 * gc]), hess
     log_int, log_edges, log_corners, (log_l, lo, hi, log_phi_diff) = _log_sigma_integrals(
-        n, xbar, var, scatter, hyper
+        data, hyper
     )
     mean_side, var_side = hyper.b - hyper.a, hyper.d - hyper.c
     log_box = math.log(mean_side) + math.log(var_side)
@@ -363,7 +398,7 @@ def uni_log_marginal_likelihood(
     value = float((log_int - log_box).sum())
     if not hessian:
         return value
-    p = len(n)
+    n, xbar, p = data.n, data.xbar, len(data.n)
     # E_i(a), E_i(b), F_i(a), F_i(b), and L_i at c and d, each over I_i
     e_a, e_b, f_a, f_b = np.exp(log_edges - log_int)
     l_ends = np.exp(log_l - log_int[:, None])
@@ -373,9 +408,7 @@ def uni_log_marginal_likelihood(
         [p / mean_side, -(p / mean_side), p / var_side, -(p / var_side)]
     )
     (c_ac, c_ad), (c_bc, c_bd) = np.exp(log_corners - log_int[:, None]).sum(axis=1).tolist()
-    slopes = _log_l_slope(
-        n[:, None], scatter[:, None], np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff
-    )[0]
+    slopes = _log_l_slope(data, np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff)[0]
     rise_c, rise_d = (slopes * l_ends).sum(axis=0).tolist()
     h_aa = -float((n * (xbar - hyper.a) * f_a).sum())
     h_bb = float((n * (xbar - hyper.b) * f_b).sum())
@@ -480,9 +513,9 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
-    n, xbar, var = _stats_arrays(stats_list)
-    scatter = (n - 1.0) * var
-    if not np.any(scatter > 0):
+    data = _UniData(stats_list)
+    n, xbar, var = data.n, data.xbar, data.var
+    if not np.any(data.scatter > 0):
         raise DegeneratePriorError(
             "every population has zero scatter, so the likelihood grows "
             "without bound as the variance prior collapses onto zero; no "
@@ -531,7 +564,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         nonlocal best
         a, b, c, d = _box_from_point(natural(z))
         value, grad, hess = uni_log_marginal_likelihood(
-            stats_list, UniHyperparams(a=a, b=b, c=c, d=d), hessian=True
+            data, UniHyperparams(a=a, b=b, c=c, d=d), hessian=True
         )
         if d - c < depth and value > best:
             raise _FaceReached(z)
@@ -542,7 +575,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     # marginal, so every public marginal evaluation runs one quadrature.
     def face(z):
         a, b, c, _ = _box_from_point(natural(z))
-        value, grad, hess, _ = _face_log_marginal(n, xbar, scatter, a, b, c)
+        value, grad, hess, _ = _face_log_marginal(data, a, b, c)
         return searched(value, grad, hess, jacobian(a, b, c, c)[:3, :3])
 
     # Boxes far from the data overflow on the way to a -inf marginal.
@@ -552,7 +585,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         except _FaceReached as reached:
             result = maximize(face, reached.z[:3], hessian=True)
             a, b, c, _ = _box_from_point(natural(result.point))
-            if _face_log_marginal(n, xbar, scatter, a, b, c)[3] > 0.0:
+            if _face_log_marginal(data, a, b, c)[3] > 0.0:
                 # A proper box beats the face: resume the interior search
                 # once, from the box of height `depth` centred on the face
                 # optimum.

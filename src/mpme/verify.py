@@ -448,11 +448,10 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
     1e-9 P / 1e-3, which grows as the step shrinks, not the Hessian's
     error.
     """
-    from .prior_nix import _stats_arrays
-    from .prior_uni import _face_log_marginal, uni_log_marginal_likelihood
+    from .prior_uni import _UniData, _face_log_marginal, uni_log_marginal_likelihood
 
-    def marginal(stats, *box, **derivs):
-        return uni_log_marginal_likelihood(stats, UniHyperparams(*box), **derivs)
+    def marginal(data, *box, **derivs):
+        return uni_log_marginal_likelihood(data, UniHyperparams(*box), **derivs)
 
     def rel_error(got, numeric, floor=0.0):
         return float(np.max(np.abs(got - numeric)) / max(np.max(np.abs(numeric)), floor))
@@ -476,22 +475,24 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
     for k in range(cases):
         kind = k % len(_GRADIENT_KINDS)
         stats, hyper = _uni_gradient_case(rng, kind)
+        # Every evaluation of this case shares one prepared dataset.
+        data = _UniData(stats)
         box = np.array([hyper.a, hyper.b, hyper.c, hyper.d])
         height = min(hyper.d - hyper.c, hyper.c)
         sides = np.array([hyper.b - hyper.a] * 2 + [height] * 2)
-        _value, grad, hess = marginal(stats, *box, hessian=True)
-        rel = rel_error(grad, differences(lambda x: marginal(stats, *(box + x)), sides))
-        numeric_hess = differences(lambda x: marginal(stats, *(box + x), hessian=True)[1], sides)
+        _value, grad, hess = marginal(data, *box, hessian=True)
+        rel = rel_error(grad, differences(lambda x: marginal(data, *(box + x)), sides))
+        numeric_hess = differences(lambda x: marginal(data, *(box + x), hessian=True)[1], sides)
         scale = np.outer(sides, sides)
         rel_hess = rel_error(hess * scale, numeric_hess * scale, len(stats))
 
         a, b, c = hyper.a, hyper.b, hyper.c
         face_box = np.array([a, b, c, c])
         face_sides = np.array([b - a, b - a, c])
-        face, face_grad, face_hess = marginal(stats, *face_box, hessian=True)
+        face, face_grad, face_hess = marginal(data, *face_box, hessian=True)
 
         def face_point(x):
-            return marginal(stats, *(face_box + fold.T @ x), hessian=True)
+            return marginal(data, *(face_box + fold.T @ x), hessian=True)
 
         rel_face = rel_error(
             fold @ face_grad, differences(lambda x: face_point(x)[0], face_sides)
@@ -502,10 +503,9 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
             fold @ face_hess @ fold.T * scale, numeric_face_hess * scale, len(stats)
         )
 
-        n, xbar, var = _stats_arrays(stats)
-        curvature = _face_log_marginal(n, xbar, (n - 1.0) * var, a, b, c)[3]
+        curvature = _face_log_marginal(data, a, b, c)[3]
         w = 1e-3 * c
-        rise = [marginal(stats, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
+        rise = [marginal(data, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
         numeric_curvature = (16.0 * rise[0] - rise[1]) / (12.0 * w * w)
         rel_k = abs(curvature - numeric_curvature) / abs(numeric_curvature)
 

@@ -71,3 +71,11 @@ def test_the_uni_marginal_layer_is_recorded(tmp_path):
                      "special.nodes_per_integral"):
             assert traced[name] == 1.0, name
         assert entry[side]["per_uni_marginal"] == {"s": 3.0}
+
+
+def test_the_cli_and_data_generation_layers_are_recorded(tmp_path):
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 1)
+    for side in ("parent", "change"):
+        traced = entry[side]["traced"]
+        assert traced["cli.cli_main.self_s"] == 1.0
+        assert traced["experiments.generate_synthetic.s"] == 1.0

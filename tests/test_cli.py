@@ -347,6 +347,32 @@ def test_cli_import_does_not_load_multiprocessing():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_cli_import_does_not_build_the_parser():
+    # The parser is built by the first cli_main call, so import time, which
+    # every mpme invocation pays, does not include it.
+    proc = _fresh_python("-c", "import mpme.cli; print(mpme.cli._build_parser.cache_info().misses)")
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # One process, one parser: a usage error and --version between two
+    # runs of the same command leave its report byte-identical.
+    cli._build_parser.cache_clear()
+    command = ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--seed", "3",
+               "--methods", "sample,uni"]
+    assert cli_main(command) == 0
+    first = capsys.readouterr().out
+    assert cli_main(["synth", "--pops", "0"]) == 1
+    assert "--pops" in capsys.readouterr().err
+    assert cli_main(["--version"]) == 0
+    assert capsys.readouterr().out == f"mpme {cli.__version__}\n"
+    assert cli_main(command) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["reports"]["mpme-uni"]["trials"] == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_module_run_exits_with_cli_main_code(tmp_path):
     proc = _fresh_python("-m", "mpme.cli", "--version")
     assert (proc.returncode, proc.stdout) == (0, f"mpme {cli.__version__}\n")

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,3 +476,102 @@ def test_learn_uni_is_equivariant_under_change_of_units(log_scale, shift):
     assert abs(got.b - (s * box.b + shift)) <= 1e-8 * width
     assert abs(got.c - s * s * box.c) <= 1e-8 * height
     assert abs(got.d - s * s * box.d) <= 1e-8 * height
+
+
+# The UNI marginal's bits, pinned as float hex (value, gradient and
+# Hessian; NaN positions included) before its data-only arrays were
+# prepared once per fit and its shift scan was folded into the first
+# integrand call.  The cases are built from a fixed seed; the file keeps
+# the SHA-256 of their float-hex statistics and boxes, so a change in the
+# generator shows as such and not as a change in the marginal.
+_BIT_SIZES = ("n=2", "n=3", "n=30", "n=3000", "mixed")
+_BIT_BOXES = ("interior", "wide", "face", "sliver", "sliver face", "thin", "far", "zero-scatter edge")
+_BIT_POPS = (3, 4, 7, 20, 50, 200)
+
+
+def _bit_box(rng, kind, mu, sigma, se):
+    a = mu - rng.uniform(0.5, 3.0) * se
+    b = mu + rng.uniform(0.5, 3.0) * se
+    c = sigma**2 * math.exp(-rng.uniform(0.3, 1.5))
+    d = sigma**2 * math.exp(rng.uniform(0.3, 1.5))
+    if kind == "wide":
+        a, b, c, d = mu - 20.0 * sigma, mu + 20.0 * sigma, 1e-2 * sigma**2, 1e2 * sigma**2
+    elif kind == "face":
+        d = c
+    elif kind in ("sliver", "sliver face"):
+        # 1e-4 to 1e-12 of a standard error: log_normal_cdf_diff's series.
+        b = a + 10.0 ** -rng.uniform(4.0, 12.0) * se
+        if kind == "sliver face":
+            d = c
+    elif kind == "thin":
+        d = c * (1.0 + 1e-3)
+    elif kind == "far":
+        c, d = 0.05 * sigma**2, 0.15 * sigma**2
+    return UniHyperparams(a=a, b=b, c=c, d=d)
+
+
+def _marginal_bit_cases():
+    """48 cases over every (P, sizes) pair and box kind, then two boxes far
+    from the data whose marginal is -inf, inside and on the face."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for k in range(48):
+        p, sizes, box = _BIT_POPS[k % 6], _BIT_SIZES[k % 5], _BIT_BOXES[k % 8]
+        if sizes == "mixed":
+            ns = rng.choice([2, 3, 5, 8, 30, 300, 3000], size=p)
+        else:
+            ns = [int(sizes[2:])] * p
+        mu = rng.uniform(-5.0, 5.0)
+        sigma = math.exp(rng.uniform(math.log(0.3), math.log(2.0)))
+        stats = []
+        for n in ns:
+            values = mu + sigma * (0.5 * rng.standard_normal() + rng.standard_normal(int(n)))
+            stats.append(_stats(int(n), float(values.mean()), float(values.var(ddof=1))))
+        hyper = _bit_box(rng, box, mu, sigma, sigma / math.sqrt(float(np.median(ns))))
+        if box == "zero-scatter edge":
+            stats[0] = _stats(stats[0].n, hyper.a, 0.0)
+        cases.append((f"P={p} {sizes} {box}", stats, hyper))
+    far = [_stats(5, 0.0, 1.0), _stats(3, 0.5, 2.0), _stats(30, -0.2, 0.8)]
+    cases.append(("far -inf", far, UniHyperparams(a=100.0, b=101.0, c=0.01, d=0.02)))
+    # On the face the standardized edges must pass -1e154 for log_ndtr to
+    # reach -inf.
+    cases.append(("far -inf face", far, UniHyperparams(a=1e200, b=2e200, c=0.01, d=0.01)))
+    return cases
+
+
+def _marginal_bits(value, grad, hess):
+    return {
+        "value": float(value).hex(),
+        "grad": [float(g).hex() for g in grad],
+        "hess": [float(h).hex() for h in np.ravel(hess)],
+    }
+
+
+def _bit_case_digest(cases):
+    lines = []
+    for name, stats, hyper in cases:
+        lines.append(name)
+        lines.extend(f"{s.n} {s.mean.hex()} {s.var_unbiased.hex()}" for s in stats)
+        lines.append(" ".join(v.hex() for v in (hyper.a, hyper.b, hyper.c, hyper.d)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_MARGINAL_BITS = json.loads((Path(__file__).parent / "data" / "uni_marginal_bits.json").read_text())
+_BIT_CASES = _marginal_bit_cases()
+
+
+def test_marginal_bit_cases_are_the_recorded_ones():
+    assert _bit_case_digest(_BIT_CASES) == _MARGINAL_BITS["inputs_sha256"]
+    assert [name for name, _, _ in _BIT_CASES] == [c["name"] for c in _MARGINAL_BITS["cases"]]
+
+
+@pytest.mark.parametrize("case", range(len(_BIT_CASES)), ids=[name for name, _, _ in _BIT_CASES])
+def test_marginal_keeps_its_bits(case):
+    _name, stats, hyper = _BIT_CASES[case]
+    recorded = _MARGINAL_BITS["cases"][case]
+    assert recorded["box"] == [v.hex() for v in (hyper.a, hyper.b, hyper.c, hyper.d)]
+    with np.errstate(all="ignore"):
+        for data in (stats, prior_uni._UniData(stats)):
+            value, grad, hess = uni_log_marginal_likelihood(data, hyper, hessian=True)
+            assert _marginal_bits(value, grad, hess) == {k: recorded[k] for k in ("value", "grad", "hess")}
+            assert uni_log_marginal_likelihood(data, hyper).hex() == recorded["value"]
