@@ -5,7 +5,8 @@ It takes finite limits only; a caller with an infinite limit maps it to a
 finite interval first (``verify.owen_q`` substitutes ``y = u / (1 - u)``).
 The routine is vectorized: the integrand may return one row per component
 (e.g. per population), and all components share the same subdivision of
-the integration interval.
+the integration interval.  ``log_normal_cdf_diff``, the UNI marginal's
+mean-side integral, takes arrays of interval ends with their exact widths.
 """
 
 from __future__ import annotations
@@ -153,10 +154,12 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
         b = np.concatenate([b[keep], new_b])
 
 
-def log_normal_cdf_diff(lo, hi, width=None):
+def log_normal_cdf_diff(lo, hi, width):
     """log(Phi(hi) - Phi(lo)) without cancellation, elementwise.
 
-    Pairs lying in the upper tail are reflected to the lower tail where
+    ``lo``, ``hi`` and ``width``, the exact hi - lo, are float arrays of
+    one shape with at least one dimension, and so is the result.  Pairs
+    lying in the upper tail are reflected to the lower tail where
     ``log_ndtr`` is accurate; the difference is then formed in log space.
     Returns -inf where ``hi <= lo``.
 
@@ -174,15 +177,13 @@ def log_normal_cdf_diff(lo, hi, width=None):
     h^2 (z^2 + 1) >= h^2, the mask of narrow elements is built only when
     some h^2 alone is below 2.4e-7; a call on wide intervals skips it.
 
-    ``width``, when given, is used as ``hi - lo`` in the expansion.  For
-    interval endpoints formed as q*x - s and q*y - s the subtraction
-    ``hi - lo`` inherits the independent rounding of both endpoints, a
-    relative error of order 1e-16 / (hi - lo); a caller that knows
-    ``x - y`` exactly can supply q*(x - y) and keep the expansion fully
-    accurate however narrow the interval.
+    ``width`` is h in the expansion.  For interval endpoints formed as
+    q*x - s and q*y - s the subtraction ``hi - lo`` inherits the
+    independent rounding of both endpoints, a relative error of order
+    1e-16 / (hi - lo); a caller that knows ``x - y`` exactly supplies
+    q*(x - y) and keeps the expansion fully accurate however narrow the
+    interval.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # lo = -inf, hi = inf sums to NaN, which is not > 0: not reflected.
         flip = (lo + hi) > 0
@@ -190,30 +191,22 @@ def log_normal_cdf_diff(lo, hi, width=None):
         high = np.where(flip, -lo, hi)
         log_hi = _sp.log_ndtr(high)
         log_lo = _sp.log_ndtr(low)
-        out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
+        out = log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0)))
         # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
         # so the difference is too; the log-space subtraction above gives
         # nan for these.  Such a high is below -1e154; for lo <= hi so is
         # zm, whose square overflows, so no narrow element below overrides it.
         out[(high <= low) | (log_hi == -np.inf)] = -np.inf
-        if width is None:
-            h = high - low
-        else:
-            h = np.asarray(width, dtype=float)
-            if h.shape != high.shape:
-                h = np.broadcast_to(h, high.shape)
-        h_sq = h * h
+        h_sq = width * width
         if (h_sq < 2.4e-7).any():
             zm = 0.5 * (high + low)
             zm_sq = zm * zm
-            narrow = (h > 0) & (h_sq * (zm_sq + 1.0) < 2.4e-7)
+            narrow = (width > 0) & (h_sq * (zm_sq + 1.0) < 2.4e-7)
             if narrow.any():
                 # Elementwise, so the narrow elements alone give the same bits.
-                h, h_sq, zm_sq = h[narrow], h_sq[narrow], zm_sq[narrow]
+                h, h_sq, zm_sq = width[narrow], h_sq[narrow], zm_sq[narrow]
                 series = h_sq * (zm_sq - 1.0) / 24.0 + h**4 * (
                     zm_sq * (zm_sq - 6.0) + 3.0
                 ) / 1920.0
                 out[narrow] = -0.5 * zm_sq - _LOG_SQRT_2PI + np.log(h) + np.log1p(series)
-    if out.ndim == 0:
-        return float(out)
     return out

@@ -191,10 +191,6 @@ def test_maximize_call_sequences_golden(monkeypatch):
     assert got == GOLDEN_CALL_SEQUENCES
 
 
-def recorded_loglik(name):
-    return json.loads((Path(__file__).parent / "data" / name).read_text())["loglik"]
-
-
 @pytest.fixture(scope="module")
 def criterion6_fits():
     """The box learn_uni returns on each of the 200 trials of the
@@ -215,11 +211,6 @@ def criterion6_fits():
     return out
 
 
-@pytest.fixture(scope="module")
-def criterion6_loglik(criterion6_fits):
-    return [value for _, value in criterion6_fits]
-
-
 def test_learn_uni_criterion6_boxes_golden(criterion6_fits):
     # Recorded as float hex before the marginal's quadrature was trimmed
     # for speed; every box and its value must keep its bits.  A change to
@@ -232,29 +223,11 @@ def test_learn_uni_criterion6_boxes_golden(criterion6_fits):
         assert value == float.fromhex(loglik), t
 
 
-def test_learn_uni_reaches_nelder_mead_loglik(criterion6_loglik):
-    # Against the value Nelder-Mead reached on the same trials, recorded
-    # before learn_uni moved to a gradient-based search.  No trial may
+def test_learn_uni_reaches_earlier_solvers_loglik(criterion6_fits):
+    # Against the best value that Nelder-Mead, interior-only BFGS and BFGS
+    # with the variance face in closed form reached on the same trials,
+    # recorded before learn_uni moved to Newton's method.  No trial may
     # lose more than 1e-6 nats.
-    golden = recorded_loglik("uni_nelder_mead_loglik.json")
-    for t, (got, want) in enumerate(zip(criterion6_loglik, golden, strict=True)):
-        assert got >= want - 1e-6, (t, got, want)
-
-
-def test_learn_uni_reaches_interior_bfgs_loglik(criterion6_loglik):
-    # Against the value BFGS reached when it searched the interior only,
-    # riding a collapsing variance side toward the face c = d, recorded
-    # before the search moved onto that face.  No trial may lose more
-    # than 1e-6 nats.
-    golden = recorded_loglik("uni_bfgs_loglik.json")
-    for t, (got, want) in enumerate(zip(criterion6_loglik, golden, strict=True)):
-        assert got >= want - 1e-6, (t, got, want)
-
-
-def test_learn_uni_reaches_face_bfgs_loglik(criterion6_loglik):
-    # Against the value BFGS reached with the variance face solved in
-    # closed form, recorded before learn_uni moved to Newton's method.
-    # No trial may lose more than 1e-6 nats.
-    golden = recorded_loglik("uni_face_bfgs_loglik.json")
-    for t, (got, want) in enumerate(zip(criterion6_loglik, golden, strict=True)):
+    floor = json.loads((Path(__file__).parent / "data" / "uni_loglik_floor.json").read_text())
+    for t, ((_, got), want) in enumerate(zip(criterion6_fits, floor["loglik"], strict=True)):
         assert got >= want - 1e-6, (t, got, want)

@@ -147,6 +147,23 @@ def test_log_marginal_likelihood_zero_warns_neg_inf():
     assert lml == -math.inf
 
 
+@pytest.mark.parametrize("mirror", [False, True], ids=["right", "left"])
+@pytest.mark.parametrize("far", [1e150, 1e154, 1e160, 1e200])
+def test_box_past_the_overflow_of_q_is_neg_inf(far, mirror):
+    # From a box edge about 1e154 away, q = ((n-1) S + n (xbar - a)^2) / 2
+    # overflows in the E rows; the marginal is still -inf, with NaN
+    # derivatives, and no warning.
+    stats = [_stats(5, 0.0, 1.0), _stats(3, 0.5, 2.0), _stats(30, -0.2, 0.8)]
+    a, b = (-2.0 * far, -far) if mirror else (far, 2.0 * far)
+    hyper = UniHyperparams(a=a, b=b, c=0.01, d=0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert uni_log_marginal_likelihood(stats, hyper) == -math.inf
+        value, grad, hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
+    assert value == -math.inf
+    assert np.isnan(grad).all() and np.isnan(hess).all()
+
+
 def _dense_log_marginal(stats, hyper, points=200_001):
     # Log-shifted trapezoid in t = log(sigma^2) of the integrand that
     # _log_sigma_integrals documents, on a fixed grid.

@@ -16,33 +16,29 @@ from mpme.verify import owen_q
 # arbitrary-precision evaluation of the defining formulas.
 
 
+def _cdf_diff(lo, hi):
+    """``log_normal_cdf_diff`` of one interval, with width hi - lo."""
+    return float(log_normal_cdf_diff(np.array([lo]), np.array([hi]), width=np.array([hi - lo]))[0])
+
+
 def test_log_normal_cdf_diff_frozen():
-    assert log_normal_cdf_diff(-1.0, 1.0) == pytest.approx(
-        -0.38171514630212607227, rel=1e-14
-    )
-    assert log_normal_cdf_diff(1.0, 2.5) == pytest.approx(
-        -1.8809475426298400145, rel=1e-14
-    )
-    assert log_normal_cdf_diff(5.0, 6.0) == pytest.approx(
-        -15.068446096529453352, rel=1e-13
-    )
+    assert _cdf_diff(-1.0, 1.0) == pytest.approx(-0.38171514630212607227, rel=1e-14)
+    assert _cdf_diff(1.0, 2.5) == pytest.approx(-1.8809475426298400145, rel=1e-14)
+    assert _cdf_diff(5.0, 6.0) == pytest.approx(-15.068446096529453352, rel=1e-13)
 
 
 def test_log_normal_cdf_diff_reflection_symmetry():
     # Phi(b) - Phi(a) == Phi(-a) - Phi(-b) holds exactly in this code path.
-    assert log_normal_cdf_diff(1.0, 2.5) == log_normal_cdf_diff(-2.5, -1.0)
+    assert _cdf_diff(1.0, 2.5) == _cdf_diff(-2.5, -1.0)
 
 
 def test_log_normal_cdf_diff_narrow_frozen():
     # Midpoint-expansion branch; width is supplied exactly by the caller.
-    cases = [
-        (2.0, 1e-9, -23.642204370151083898),
-        (20.0, 1e-10, -223.94478946314512958),
-        (0.0, 1e-8, -19.339619277157038218),
-    ]
-    for z, h, expected in cases:
-        got = log_normal_cdf_diff(z - h / 2, z + h / 2, width=h)
-        assert got == pytest.approx(expected, rel=1e-12), (z, h)
+    z = np.array([2.0, 20.0, 0.0])
+    h = np.array([1e-9, 1e-10, 1e-8])
+    expected = [-23.642204370151083898, -223.94478946314512958, -19.339619277157038218]
+    got = log_normal_cdf_diff(z - h / 2, z + h / 2, width=h)
+    assert got.tolist() == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_normal_cdf_diff_narrow_matches_wide_at_seam():
@@ -50,27 +46,26 @@ def test_log_normal_cdf_diff_narrow_matches_wide_at_seam():
     # larger than the log-space path's own noise floor.
     for z in (0.0, 1.0, 3.0):
         h = math.sqrt(2.4e-7 / (z * z + 1.0))
-        below = log_normal_cdf_diff(z - 0.499 * h, z + 0.499 * h)
-        above = log_normal_cdf_diff(z - 0.501 * h, z + 0.501 * h)
+        below = _cdf_diff(z - 0.499 * h, z + 0.499 * h)
+        above = _cdf_diff(z - 0.501 * h, z + 0.501 * h)
         # Widths differ by 0.4%, so the values differ by ~log(1.004).
         assert above - below == pytest.approx(math.log(0.501 / 0.499), abs=1e-8)
 
 
 def test_log_normal_cdf_diff_edge_cases():
-    assert log_normal_cdf_diff(1.0, 1.0) == -math.inf
-    assert log_normal_cdf_diff(2.0, 1.0) == -math.inf
+    assert _cdf_diff(1.0, 1.0) == -math.inf
+    assert _cdf_diff(2.0, 1.0) == -math.inf
     # Larger endpoint so deep in the tail its CDF is an exact zero.
-    assert log_normal_cdf_diff(-math.inf, -1e200) == -math.inf
-    assert not math.isnan(log_normal_cdf_diff(-math.inf, -1e200))
+    assert _cdf_diff(-math.inf, -1e200) == -math.inf
 
 
 def test_log_normal_cdf_diff_whole_line_does_not_warn():
     # Called outside any np.errstate, as library callers do: the whole line
     # has probability one and must not raise a RuntimeWarning on the way.
+    lo, hi = np.array([-math.inf, 0.0]), np.array([math.inf, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert log_normal_cdf_diff(-math.inf, math.inf) == 0.0
-        out = log_normal_cdf_diff(np.array([-math.inf, 0.0]), np.array([math.inf, 1.0]))
+        out = log_normal_cdf_diff(lo, hi, width=hi - lo)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(math.log(sp.ndtr(1.0) - 0.5), rel=1e-14)
 
@@ -78,24 +73,26 @@ def test_log_normal_cdf_diff_whole_line_does_not_warn():
 def test_log_normal_cdf_diff_vectorized():
     lo = np.array([-1.0, 1.0, 3.0])
     hi = np.array([1.0, 2.5, 3.0])
-    out = log_normal_cdf_diff(lo, hi)
+    out = log_normal_cdf_diff(lo, hi, width=hi - lo)
     assert out.shape == (3,)
-    assert out[0] == log_normal_cdf_diff(-1.0, 1.0)
+    assert out[0] == _cdf_diff(-1.0, 1.0)
     assert out[2] == -math.inf
-    assert isinstance(log_normal_cdf_diff(0.0, 1.0), float)
+    # One row per population, as the UNI marginal calls it.
+    column = log_normal_cdf_diff(lo[:, None], hi[:, None], width=(hi - lo)[:, None])
+    assert column.shape == (3, 1)
+    assert np.array_equal(column[:, 0], out)
 
 
-def reference_log_normal_cdf_diff(lo, hi, width=None):
+def reference_log_normal_cdf_diff(lo, hi, width):
     """The kernel with every branch evaluated on every element and chosen
     by ``np.where``; ``log_normal_cdf_diff`` must give its bits."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     flip = (lo + hi) > 0
     low, high = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
     log_hi, log_lo = sp.log_ndtr(high), sp.log_ndtr(low)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0)))
         out = np.where(high <= low, -np.inf, out)
-        h = high - low if width is None else np.broadcast_to(np.asarray(width, dtype=float), high.shape)
+        h = width
         zm_sq = (0.5 * (high + low)) ** 2
         narrow = (h > 0) & (h * h * (zm_sq + 1.0) < 2.4e-7)
         series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (zm_sq * (zm_sq - 6.0) + 3.0) / 1920.0
@@ -111,43 +108,11 @@ def test_log_normal_cdf_diff_keeps_reference_bits():
     h[::7] = 0.0  # empty intervals
     h[1::11] *= -1.0  # reversed intervals
     lo, hi = z - h / 2, z + h / 2
-    for width in (None, h):
+    # The exact width, and the one the rounded ends give.
+    for width in (h, hi - lo):
         got = log_normal_cdf_diff(lo, hi, width=width)
         want = reference_log_normal_cdf_diff(lo, hi, width=width)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    for a, b, w in [(1.0, 1.0 + 1e-9, 1e-9), (1.0, 1.0, None), (-1.0, 2.0, None)]:
-        assert log_normal_cdf_diff(a, b, width=w) == float(reference_log_normal_cdf_diff(a, b, w))
-
-
-def frozen_log_normal_cdf_diff(lo, hi, width=None):
-    """``log_normal_cdf_diff`` as it was before it built the narrow mask
-    only on demand, evaluated ``log_ndtr`` once per endpoint array and
-    broadcast ``width`` only when needed; the present function must give
-    its bits."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    flip = (lo + hi) > 0
-    low = np.where(flip, -hi, lo)
-    high = np.where(flip, -lo, hi)
-    log_hi, log_lo = sp.log_ndtr(np.stack([high, low]))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.asarray(log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0))))
-        out[(high <= low) | np.isneginf(log_hi)] = -np.inf
-        h = high - low if width is None else np.broadcast_to(
-            np.asarray(width, dtype=float), high.shape
-        )
-        zm = 0.5 * (high + low)
-        zm_sq = zm * zm
-        narrow = (h > 0) & (h * h * (zm_sq + 1.0) < 2.4e-7)
-        if narrow.any():
-            h, zm_sq = h[narrow], zm_sq[narrow]
-            series = h * h * (zm_sq - 1.0) / 24.0 + h**4 * (
-                zm_sq * (zm_sq - 6.0) + 3.0
-            ) / 1920.0
-            out[narrow] = -0.5 * zm_sq - special._LOG_SQRT_2PI + np.log(h) + np.log1p(series)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 _EDGES = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e200, -1e200])
@@ -164,42 +129,28 @@ _WIDTHS = st.one_of(
 
 @st.composite
 def cdf_diff_cases(draw):
-    """(lo, hi, width): 0-d, 1-d or 2-d endpoints, and a width that is
-    absent, full-shaped, a scalar, or a row broadcast over a 2-d block."""
-    shape = draw(st.sampled_from([(), (1,), (6,), (3, 4)]))
+    """(lo, hi, width): 1-d or 2-d ends, paired about a midpoint with the
+    drawn width h, or drawn independently with width hi - lo."""
+    shape = draw(st.sampled_from([(1,), (6,), (3, 4)]))
     size = math.prod(shape)
     z = np.array(draw(st.lists(_MIDS, min_size=size, max_size=size))).reshape(shape)
     h = np.array(draw(st.lists(_WIDTHS, min_size=size, max_size=size))).reshape(shape)
-    with np.errstate(all="ignore"):
-        lo, hi = z - 0.5 * h, z + 0.5 * h
     # Some elements take independent endpoints, such as (-inf, -1e200).
-    loose = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    loose = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
     ends = np.array(draw(st.lists(st.tuples(_MIDS, _MIDS), min_size=size, max_size=size)))
-    lo = np.where(loose.reshape(shape), ends[:, 0].reshape(shape), lo)
-    hi = np.where(loose.reshape(shape), ends[:, 1].reshape(shape), hi)
-    kind = draw(st.sampled_from(["none", "full", "scalar"] + ["row"] * (len(shape) == 2)))
-    if kind == "none":
-        width = None
-    elif kind == "full":
-        width = h
-    elif kind == "scalar":
-        width = draw(_WIDTHS)
-    else:
-        width = h[0]
-    if shape == () and draw(st.booleans()):
-        lo, hi = float(lo), float(hi)
-    return lo, hi, width
+    with np.errstate(all="ignore"):
+        lo = np.where(loose, ends[:, 0].reshape(shape), z - 0.5 * h)
+        hi = np.where(loose, ends[:, 1].reshape(shape), z + 0.5 * h)
+        return lo, hi, np.where(loose, hi - lo, h)
 
 
 @settings(max_examples=400, deadline=None)
 @given(cdf_diff_cases())
-def test_log_normal_cdf_diff_keeps_frozen_bits(case):
+def test_log_normal_cdf_diff_keeps_reference_bits_on_drawn_cases(case):
     lo, hi, width = case
     with np.errstate(all="ignore"):
         got = log_normal_cdf_diff(lo, hi, width=width)
-        want = frozen_log_normal_cdf_diff(lo, hi, width=width)
-    assert type(got) is type(want)
-    got, want = np.asarray(got), np.asarray(want)
+        want = reference_log_normal_cdf_diff(lo, hi, width=width)
     assert got.shape == want.shape
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
