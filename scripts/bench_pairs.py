@@ -11,26 +11,21 @@ and ``src/``.  For every workload (all by default) the script runs
 order alternates (parent first in even pairs), then one ``--trace 1`` run
 on each.  The record gives, per workload and side, every run's value and
 the quartiles of each end-to-end metric, the number of pairs in which the
-change read better on each metric, and from the traced run the
-objective-evaluation count, the share of converged fits, the cost per
-evaluation, the optimizer's self time, the median NIX fit time, the UNI
-marginal and quadrature counts and self times, the integrand's time and
-nodes per integral, the time spent in the UNI fit and in the I/O
-and per-population layers, ``cli_main``'s own time (argument parsing
-and report building) and the time spent generating synthetic data.  Runs are strictly sequential, so the two
-sides never compete for the processor.  A run whose output checks fail
-(exit 1) is recorded like any other, and counts in ``failed`` and
-against ``correct_runs``; the script stops only when a run could not be
-made (exit 2) or printed no result line.
+change read better on each metric, and from the traced run every
+per-layer metric that ``BENCHMARK.json`` names.  Runs are strictly
+sequential, so the two sides never compete for the processor.  A run
+whose output checks fail (exit 1) is recorded like any other, and counts
+in ``failed`` and against ``correct_runs``; the script stops only when a
+run could not be made (exit 2) or printed no result line.
 
 perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
 and a UNI fit that moves to the variance face makes two or three of
-them.  So the record also gives, per ``learn_uni`` call, the UNI marginal
-calls (each one quadrature) and the objective calls (quadrature-backed
-or on the face); both are null on a workload without UNI fits.  And it
-gives the seconds of one UNI marginal evaluation, ``per_uni_marginal``:
-the marginal's self time plus its quadrature's self time plus the
-integrand's time, over the marginal calls; null without UNI marginals.
+them.  So the record also gives ``per_learn_uni``: the UNI marginal calls
+(each one quadrature) and the objective calls per ``learn_uni`` call.
+And ``per_uni_marginal`` gives the seconds of one UNI marginal
+evaluation: the marginal's and its quadrature's self times plus the
+integrand's time, over the marginal calls.  Both are null on a workload
+without UNI fits.
 """
 
 from __future__ import annotations
@@ -43,20 +38,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-TRACED = ("optim.evals_per_fit", "optim.iterations_per_fit", "optim.converged_frac",
-          "optim.objective.calls", "optim.objective.s_per_eval", "optim.maximize.self_s",
-          "prior_nix.learn_nix.calls", "prior_nix.learn_nix.s_p50",
-          "prior_uni.learn_uni.calls", "prior_uni.learn_uni.s",
-          "prior_uni.uni_log_marginal_likelihood.calls",
-          "prior_uni.uni_log_marginal_likelihood.self_s", "special.integrate_adaptive.self_s",
-          "prior_uni.integrand.s", "special.integrand_calls_per_integral",
-          "special.nodes_per_integral", "dataio.dump_json.s",
-          "dataio.load_dataset.s", "core.sufficient_stats.s", "prior_nix.nix_map.s",
-          "cli.cli_main.self_s", "experiments.generate_synthetic.s")
 # Ratios to prior_uni.learn_uni.calls, from the same traced run.
 PER_LEARN_UNI = {"uni_marginals": "prior_uni.uni_log_marginal_likelihood.calls",
                  "objective_calls": "optim.objective.calls"}
-# The spans that together make one UNI marginal evaluation.
 UNI_MARGINAL = ("prior_uni.uni_log_marginal_likelihood.self_s",
                 "special.integrate_adaptive.self_s", "prior_uni.integrand.s")
 
@@ -98,6 +82,7 @@ def main(argv=None) -> int:
     seconds = args.seconds or spec["run_seconds"]
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    per_layer = [m["name"] for m in spec["per_layer"]]
 
     record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs, "workloads": {}}
     for workload in workloads:
@@ -112,8 +97,7 @@ def main(argv=None) -> int:
                 acc["attempted"] += result["attempted"]
                 acc["failed"] += result["failed"]
                 acc["correct_runs"] += bool(result["correct"])
-                print(f"{workload} pair {pair} {side}: trials_per_s {metrics['trials_per_s']:.4g}",
-                      file=sys.stderr)
+                print(f"{workload} pair {pair} {side}: correct {result['correct']}", file=sys.stderr)
         record.update({k: info[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy")})
         wins = {}
         for name, direction in better.items():
@@ -128,7 +112,7 @@ def main(argv=None) -> int:
             marginals = traced["prior_uni.uni_log_marginal_likelihood.calls"]
             entry[side] = {
                 "end_to_end": {name: {**quartiles(v), "runs": v} for name, v in values[side].items()},
-                "traced": {name: traced[name] for name in TRACED},
+                "traced": {name: traced[name] for name in per_layer},
                 "per_learn_uni": {
                     name: traced[counter] / fits if fits else None
                     for name, counter in PER_LEARN_UNI.items()

@@ -226,6 +226,8 @@ def _parse_json(text: str, origin: str) -> DatasetFile:
         raise DataError(f"{origin}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except ValueError as exc:  # e.g. an integer literal past the digit limit
         raise DataError(f"{origin}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DataError(f"{origin}: invalid JSON: nesting too deep") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("populations"), list):
         raise DataError(f"{origin}: expected an object with a 'populations' list")
     schema = doc.get("schema", DATASET_SCHEMA)

@@ -332,6 +332,10 @@ def _check_methods(methods) -> frozenset:
     return methods
 
 
+# Trials per task sent to a pool worker.
+_CHUNK = 8
+
+
 def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> BenchmarkResult:
     if not isinstance(threads, int) or threads < 1:
         raise DataError(f"threads = {threads!r}, need integer >= 1")
@@ -340,8 +344,13 @@ def _execute(spec: _TrialSpec, trials: int, truth: GroundTruth, threads) -> Benc
         # every start-up of the command line.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_run_trial, [spec] * trials, range(trials), chunksize=8))
+        # The pool starts all its workers up front; more than there are
+        # chunks would sit idle.
+        workers = min(threads, math.ceil(trials / _CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(
+                pool.map(_run_trial, [spec] * trials, range(trials), chunksize=_CHUNK)
+            )
     else:
         outcomes = [_run_trial(spec, t) for t in range(trials)]
 

@@ -26,6 +26,7 @@ from .core import (
     DataError,
     DegeneratePriorError,
     MomentEstimate,
+    NumericalError,
     OptimizationError,
     SufficientStats,
 )
@@ -180,6 +181,11 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     """
     t_lo = math.log(hyper.c)
     dt = math.log1p((hyper.d - hyper.c) / hyper.c)
+    if not math.isfinite(dt):
+        # (d - c)/c overflows when d/c passes the float range.
+        raise NumericalError(
+            f"variance side [{hyper.c!r}, {hyper.d!r}] spans more than the float range"
+        )
     t_hi = t_lo + dt
     n, xbar, scatter = data.n, data.xbar, data.scatter
     p = len(n)

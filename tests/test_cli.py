@@ -170,6 +170,18 @@ def test_estimate_data_errors_exit_2(tmp_path, capsys):
     assert cli_main(["estimate", "--input", str(bad), "--prior", "sample"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000, '{"populations": [{"id": "a", "values": %s}]}' % ("[" * 50000 + "]" * 50000)],
+    ids=["bare", "values"],
+)
+def test_estimate_deeply_nested_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert cli_main(["estimate", "--input", str(path), "--prior", "sample"]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_estimate_overflowing_values_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("population,value\na,1\na,1e308\nb,1\nb,-1e308\n")
@@ -244,6 +256,19 @@ def test_synth_sample_only_report(capsys):
     assert rep["eps_mu"] > 0
     assert len(rep["per_population_mu_rmse"]) == 4
     assert doc["failed_trials"] == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--prior", "nix"],
+    ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--methods", "sample,nix"],
+], ids=["estimate", "synth"])
+def test_output_dash_prints_the_file_bytes(clustered_csv, tmp_path, capsys, args):
+    if args[0] == "estimate":
+        args = args + ["--input", str(clustered_csv)]
+    out = tmp_path / "report.json"
+    assert cli_main(args + ["--output", str(out)]) == 0
+    assert cli_main(args + ["--output", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_synth_repeated_method_recorded_once(capsys):

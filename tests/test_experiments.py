@@ -184,6 +184,21 @@ def test_run_benchmark_bit_identical_across_threads():
     assert serial.nix_hypers == pooled.nix_hypers
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    run_benchmark(_cfg(trials=2), [Method.SAMPLE_EST], threads=3)
+    assert started == [1]
+
+
 def test_run_benchmark_rejects_bad_methods():
     with pytest.raises(DataError, match="no methods requested"):
         run_benchmark(_cfg(), [])

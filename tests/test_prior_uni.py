@@ -431,6 +431,17 @@ def test_learn_uni_overflowing_step_is_a_numerical_error():
         learn_uni(stats)
 
 
+@pytest.mark.parametrize("c, d", [(1e-310, 1.0), (1e-300, 1e10)])
+def test_variance_side_past_the_float_range_is_a_numerical_error(c, d):
+    # d/c overflows a float: the box is valid, but its sigma^2 interval
+    # length in log space cannot be formed.
+    hyper = UniHyperparams(a=-1.0, b=1.0, c=c, d=d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range"):
+            uni_log_marginal_likelihood([_stats(5, 0.0, 1.0)], hyper)
+
+
 def test_uni_map_interior_passthrough():
     hyper = UniHyperparams(a=9.5, b=10.5, c=0.5, d=3.0)
     est = uni_map(_stats(5, 10.0, 2.0), hyper)
