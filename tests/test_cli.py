@@ -258,17 +258,15 @@ def test_synth_sample_only_report(capsys):
     assert doc["failed_trials"] == 0
 
 
-@pytest.mark.parametrize("args", [
-    ["estimate", "--prior", "nix"],
-    ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--methods", "sample,nix"],
-], ids=["estimate", "synth"])
-def test_output_dash_prints_the_file_bytes(clustered_csv, tmp_path, capsys, args):
-    if args[0] == "estimate":
-        args = args + ["--input", str(clustered_csv)]
-    out = tmp_path / "report.json"
-    assert cli_main(args + ["--output", str(out)]) == 0
-    assert cli_main(args + ["--output", "-"]) == 0
-    assert capsys.readouterr().out.encode() == out.read_bytes()
+def test_output_dash_prints_the_file_bytes(clustered_csv, tmp_path, capsys):
+    for args in (
+        ["estimate", "--input", str(clustered_csv), "--prior", "nix"],
+        ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--methods", "sample,nix"],
+    ):
+        out = tmp_path / f"{args[0]}.json"
+        assert cli_main(args + ["--output", str(out)]) == 0
+        assert cli_main(args + ["--output", "-"]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_synth_repeated_method_recorded_once(capsys):

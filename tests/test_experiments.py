@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -185,8 +186,6 @@ def test_run_benchmark_bit_identical_across_threads():
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    import concurrent.futures
-
     started = []
 
     class Spy(concurrent.futures.ProcessPoolExecutor):
