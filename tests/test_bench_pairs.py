@@ -60,11 +60,19 @@ def test_a_run_that_could_not_be_made_stops_the_record(tmp_path):
         _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 2), 1)
 
 
-def test_every_per_layer_metric_is_recorded(tmp_path):
+def test_the_uni_marginal_layer_is_recorded(tmp_path):
     # Every stand-in metric is 1.0: one marginal call whose own, quadrature
     # and integrand times are 1 s each.
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 1)
+    for side in ("parent", "change"):
+        assert entry[side]["per_uni_marginal"] == {"s": 3.0}
+
+
+def test_the_cli_and_data_generation_layers_are_recorded(tmp_path):
+    # These layers, like every other, are recorded because BENCHMARK.json
+    # names them: the traced keys are exactly its per-layer names.
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert {"cli.cli_main.self_s", "experiments.generate_synthetic.s"} <= set(names)
     entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 1)
     for side in ("parent", "change"):
         assert entry[side]["traced"] == dict.fromkeys(names, 1.0)
-        assert entry[side]["per_uni_marginal"] == {"s": 3.0}
