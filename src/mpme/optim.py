@@ -13,6 +13,10 @@ Mead, Computer Journal 7:308, 1965).
 Newton's method hands the objective each point as a numpy array.  The
 simplex search hands it the list of Python floats it computes with,
 which spares an array per evaluation and the numpy scalars read from it.
+
+``maximize`` owns the floating-point policy of a search: numpy reports
+no error inside it, as ``maximize`` itself ranks -inf last and raises on
+NaN.  Both fits map log coordinates back through ``exp_clipped``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .core import DataError, NumericalError
 
-__all__ = ["OptimResult", "maximize"]
+__all__ = ["OptimResult", "exp_clipped", "maximize"]
 
 
 # A run stops when the simplex diameter falls below _X_TOL or the spread
@@ -61,6 +65,13 @@ _MAX_STEP = 4.0
 _DAMPING = 1e-3
 _MIN_DAMPING = 1e-6
 _MAX_REJECTIONS = 20
+
+# A log search coordinate is clipped to +-_LOG_CLIP before exp, in range.
+_LOG_CLIP = 700.0
+
+
+def exp_clipped(z) -> float:
+    return math.exp(min(max(z, -_LOG_CLIP), _LOG_CLIP))
 
 
 @dataclass(frozen=True)
@@ -214,8 +225,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
         for _ in range(_MAX_REJECTIONS):
             # When |lambda_min(A)| dwarfs lambda, the shifted smallest
             # eigenvalue rounds to zero and the step overflows.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
+            step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
             if not np.isfinite(step).all():
                 raise NumericalError(f"Newton step is not finite at point {_point_text(x)}")
             if -0.5 * float(grad @ step) <= _REL_DECREASE * (f_start - fx):
@@ -237,6 +247,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
             return x, fx, iterations, True
 
 
+@np.errstate(all="ignore")
 def maximize(
     objective: Callable[[Sequence[float]], float],
     init: Sequence[float],

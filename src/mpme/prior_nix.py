@@ -26,11 +26,10 @@ import numpy as np
 from scipy import special as _sp
 
 from .core import DataError, MomentEstimate, OptimizationError, SufficientStats
-from .optim import maximize
+from .optim import exp_clipped, maximize
 
 __all__ = [
     "NixHyperparams",
-    "NixPosterior",
     "VarianceMode",
     "nix_posterior_update",
     "nix_log_marginal_likelihood",
@@ -59,16 +58,6 @@ class NixHyperparams:
                 raise DataError(f"{name} = {v!r}, need finite > 0")
 
 
-@dataclass(frozen=True)
-class NixPosterior:
-    """Posterior NIX parameters after absorbing one population's data."""
-
-    kappa_n: float
-    mu_n: float
-    nu_n: float
-    sigma_n_sq: float
-
-
 class VarianceMode(Enum):
     """Which divisor :func:`nix_map` applies to the posterior scatter."""
 
@@ -76,19 +65,15 @@ class VarianceMode(Enum):
     UNBIASED = "unbiased"
 
 
-def nix_posterior_update(stats: SufficientStats, hyper: NixHyperparams) -> NixPosterior:
+def nix_posterior_update(stats: SufficientStats, hyper: NixHyperparams):
     """Conjugate update of the NIX prior with one population's statistics.
 
-    The posterior mean interpolates the prior mean and the sample mean
-    with weights kappa0 and n; the posterior sum of squares collects the
-    prior pseudo-scatter, the within-sample scatter, and a between term
-    from the prior-mean/sample-mean discrepancy.
+    Returns the posterior parameters as the tuple ``(kappa_n, mu_n, nu_n,
+    sigma_n_sq)``.  The posterior mean interpolates the prior mean and the
+    sample mean with weights kappa0 and n; the posterior sum of squares
+    collects the prior pseudo-scatter, the within-sample scatter, and a
+    between term from the prior-mean/sample-mean discrepancy.
     """
-    return NixPosterior(*_posterior(stats, hyper))
-
-
-def _posterior(stats: SufficientStats, hyper: NixHyperparams):
-    """``(kappa_n, mu_n, nu_n, sigma_n_sq)`` without building a NixPosterior."""
     n, xbar = stats.n, stats.mean
     mu0, kappa0, nu0 = hyper.mu0, hyper.kappa0, hyper.nu0
     kappa_n = kappa0 + n
@@ -119,11 +104,12 @@ class _NixData:
     gathered back through ``size_index``.
     """
 
-    __slots__ = ("n", "xbar", "scatter", "half_n", "half_n_log_pi",
+    __slots__ = ("n", "xbar", "var", "scatter", "half_n", "half_n_log_pi",
                  "sizes", "half_sizes", "lgamma_half_sizes", "size_index")
 
-    def __init__(self, n, xbar, var):
-        self.n, self.xbar = n, xbar
+    def __init__(self, stats_list: Sequence[SufficientStats]):
+        n, xbar, var = _stats_arrays(stats_list)
+        self.n, self.xbar, self.var = n, xbar, var
         self.scatter = (n - 1.0) * var
         self.half_n = 0.5 * n
         self.half_n_log_pi = self.half_n * _LOG_PI
@@ -179,26 +165,18 @@ def nix_log_marginal_likelihood(
     Factorizes over populations; each term integrates the Gaussian
     likelihood against the prior in closed form.
     """
-    data = _NixData(*_stats_arrays(stats_list))
+    data = _NixData(stats_list)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _nix_log_marginal(
             data, hyper.mu0, hyper.kappa0, hyper.nu0, hyper.sigma0_sq
         )
 
 
-_LOG_CLIP = 700.0
-
-
 def _natural(z) -> tuple[float, float, float, float]:
     """``(mu0, kappa0, nu0, sigma0_sq)`` at the optimizer point
     ``z = (mu0, log kappa0, log nu0, log sigma0_sq)``: the one map that both
     the objective and the returned prior go through."""
-    return (
-        float(z[0]),
-        math.exp(min(max(z[1], -_LOG_CLIP), _LOG_CLIP)),
-        math.exp(min(max(z[2], -_LOG_CLIP), _LOG_CLIP)),
-        math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP)),
-    )
+    return float(z[0]), exp_clipped(z[1]), exp_clipped(z[2]), exp_clipped(z[3])
 
 
 def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
@@ -217,21 +195,18 @@ def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:
     """
     if len(stats_list) < 2:
         raise DataError("learn_nix needs at least 2 populations")
-    n, xbar, var = _stats_arrays(stats_list)
-    data = _NixData(n, xbar, var)
+    data = _NixData(stats_list)
 
     def objective(z):
         return _nix_log_marginal(data, *_natural(z))
 
-    mu0_init = float(np.mean(xbar))
-    s0_init = float(np.mean(var))
+    mu0_init = float(np.mean(data.xbar))
+    s0_init = float(np.mean(data.var))
     if s0_init <= 0.0:
         # All-constant data carries no variance information; start from a
         # scale-appropriate floor instead of log(0).
         s0_init = 1e-12 * max(1.0, mu0_init * mu0_init)
-    init = [mu0_init, 0.0, 0.0, math.log(s0_init)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = maximize(objective, init)
+    result = maximize(objective, [mu0_init, 0.0, 0.0, math.log(s0_init)])
     if not result.converged:
         raise OptimizationError(
             "learn_nix did not converge",
@@ -254,7 +229,7 @@ def nix_map(
     for the unbiased variant.  Valid statistics (n >= 2) and a valid
     prior (nu0 > 0) give nu_n > 2, so both divisors are positive.
     """
-    _, mu_n, nu_n, sigma_n_sq = _posterior(stats, hyper)
+    _, mu_n, nu_n, sigma_n_sq = nix_posterior_update(stats, hyper)
     scatter = nu_n * sigma_n_sq
     if variance_mode is VarianceMode.BIASED:
         return MomentEstimate(mu_n, scatter / (nu_n + 3.0))

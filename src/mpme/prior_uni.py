@@ -30,7 +30,7 @@ from .core import (
     OptimizationError,
     SufficientStats,
 )
-from .optim import maximize
+from .optim import exp_clipped, maximize
 from .prior_nix import _stats_arrays
 from .special import integrate_adaptive, log_normal_cdf_diff
 
@@ -43,7 +43,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * _LOG_2PI
-_LOG_CLIP = 700.0
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,8 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     return log_all[:p], log_all[p:].reshape(4, p), log_corners, ends
 
 
+# Its callers include learn_uni's face test, which runs outside maximize.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _face_log_marginal(data: _UniData, a, b, c):
     """The marginal on the variance face c = d, its gradient and Hessian in
     (a, b, c), and the coefficient that decides whether the face is a
@@ -444,12 +445,12 @@ def _box_from_point(z) -> tuple[float, float, float, float]:
     # the objective stays defined however deep the optimizer rides a flat
     # width ridge.  A point without a fourth coordinate is on the face c = d.
     m = float(z[0])
-    w = math.exp(min(max(z[1], -_LOG_CLIP), _LOG_CLIP))
+    w = exp_clipped(z[1])
     a, b = m - 0.5 * w, m + 0.5 * w
     if b <= a:
         b = math.nextafter(a, math.inf)
-    c = math.exp(min(max(z[2], -_LOG_CLIP), _LOG_CLIP))
-    d = c + math.exp(min(max(z[3], -_LOG_CLIP), _LOG_CLIP)) if len(z) == 4 else c
+    c = exp_clipped(z[2])
+    d = c + exp_clipped(z[3]) if len(z) == 4 else c
     return a, b, c, d
 
 
@@ -501,7 +502,8 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         If every population has zero scatter, so no proper maximizer
         exists.
     OptimizationError
-        On non-convergence; carries the best point and its objective.
+        On non-convergence; carries the box where the search stopped and
+        its objective.
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
@@ -529,8 +531,9 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     ]
     depth = _FACE_DEPTH * v0
 
-    def natural(z):
-        return (init[0] + w0 * z[0], *(x + y for x, y in zip(init[1:], z[1:])))
+    def box(z):
+        # The search point, in centred and scaled coordinates, as a box.
+        return _box_from_point((init[0] + w0 * z[0], *(x + y for x, y in zip(init[1:], z[1:]))))
 
     # The best interior value so far; +inf turns the hand-over off.
     best = -math.inf
@@ -554,7 +557,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
 
     def interior(z):
         nonlocal best
-        a, b, c, d = _box_from_point(natural(z))
+        a, b, c, d = box(z)
         value, grad, hess = uni_log_marginal_likelihood(
             data, UniHyperparams(a=a, b=b, c=c, d=d), hessian=True
         )
@@ -566,33 +569,29 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     # The face value goes through the private helper, never the public
     # marginal, so every public marginal evaluation runs one quadrature.
     def face(z):
-        a, b, c, _ = _box_from_point(natural(z))
+        a, b, c, _ = box(z)
         value, grad, hess, _ = _face_log_marginal(data, a, b, c)
         return searched(value, grad, hess, jacobian(a, b, c, c)[:3, :3])
 
-    # Boxes far from the data overflow on the way to a -inf marginal.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            result = maximize(interior, [0.0] * 4, hessian=True)
-        except _FaceReached as reached:
-            result = maximize(face, reached.z[:3], hessian=True)
-            a, b, c, _ = _box_from_point(natural(result.point))
-            if _face_log_marginal(data, a, b, c)[3] > 0.0:
-                # A proper box beats the face: resume the interior search
-                # once, from the box of height `depth` centred on the face
-                # optimum.
-                h = min(depth, c)
-                start = [*result.point[:2], math.log(c - 0.5 * h) - init[2], math.log(h) - init[3]]
-                best = math.inf
-                result = maximize(interior, start, hessian=True)
-    best_point = tuple(float(v) for v in natural(result.point))
+    try:
+        result = maximize(interior, [0.0] * 4, hessian=True)
+    except _FaceReached as reached:
+        result = maximize(face, reached.z[:3], hessian=True)
+        a, b, c, _ = box(result.point)
+        if _face_log_marginal(data, a, b, c)[3] > 0.0:
+            # A proper box beats the face: resume the interior search
+            # once, from the box of height `depth` centred on the face
+            # optimum.
+            h = min(depth, c)
+            start = [*result.point[:2], math.log(c - 0.5 * h) - init[2], math.log(h) - init[3]]
+            best = math.inf
+            result = maximize(interior, start, hessian=True)
+    stop = box(result.point)
     if not result.converged:
         raise OptimizationError(
-            "learn_uni did not converge",
-            best_point=best_point,
-            best_objective=result.objective,
+            "learn_uni did not converge", best_point=stop, best_objective=result.objective
         )
-    return UniHyperparams(*_box_from_point(best_point))
+    return UniHyperparams(*stop)
 
 
 def uni_map(

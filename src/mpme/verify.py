@@ -57,14 +57,14 @@ def nix_posterior_windows(stats: SufficientStats, hyper: NixHyperparams):
     covers 12 posterior standard deviations of mu at the largest
     in-window sigma^2, which dominates the mu spread.
     """
-    post = nix_posterior_update(stats, hyper)
-    a, scale = 0.5 * post.nu_n, 0.5 * post.nu_n * post.sigma_n_sq
+    kappa_n, mu_n, nu_n, sigma_n_sq = nix_posterior_update(stats, hyper)
+    a, scale = 0.5 * nu_n, 0.5 * nu_n * sigma_n_sq
     # The inverse-gamma quantile in scipy.stats.invgamma's own order of
     # operations, so the windows keep its bits without importing it.
     s_lo = (1.0 / _sp.gammainccinv(a, 1e-9)) * scale / 4.0
     s_hi = (1.0 / _sp.gammainccinv(a, 1.0 - 1e-9)) * scale * 4.0
-    half = 12.0 * math.sqrt(s_hi / post.kappa_n)
-    return (post.mu_n - half, post.mu_n + half), (s_lo, s_hi)
+    half = 12.0 * math.sqrt(s_hi / kappa_n)
+    return (mu_n - half, mu_n + half), (s_lo, s_hi)
 
 
 def nix_prior_density(hyper: NixHyperparams) -> Callable:
@@ -536,10 +536,10 @@ def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> Suite
         stats = _random_stats(rng)
         hyper = _random_nix_hyper(rng)
         est = nix_map(stats, hyper, VarianceMode.BIASED)
-        post = nix_posterior_update(stats, hyper)
-        spread = math.sqrt(post.sigma_n_sq / post.kappa_n) * 8.0
-        mu_w = (post.mu_n - spread, post.mu_n + spread)
-        g = math.exp(6.0 / math.sqrt(post.nu_n))
+        kappa_n, mu_n, nu_n, sigma_n_sq = nix_posterior_update(stats, hyper)
+        spread = math.sqrt(sigma_n_sq / kappa_n) * 8.0
+        mu_w = (mu_n - spread, mu_n + spread)
+        g = math.exp(6.0 / math.sqrt(nu_n))
         s_w = (est.sigma_sq / g, est.sigma_sq * g)
         density = nix_prior_density(hyper)
 

@@ -104,18 +104,18 @@ def test_nix_posterior_windows_cover_posterior_center():
     (m_lo, m_hi), (v_lo, v_hi) = nix_posterior_windows(stats, hyper)
     from mpme.prior_nix import nix_posterior_update
 
-    post = nix_posterior_update(stats, hyper)
-    assert m_lo < post.mu_n < m_hi
-    assert v_lo < post.sigma_n_sq < v_hi
+    _, mu_n, _, sigma_n_sq = nix_posterior_update(stats, hyper)
+    assert m_lo < mu_n < m_hi
+    assert v_lo < sigma_n_sq < v_hi
 
 
 def _reference_posterior_windows(stats, hyper):
     # The scipy.stats expression whose bits nix_posterior_windows keeps.
-    post = prior_nix.nix_posterior_update(stats, hyper)
-    ig = st.invgamma(a=0.5 * post.nu_n, scale=0.5 * post.nu_n * post.sigma_n_sq)
+    kappa_n, mu_n, nu_n, sigma_n_sq = prior_nix.nix_posterior_update(stats, hyper)
+    ig = st.invgamma(a=0.5 * nu_n, scale=0.5 * nu_n * sigma_n_sq)
     s_lo, s_hi = ig.ppf(1e-9) / 4.0, ig.ppf(1.0 - 1e-9) * 4.0
-    half = 12.0 * math.sqrt(s_hi / post.kappa_n)
-    return (post.mu_n - half, post.mu_n + half), (s_lo, s_hi)
+    half = 12.0 * math.sqrt(s_hi / kappa_n)
+    return (mu_n - half, mu_n + half), (s_lo, s_hi)
 
 
 def _wide_nix_hyper(rng):
