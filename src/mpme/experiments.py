@@ -203,6 +203,8 @@ def error_report(
 
     ``per_population_mu_rmse[i]`` is the root mean square over trials of
     ``mu_i - mu_hat``; variance errors use ``sigma_i^2 - sigma_sq_hat``.
+    A squared error that overflows the float range raises
+    ``NumericalError``.
     """
     n_pops = len(truth.mu)
     trials = len(estimates_per_trial)
@@ -216,9 +218,12 @@ def error_report(
     mu_hat = np.array([[e.mu for e in row] for row in estimates_per_trial])
     var_hat = np.array([[e.sigma_sq for e in row] for row in estimates_per_trial])
     true_mu = np.asarray(truth.mu)
-    true_var = np.asarray(truth.sigma) ** 2
-    mu_rmse = np.sqrt(np.mean((mu_hat - true_mu) ** 2, axis=0))
-    var_rmse = np.sqrt(np.mean((var_hat - true_var) ** 2, axis=0))
+    with np.errstate(over="ignore"):
+        true_var = np.asarray(truth.sigma) ** 2
+        mu_rmse = np.sqrt(np.mean((mu_hat - true_mu) ** 2, axis=0))
+        var_rmse = np.sqrt(np.mean((var_hat - true_var) ** 2, axis=0))
+    if not (np.isfinite(mu_rmse).all() and np.isfinite(var_rmse).all()):
+        raise NumericalError("error_report: a squared error overflows the float range")
     return ErrorReport(mu_rmse, var_rmse, trials)
 
 

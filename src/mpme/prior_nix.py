@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special as _sp
 
-from .core import DataError, MomentEstimate, OptimizationError, SufficientStats
+from .core import DataError, MomentEstimate, NumericalError, OptimizationError, SufficientStats
 from .optim import exp_clipped, maximize
 
 __all__ = [
@@ -228,9 +228,18 @@ def nix_map(
     ``nu_n + 3`` for the joint posterior mode (``BIASED``), ``nu_n - 1``
     for the unbiased variant.  Valid statistics (n >= 2) and a valid
     prior (nu0 > 0) give nu_n > 2, so both divisors are positive.
+
+    Raises
+    ------
+    NumericalError
+        If the posterior mean or scatter overflows the float range.
     """
     _, mu_n, nu_n, sigma_n_sq = nix_posterior_update(stats, hyper)
     scatter = nu_n * sigma_n_sq
+    if not (math.isfinite(mu_n) and math.isfinite(scatter)):
+        raise NumericalError(
+            f"NIX posterior overflows: mu_n = {mu_n!r}, nu_n * sigma_n_sq = {scatter!r}"
+        )
     if variance_mode is VarianceMode.BIASED:
         return MomentEstimate(mu_n, scatter / (nu_n + 3.0))
     if variance_mode is VarianceMode.UNBIASED:

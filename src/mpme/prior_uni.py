@@ -278,7 +278,8 @@ def _face_log_marginal(data: _UniData, a, b, c):
     first-order term.  At a face optimum, re-optimizing the other
     coordinates moves the value by O(w^4) only, so K <= 0 keeps the face
     and K > 0 means a proper box beats it.  Returns (value, grad, hess, K);
-    at a -inf value the gradient, the Hessian and K are NaN.
+    at a -inf value the gradient, the Hessian and K are NaN, and so are
+    they when c^3 or (b - a)^2 passes the float range.
     """
     t = np.array([[math.log(c)]])
     at_c = _log_mu_integral(t, data, a, b, np.exp(-t))
@@ -288,16 +289,20 @@ def _face_log_marginal(data: _UniData, a, b, c):
     if np.any(np.isneginf(log_l)):
         return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
     value = float(np.sum(log_l - math.log(b - a)))
+    try:
+        c_cubed, width_sq = c**3, (b - a) ** 2
+    except OverflowError:
+        return value, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
     l1, d1, r_lo, r_hi = (v[:, 0] for v in _log_l_slope(data, c, *at_c[1:]))
     d2 = (r_hi * hi * (3.0 - hi * hi) - r_lo * lo * (3.0 - lo * lo)) / (4.0 * c * c)
-    l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c**3 + d2 - d1 * d1
+    l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c_cubed + d2 - d1 * d1
     k = np.sqrt(n / c)
     grad = np.array([
         p / (b - a) - float(np.sum(r_lo * k)),
         float(np.sum(r_hi * k)) - p / (b - a),
         float(np.sum(l1)),
     ])
-    box = p / (b - a) ** 2
+    box = p / width_sq
     # r_b z_b - r_a z_a - 1, shared by the (a, c) and (b, c) entries
     pull = r_hi * hi - r_lo * lo - 1.0
     hac = -float(np.sum(k * r_lo * (lo * lo + pull))) / (2.0 * c)
@@ -355,7 +360,8 @@ def uni_log_marginal_likelihood(
     likelihood at a corner of the box, and L_i' is the derivative of L_i
     in sigma^2.  E_i and F_i come from the same adaptive quadrature as
     I_i, which is run on both paths, so ``hessian`` only chooses the
-    return shape.  At a -inf value the gradient and the Hessian are NaN.
+    return shape.  At a -inf value the gradient and the Hessian are NaN,
+    and so are they when the square of a side passes the float range.
 
     On the variance face c == d the prior on sigma^2 is a point mass and
     the value is the d -> c limit, sum_i log L_i(c) - P log(b-a), which
@@ -392,6 +398,10 @@ def uni_log_marginal_likelihood(
     value = float((log_int - log_box).sum())
     if not hessian:
         return value
+    try:
+        mean_sq, var_sq = mean_side**2, var_side**2
+    except OverflowError:
+        return value, np.full(4, math.nan), np.full((4, 4), math.nan)
     n, xbar, p = data.n, data.xbar, len(data.n)
     # E_i(a), E_i(b), F_i(a), F_i(b), and L_i at c and d, each over I_i
     e_a, e_b, f_a, f_b = np.exp(log_edges - log_int)
@@ -407,8 +417,8 @@ def uni_log_marginal_likelihood(
     h_aa = -float((n * (xbar - hyper.a) * f_a).sum())
     h_bb = float((n * (xbar - hyper.b) * f_b).sum())
     # P B: the second derivatives of -P log(b - a) - P log(d - c)
-    ab_in, ab_out = p * (1.0 / mean_side**2), p * (-1.0 / mean_side**2)
-    cd_in, cd_out = p * (1.0 / var_side**2), p * (-1.0 / var_side**2)
+    ab_in, ab_out = p * (1.0 / mean_sq), p * (-1.0 / mean_sq)
+    cd_in, cd_out = p * (1.0 / var_sq), p * (-1.0 / var_sq)
     h_sum = np.array([
         [h_aa, 0.0, c_ac, -c_ad],
         [0.0, h_bb, -c_bc, c_bd],
@@ -502,8 +512,9 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         If every population has zero scatter, so no proper maximizer
         exists.
     OptimizationError
-        On non-convergence; carries the box where the search stopped and
-        its objective.
+        On non-convergence, as when the derivatives at the start box pass
+        the float range; names and carries the box where the search
+        stopped, and carries its objective.
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
@@ -589,7 +600,9 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     stop = box(result.point)
     if not result.converged:
         raise OptimizationError(
-            "learn_uni did not converge", best_point=stop, best_objective=result.objective
+            f"learn_uni did not converge at box (a, b, c, d) = {stop!r}",
+            best_point=stop,
+            best_objective=result.objective,
         )
     return UniHyperparams(*stop)
 

@@ -240,6 +240,52 @@ def test_estimate_uni_overflowing_step_exits_3(tmp_path, capsys):
     assert "Newton step is not finite" in capsys.readouterr().err
 
 
+def test_estimate_nix_on_all_constant_data_leaks_no_warning(tmp_path, capsys):
+    # The NIX search overflows on its way down sigma0_sq; pyproject turns a
+    # leaked RuntimeWarning into an error, which would exit 1.
+    path = tmp_path / "const.csv"
+    path.write_text("population,value\na,1\na,1\nb,1\nb,1\n")
+    assert cli_main(["estimate", "--input", str(path), "--prior", "nix"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _scaled_csv(tmp_path, scale):
+    path = tmp_path / f"scaled-{scale:g}.csv"
+    rows = [("a", 1.0), ("a", 2.0), ("b", 3.0), ("b", 1.0), ("c", 2.0), ("c", 2.5)]
+    path.write_text("population,value\n" + "".join(f"{p},{v * scale!r}\n" for p, v in rows))
+    return str(path)
+
+
+_BOOTSTRAP = ["--subsample", "2", "--trials", "4"]
+
+
+@pytest.mark.parametrize(
+    "scale, args, message",
+    [
+        # UNI: a side's square or c^3 passes the float range, so Newton
+        # cannot take a step from the start box.
+        (1e52, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
+        (1e80, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
+        (1e150, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
+        (1e52, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
+        (1e80, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
+        (1e150, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
+        # NIX: the posterior scatter overflows in nix_map.
+        (1e150, ["estimate", "--prior", "nix"], "NIX posterior overflows"),
+        (1e150, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,nix"], "NIX posterior overflows"),
+        # The squared variance errors overflow in error_report.
+        (1e80, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,nix"], "squared error overflows"),
+    ],
+    ids=["uni-1e52", "uni-1e80", "uni-1e150", "bootstrap-uni-1e52", "bootstrap-uni-1e80",
+         "bootstrap-uni-1e150", "nix-1e150", "bootstrap-nix-1e150", "bootstrap-nix-1e80"],
+)
+def test_overflow_at_extreme_scale_exits_3(tmp_path, capsys, scale, args, message):
+    command, *rest = args
+    assert cli_main([command, "--input", _scaled_csv(tmp_path, scale), *rest]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+
+
 def test_synth_sample_only_report(capsys):
     code = cli_main(
         ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--seed", "3",

@@ -192,6 +192,34 @@ def test_learn_nix_zero_variance_data_fails_loudly():
         learn_nix(zstats)
 
 
+def test_learn_nix_on_all_constant_data_is_quiet():
+    # The search overflows a / prior_ss on its way down sigma0_sq; maximize
+    # keeps numpy quiet, and the prior keeps its pinned bits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hyper = learn_nix([_stats(2, 1.0, 0.0)] * 3)
+    want = ["0x1.0000000000000p+0", "0x1.05e04c062779bp+46",
+            "0x1.421b6d86a1a18p+74", "0x1.14f2b0fb9307fp-1010"]
+    assert [hyper.mu0, hyper.kappa0, hyper.nu0, hyper.sigma0_sq] == [
+        float.fromhex(h) for h in want
+    ]
+
+
+@pytest.mark.parametrize(
+    "hyper",
+    [
+        # nu0 * sigma0_sq passes the float range: the posterior scatter is inf.
+        NixHyperparams(mu0=1e150, kappa0=1.0, nu0=1e10, sigma0_sq=1e300),
+        # kappa0 * mu0 does: the posterior mean is inf.
+        NixHyperparams(mu0=1e150, kappa0=1e160, nu0=1.0, sigma0_sq=1.0),
+    ],
+    ids=["scatter", "mean"],
+)
+def test_nix_map_overflow_is_a_numerical_error(hyper):
+    with pytest.raises(NumericalError, match="NIX posterior overflows"):
+        nix_map(_stats(2, 1e150, 1e300), hyper)
+
+
 def test_nix_map_hand_computed():
     stats = _stats(4, 2.0, 1.0)
     hyper = NixHyperparams(mu0=0.0, kappa0=1.0, nu0=2.0, sigma0_sq=0.5)

@@ -442,6 +442,28 @@ def test_variance_side_past_the_float_range_is_a_numerical_error(c, d):
             uni_log_marginal_likelihood([_stats(5, 0.0, 1.0)], hyper)
 
 
+@pytest.mark.parametrize(
+    "hyper",
+    [
+        # (d - c)^2 passes the float range.
+        UniHyperparams(a=-1e100, b=1e100, c=1e199, d=1e201),
+        # On the face c = d, c^3 does.
+        UniHyperparams(a=-1e52, b=1e52, c=1e104, d=1e104),
+    ],
+    ids=["interior", "face"],
+)
+def test_hessian_past_the_float_range_is_nan(hyper):
+    # A Python-float power that overflows raises OverflowError; here it
+    # makes the derivatives NaN, so Newton rejects the step, and the value
+    # is that of the value-only call.
+    scale = math.sqrt(hyper.c)
+    stats = [_stats(5, 0.0, hyper.c), _stats(4, 0.3 * scale, 2.0 * hyper.c)]
+    value, grad, hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
+    assert math.isfinite(value)
+    assert value == uni_log_marginal_likelihood(stats, hyper)
+    assert np.isnan(grad).all() and np.isnan(hess).all()
+
+
 def test_uni_map_interior_passthrough():
     hyper = UniHyperparams(a=9.5, b=10.5, c=0.5, d=3.0)
     est = uni_map(_stats(5, 10.0, 2.0), hyper)
