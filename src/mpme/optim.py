@@ -13,6 +13,9 @@ Mead, Computer Journal 7:308, 1965).
 Newton's method hands the objective each point as a numpy array.  The
 simplex search hands it the list of Python floats it computes with,
 which spares an array per evaluation and the numpy scalars read from it.
+Its centroid is one pass over the simplex's columns, each summed from
+0.0 in vertex order and divided by the dimension, so it has the bits of
+the array mean over the vertices.
 
 ``maximize`` owns the floating-point policy of a search: numpy reports
 no error inside it, as ``maximize`` itself ranks -inf last and raises on
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from operator import add, sub
 from typing import Callable, Sequence
@@ -104,11 +108,13 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     Vertices and values are kept as Python floats, which is several times
     cheaper than small-array arithmetic for the few dimensions used here;
     ``neg_f`` receives each vertex as the list of floats it is, and must
-    not modify it.  The centroid is a sequential sum from 0.0 divided by
-    ``dim``, as ``mean(axis=0)`` computes it, so every vertex keeps the
-    bits of the array arithmetic.  The simplex is kept in the order a
-    stable sort by value gives: a new vertex goes after every vertex whose
-    value it ties, and only a shrink sorts the whole simplex again.
+    not modify it.  The centroid is formed in one pass over the columns of
+    the simplex without its worst vertex: each coordinate is a sequential
+    sum from 0.0, in vertex order, divided by ``dim``, as ``mean(axis=0)``
+    computes it, so every vertex keeps the bits of the array arithmetic.
+    The simplex is kept in the order a stable sort by value gives: a new
+    vertex goes after every vertex whose value it ties, and only a shrink
+    sorts the whole simplex again.
     """
     dim = len(x0)
     alpha, gamma, beta, delta = 1.0, 2.0, 0.5, 0.5
@@ -135,10 +141,7 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
         if iterations == _MAX_ITERS:
             break
 
-        centroid = [0.0] * dim
-        for v in simplex[:-1]:
-            centroid = map(add, centroid, v)
-        centroid = [c / dim for c in centroid]
+        centroid = [reduce(add, col, 0.0) / dim for col in zip(*simplex[:-1])]
         worst = simplex[-1]
         xr = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
         fr = neg_f(xr)

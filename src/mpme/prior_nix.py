@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .core import DataError, MomentEstimate, NumericalError, OptimizationError, SufficientStats
-from .optim import exp_clipped, maximize
+from .optim import _LOG_CLIP, maximize
 
 __all__ = [
     "NixHyperparams",
@@ -99,9 +99,16 @@ def _stats_arrays(stats_list: Sequence[SufficientStats]):
 class _NixData:
     """The hyperparameter-free parts of the NIX marginal for one dataset.
 
-    ``n`` takes few distinct values, so every term that depends on a
-    population only through ``n`` is evaluated per distinct size and
-    gathered back through ``size_index``.
+    Every term that depends on a population only through ``n`` is
+    evaluated once per distinct size and gathered back through
+    ``size_index``.  The data takes one of two forms.  When every
+    population has the same size, as in every synthetic and bootstrap
+    trial, ``n``, ``half_n``, ``half_n_log_pi``, ``sizes``, ``half_sizes``
+    and ``lgamma_half_sizes`` are numpy scalars and ``size_index`` is
+    ``()``, so the size terms are scalar operations that broadcast.
+    Otherwise ``sizes`` holds the distinct sizes and ``size_index`` gathers
+    each population's terms from them.  ``xbar``, ``var`` and ``scatter``
+    are arrays in both forms.
     """
 
     __slots__ = ("n", "xbar", "var", "scatter", "half_n", "half_n_log_pi",
@@ -109,11 +116,16 @@ class _NixData:
 
     def __init__(self, stats_list: Sequence[SufficientStats]):
         n, xbar, var = _stats_arrays(stats_list)
-        self.n, self.xbar, self.var = n, xbar, var
+        self.xbar, self.var = xbar, var
         self.scatter = (n - 1.0) * var
+        if (n == n[0]).all():
+            n = n[0]
+            self.sizes, self.size_index = n, ()
+        else:
+            self.sizes, self.size_index = np.unique(n, return_inverse=True)
+        self.n = n
         self.half_n = 0.5 * n
         self.half_n_log_pi = self.half_n * _LOG_PI
-        self.sizes, self.size_index = np.unique(n, return_inverse=True)
         self.half_sizes = 0.5 * self.sizes
         self.lgamma_half_sizes = _sp.gammaln(self.half_sizes)
 
@@ -175,8 +187,18 @@ def nix_log_marginal_likelihood(
 def _natural(z) -> tuple[float, float, float, float]:
     """``(mu0, kappa0, nu0, sigma0_sq)`` at the optimizer point
     ``z = (mu0, log kappa0, log nu0, log sigma0_sq)``: the one map that both
-    the objective and the returned prior go through."""
-    return float(z[0]), exp_clipped(z[1]), exp_clipped(z[2]), exp_clipped(z[3])
+    the objective and the returned prior go through.
+
+    Each log is clipped to +-``_LOG_CLIP`` before exp, as ``exp_clipped``
+    clips it.  The map runs once per objective evaluation, so it is one
+    call, and the clip runs only when some log is not in range, where it
+    can change the value.
+    """
+    mu0, k, v, s = z
+    c = _LOG_CLIP
+    if not (-c <= k <= c and -c <= v <= c and -c <= s <= c):
+        k, v, s = (min(max(t, -c), c) for t in (k, v, s))
+    return float(mu0), math.exp(k), math.exp(v), math.exp(s)
 
 
 def learn_nix(stats_list: Sequence[SufficientStats]) -> NixHyperparams:

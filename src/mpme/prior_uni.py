@@ -248,6 +248,19 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     return log_all[:p], log_all[p:].reshape(4, p), log_corners, ends
 
 
+def _powers_in_range(*pairs):
+    """``base ** exponent`` for each ``(base, exponent)`` pair, or None if
+    one leaves the float range: a float power raises ``OverflowError``
+    above it and rounds to zero below it, and the derivatives divide by
+    these powers.  c^3 underflows before the c * c that the face
+    derivatives also divide by, so it stands for both."""
+    try:
+        powers = [base**exponent for base, exponent in pairs]
+    except OverflowError:
+        return None
+    return None if 0.0 in powers else powers
+
+
 # Its callers include learn_uni's face test, which runs outside maximize.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _face_log_marginal(data: _UniData, a, b, c):
@@ -279,7 +292,8 @@ def _face_log_marginal(data: _UniData, a, b, c):
     coordinates moves the value by O(w^4) only, so K <= 0 keeps the face
     and K > 0 means a proper box beats it.  Returns (value, grad, hess, K);
     at a -inf value the gradient, the Hessian and K are NaN, and so are
-    they when c^3 or (b - a)^2 passes the float range.
+    they when c^3 or (b - a)^2 leaves the float range, by overflow or by
+    underflow to zero.
     """
     t = np.array([[math.log(c)]])
     at_c = _log_mu_integral(t, data, a, b, np.exp(-t))
@@ -289,10 +303,10 @@ def _face_log_marginal(data: _UniData, a, b, c):
     if np.any(np.isneginf(log_l)):
         return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
     value = float(np.sum(log_l - math.log(b - a)))
-    try:
-        c_cubed, width_sq = c**3, (b - a) ** 2
-    except OverflowError:
+    powers = _powers_in_range((c, 3), (b - a, 2))
+    if powers is None:
         return value, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
+    c_cubed, width_sq = powers
     l1, d1, r_lo, r_hi = (v[:, 0] for v in _log_l_slope(data, c, *at_c[1:]))
     d2 = (r_hi * hi * (3.0 - hi * hi) - r_lo * lo * (3.0 - lo * lo)) / (4.0 * c * c)
     l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c_cubed + d2 - d1 * d1
@@ -361,7 +375,8 @@ def uni_log_marginal_likelihood(
     in sigma^2.  E_i and F_i come from the same adaptive quadrature as
     I_i, which is run on both paths, so ``hessian`` only chooses the
     return shape.  At a -inf value the gradient and the Hessian are NaN,
-    and so are they when the square of a side passes the float range.
+    and so are they when the square of a side leaves the float range, by
+    overflow or by underflow to zero.
 
     On the variance face c == d the prior on sigma^2 is a point mass and
     the value is the d -> c limit, sum_i log L_i(c) - P log(b-a), which
@@ -398,10 +413,10 @@ def uni_log_marginal_likelihood(
     value = float((log_int - log_box).sum())
     if not hessian:
         return value
-    try:
-        mean_sq, var_sq = mean_side**2, var_side**2
-    except OverflowError:
+    squares = _powers_in_range((mean_side, 2), (var_side, 2))
+    if squares is None:
         return value, np.full(4, math.nan), np.full((4, 4), math.nan)
+    mean_sq, var_sq = squares
     n, xbar, p = data.n, data.xbar, len(data.n)
     # E_i(a), E_i(b), F_i(a), F_i(b), and L_i at c and d, each over I_i
     e_a, e_b, f_a, f_b = np.exp(log_edges - log_int)
@@ -473,7 +488,10 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     sample means (clamping noisy means toward the consensus is what makes
     the box prior useful), so the search starts from a standard-error
     sized box at the median rather than one spanning the data; a spanning
-    start has to ride a nearly flat width ridge for many steps.
+    start has to ride a nearly flat width ridge for many steps.  The
+    floors that keep that box proper when most populations have no
+    scatter are multiples of the data's own scales, so the start box
+    scales with the data's units.
 
     The search is Newton's method on the exact gradient and Hessian,
     damped where the Hessian is not safely negative definite (see
@@ -512,9 +530,12 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         If every population has zero scatter, so no proper maximizer
         exists.
     OptimizationError
-        On non-convergence, as when the derivatives at the start box pass
+        On non-convergence, as when the derivatives at the start box leave
         the float range; names and carries the box where the search
         stopped, and carries its objective.
+    NumericalError
+        If a Newton step is not finite, or the start box's variance side
+        underflows (a largest sample variance deep in the subnormal range).
     """
     if len(stats_list) < 2:
         raise DataError("learn_uni needs at least 2 populations")
@@ -529,11 +550,20 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
 
     se = np.sqrt(var / n)
     span = float(xbar.max() - xbar.min())
-    pad = max(float(np.median(se)), 1e-9 * max(1.0, float(np.abs(xbar).max())))
+    # The floors are multiples of the data's own scales, so they move with
+    # its units: the largest sample variance is positive, as some
+    # population has scatter, and so is its square root.
+    var_max = float(var.max())
+    pad = max(float(np.median(se)), 1e-9 * max(math.sqrt(var_max), float(np.abs(xbar).max())))
     w0 = max(2.0 * pad, 0.5 * span)
-    v0 = max(float(np.median(var)), pad * pad, 1e-12)
+    v0 = max(float(np.median(var)), pad * pad, 1e-12 * var_max)
     c0 = v0 / 2.5
     d0 = v0 * 2.5
+    if c0 == 0.0:
+        # Only a largest sample variance deep in the subnormal range gets here.
+        raise NumericalError(
+            f"the start box's variance side underflows: largest sample variance {var_max!r}"
+        )
     init = [
         float(np.median(xbar)),
         math.log(w0),

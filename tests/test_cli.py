@@ -262,11 +262,12 @@ _BOOTSTRAP = ["--subsample", "2", "--trials", "4"]
 @pytest.mark.parametrize(
     "scale, args, message",
     [
-        # UNI: a side's square or c^3 passes the float range, so Newton
-        # cannot take a step from the start box.
+        # UNI: a side's square or c^3 passes the float range, or at 1e-140
+        # underflows to zero, so Newton cannot take a step from the start box.
         (1e52, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
         (1e80, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
         (1e150, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
+        (1e-140, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
         (1e52, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
         (1e80, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
         (1e150, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
@@ -276,8 +277,9 @@ _BOOTSTRAP = ["--subsample", "2", "--trials", "4"]
         # The squared variance errors overflow in error_report.
         (1e80, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,nix"], "squared error overflows"),
     ],
-    ids=["uni-1e52", "uni-1e80", "uni-1e150", "bootstrap-uni-1e52", "bootstrap-uni-1e80",
-         "bootstrap-uni-1e150", "nix-1e150", "bootstrap-nix-1e150", "bootstrap-nix-1e80"],
+    ids=["uni-1e52", "uni-1e80", "uni-1e150", "uni-1e-140", "bootstrap-uni-1e52",
+         "bootstrap-uni-1e80", "bootstrap-uni-1e150", "nix-1e150", "bootstrap-nix-1e150",
+         "bootstrap-nix-1e80"],
 )
 def test_overflow_at_extreme_scale_exits_3(tmp_path, capsys, scale, args, message):
     command, *rest = args

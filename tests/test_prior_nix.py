@@ -337,6 +337,66 @@ def test_kernel_keeps_bits_at_the_corners():
     assert_array_equal(got, want)
 
 
+def _equal_size_stats(zero_var_at=None, n=5):
+    # Every population of one size: _NixData's scalar form.
+    rng = np.random.default_rng(12)
+    stats = []
+    for _ in range(300):
+        x = 3.0 + rng.standard_normal(n)
+        stats.append(_stats(n, float(x.mean()), float(x.var(ddof=1))))
+    if zero_var_at is not None:
+        stats[0] = _stats(n, zero_var_at, 0.0)
+    return stats
+
+
+def test_nix_data_holds_equal_sizes_as_scalars():
+    data = _NixData(_equal_size_stats())
+    assert data.size_index == ()
+    for name in ("n", "half_n", "half_n_log_pi", "sizes", "half_sizes", "lgamma_half_sizes"):
+        assert isinstance(getattr(data, name), np.float64), name
+    assert data.xbar.shape == data.var.shape == data.scatter.shape == (300,)
+    mixed = _NixData(_mixed_size_stats())
+    assert mixed.size_index.shape == mixed.n.shape == (301,)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("mu0", [3.0, -40.0], ids=["near", "far"])
+@pytest.mark.parametrize("name", _EDGE_NAMES)
+@_EDGE
+def test_kernel_keeps_bits_on_equal_sizes_at_extreme_hyperparameters(mu0, name, value, n):
+    hyper = {"kappa0": 0.37, "nu0": 12.5, "sigma0_sq": 0.8, name: value}
+    got, want = _kernel_pair(_equal_size_stats(n=n), mu0, **hyper)
+    assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("mu0", [3.0, -40.0], ids=["near", "far"])
+@_EDGE
+def test_kernel_keeps_bits_on_equal_sizes_with_every_hyperparameter_extreme(mu0, value, n):
+    got, want = _kernel_pair(_equal_size_stats(n=n), mu0, value, value, value)
+    assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mu0", [3.0, -40.0])
+@pytest.mark.parametrize("kappa0", [1e-3, 0.37, 5.0, 1e6])
+@pytest.mark.parametrize("nu0", [0.5, 12.5, 1e9])
+def test_kernel_keeps_bits_on_equal_sizes(mu0, kappa0, nu0):
+    got, want = _kernel_pair(_equal_size_stats(), mu0, kappa0, nu0, 0.8)
+    assert math.isfinite(got)
+    assert_array_equal(got, want)
+
+
+def test_kernel_keeps_bits_on_equal_sizes_at_the_corners():
+    # prior_ss underflows to 0: -inf, as with mixed sizes.
+    got, want = _kernel_pair(_equal_size_stats(), 3.0, 1.0, 1e-300, 1e-300)
+    assert got == -math.inf
+    assert_array_equal(got, want)
+    # a = 0 at one population: NaN.
+    got, want = _kernel_pair(_equal_size_stats(zero_var_at=3.0), 3.0, 1.0, 1e-300, 1e-300)
+    assert math.isnan(got)
+    assert_array_equal(got, want)
+
+
 def test_log_marginal_likelihood_corner_is_quiet_under_raise():
     hyper = NixHyperparams(mu0=3.0, kappa0=1.0, nu0=1e-300, sigma0_sq=1e-300)
     with warnings.catch_warnings():

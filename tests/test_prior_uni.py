@@ -14,6 +14,7 @@ from mpme.core import (
     DataError,
     DegeneratePriorError,
     NumericalError,
+    OptimizationError,
     PopulationSample,
     SufficientStats,
     sufficient_stats,
@@ -449,11 +450,16 @@ def test_variance_side_past_the_float_range_is_a_numerical_error(c, d):
         UniHyperparams(a=-1e100, b=1e100, c=1e199, d=1e201),
         # On the face c = d, c^3 does.
         UniHyperparams(a=-1e52, b=1e52, c=1e104, d=1e104),
+        # (d - c)^2 underflows to zero.
+        UniHyperparams(a=-1e-140, b=1e-140, c=1e-281, d=1e-280),
+        # On the face, c^3 does.
+        UniHyperparams(a=-1e-55, b=1e-55, c=1e-110, d=1e-110),
     ],
-    ids=["interior", "face"],
+    ids=["interior", "face", "interior-underflow", "face-underflow"],
 )
 def test_hessian_past_the_float_range_is_nan(hyper):
-    # A Python-float power that overflows raises OverflowError; here it
+    # A Python-float power that overflows raises OverflowError, and one
+    # that underflows is 0, which the derivatives would divide by; either
     # makes the derivatives NaN, so Newton rejects the step, and the value
     # is that of the value-only call.
     scale = math.sqrt(hyper.c)
@@ -462,6 +468,42 @@ def test_hessian_past_the_float_range_is_nan(hyper):
     assert math.isfinite(value)
     assert value == uni_log_marginal_likelihood(stats, hyper)
     assert np.isnan(grad).all() and np.isnan(hess).all()
+
+
+def _six_row_stats(scale):
+    # The six-row dataset a: 1, 2; b: 3, 1; c: 2, 2.5, times `scale`.
+    rows = {"a": (1.0, 2.0), "b": (3.0, 1.0), "c": (2.0, 2.5)}
+    return [
+        sufficient_stats(PopulationSample(id=k, values=tuple(v * scale for v in vs)))
+        for k, vs in rows.items()
+    ]
+
+
+def test_learn_uni_box_moves_with_the_data_at_small_scale():
+    # The start box's floors are multiples of the data's own scales, so at
+    # 1e-20 the search takes the unit-scale steps and the box scales.
+    unit = learn_uni(_six_row_stats(1.0))
+    small = learn_uni(_six_row_stats(1e-20))
+    for got, want in ((small.a, unit.a), (small.b, unit.b)):
+        assert got == pytest.approx(1e-20 * want, rel=1e-9)
+    for got, want in ((small.c, unit.c), (small.d, unit.d)):
+        assert got == pytest.approx(1e-40 * want, rel=1e-9)
+
+
+def test_learn_uni_mostly_zero_scatter_at_zero_means_has_a_start():
+    # The median sample variance and every mean are 0; the floors still
+    # give the start box a positive width and variance side, so the search
+    # starts and reports that it did not converge, with no log(0).
+    for v in (1.0, 1e-250):
+        stats = [_stats(2, 0.0, 0.0), _stats(2, 0.0, 0.0), _stats(2, 0.0, v)]
+        with pytest.raises(OptimizationError):
+            learn_uni(stats)
+
+
+def test_learn_uni_subnormal_variance_scale_is_a_numerical_error():
+    stats = [_stats(2, 0.0, 0.0), _stats(2, 0.0, 0.0), _stats(2, 0.0, 5e-324)]
+    with pytest.raises(NumericalError, match="underflows"):
+        learn_uni(stats)
 
 
 def test_uni_map_interior_passthrough():
