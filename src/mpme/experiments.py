@@ -145,8 +145,9 @@ class GroundTruth:
         object.__setattr__(self, "sigma", tuple(float(v) for v in self.sigma))
         if len(self.mu) != len(self.sigma) or not self.mu:
             raise DataError("ground truth needs matching, non-empty mu and sigma lists")
-        if any(s <= 0 or not math.isfinite(s) for s in self.sigma):
-            raise DataError("ground-truth sigmas must be positive and finite")
+        # A bootstrap population with no scatter has a true sigma of 0.
+        if any(not (0.0 <= s < math.inf) for s in self.sigma):
+            raise DataError("ground-truth sigmas must be finite and non-negative")
 
 
 def _population_rng(seed: int, trial: int, population: int) -> Generator:

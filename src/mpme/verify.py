@@ -421,6 +421,34 @@ def _five_point(f, h: float) -> float:
     return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
 
 
+def _ridders(f, h: float, steps: int = 10, shrink: float = 1.4) -> float:
+    """Ridders' extrapolation (Ridders 1982, Adv. Eng. Software 4:75) of
+    ``f(h)`` to h = 0, where f's error is a series in even powers of h.
+
+    f is taken at h / shrink^i for i < ``steps``, each new value extends a
+    Neville tableau, and the entry with the smallest error estimate is
+    returned; the search stops once the diagonal's error grows past twice
+    that estimate, where rounding has taken over.
+    """
+    factor = shrink * shrink
+    row = [f(h)]
+    best, err = row[0], math.inf
+    for i in range(1, steps):
+        h /= shrink
+        new = [f(h)]
+        scale = factor
+        for j in range(1, i + 1):
+            new.append((new[j - 1] * scale - row[j - 1]) / (scale - 1.0))
+            scale *= factor
+            est = max(abs(new[j] - new[j - 1]), abs(new[j] - row[j - 1]))
+            if est <= err:
+                best, err = new[j], est
+        if abs(new[i] - row[i - 1]) >= 2.0 * err:
+            break
+        row = new
+    return best
+
+
 def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> SuiteResult:
     """Closed-form gradient and Hessian of the UNI marginal vs central
     differences, on each case's box and on the variance face c = d at the
@@ -436,8 +464,11 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
     and the step in c, which moves c and d together, is 1e-3 of c.  The
     face's second-order coefficient K, with which the marginal of the box
     [c - w/2, c + w/2] leaves the face value F as F + K w^2, is compared
-    with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2) for w = 1e-3 c, a
-    central difference in w with the O(w^2) term removed.  The error of a
+    with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2), a central difference in
+    w with the O(w^2) term removed, extrapolated to w = 0 by ``_ridders``
+    from w = 1e-2 c.  No one fixed step serves every case: at 1e-3 c the
+    rise K w^2 of a narrow box is near the rounding of the marginal, and
+    at 1e-2 c the far box's higher-order terms remain.  The error of a
     case is the largest relative error of the five checks: for a gradient,
     the largest component difference over the largest component.  For a
     Hessian, entry (i, j) is first scaled by side_i side_j, so that entries
@@ -504,9 +535,12 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
         )
 
         curvature = _face_log_marginal(data, a, b, c)[3]
-        w = 1e-3 * c
-        rise = [marginal(data, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
-        numeric_curvature = (16.0 * rise[0] - rise[1]) / (12.0 * w * w)
+
+        def face_difference(w):
+            rise = [marginal(data, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
+            return (16.0 * rise[0] - rise[1]) / (12.0 * w * w)
+
+        numeric_curvature = _ridders(face_difference, 1e-2 * c)
         rel_k = abs(curvature - numeric_curvature) / abs(numeric_curvature)
 
         worst = _worst(worst, rel, rel_hess, rel_face, rel_face_hess, rel_k)

@@ -288,6 +288,18 @@ def test_overflow_at_extreme_scale_exits_3(tmp_path, capsys, scale, args, messag
     assert "numerical failure" in err and message in err
 
 
+def test_uni_box_moves_with_the_data_at_small_scale(tmp_path, capsys):
+    # At 1e-20 the start box's floors scale with the data, so the fit
+    # succeeds and the box is the unit-scale box, scaled.
+    boxes = {}
+    for scale in (1.0, 1e-20):
+        assert cli_main(["estimate", "--input", _scaled_csv(tmp_path, scale), "--prior", "uni"]) == 0
+        boxes[scale] = json.loads(capsys.readouterr().out)["hyperparameters"]
+    unit, small = boxes[1.0], boxes[1e-20]
+    for key, power in (("a", 1), ("b", 1), ("c", 2), ("d", 2)):
+        assert small[key] == pytest.approx(1e-20**power * unit[key], rel=1e-9), key
+
+
 def test_synth_sample_only_report(capsys):
     code = cli_main(
         ["synth", "--pops", "4", "--n", "5", "--trials", "2", "--seed", "3",
@@ -493,6 +505,29 @@ def test_bootstrap_command(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_bootstrap_accepts_a_constant_population(tmp_path, capsys):
+    # Population a has no scatter, so its true sigma is 0; estimate takes
+    # the same file.
+    path = tmp_path / "const-pop.csv"
+    path.write_text("population,value\na,1\na,1\na,1\nb,1\nb,2\nb,3\nc,2\nc,4\nc,3\n")
+    assert cli_main(["estimate", "--input", str(path), "--prior", "nix"]) == 0
+    capsys.readouterr()
+    methods = "sample,nix,nix-unbiased,uni"
+    assert cli_main(["bootstrap", "--input", str(path), *_BOOTSTRAP, "--methods", methods]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["truth"]["sigma"] == [0.0, 1.0, 1.0]
+    assert doc["failed_trials"] == 0
+
+
+@pytest.mark.parametrize(
+    "suite, cases",
+    [("nix-likelihood", 3), ("uni-likelihood", 6), ("uni-gradient", 6), ("map-argmax", 2)],
+)
+def test_verify_reduced_suites_exit_0(capsys, suite, cases):
+    assert cli_main(["verify", "--suite", suite, "--cases", str(cases)]) == 0
+    assert f"PASS {suite}" in capsys.readouterr().out
 
 
 def test_verify_pass_and_fail_exit_codes(monkeypatch, capsys):

@@ -262,6 +262,8 @@ def test_format_is_read_from_the_content(tmp_path):
     for saved, renamed in [("data.JSON", "json.csv"), ("data.txt", "csv.json")]:
         (tmp_path / renamed).write_bytes((tmp_path / saved).read_bytes())
         assert load_dataset(tmp_path / renamed) == ds
+    # The CLI loads a suffix-less file by the same rule.
+    assert cli_main(["estimate", "--input", str(tmp_path / "data"), "--prior", "sample"]) == 0
 
 
 def test_byte_order_mark_is_dropped(tmp_path):

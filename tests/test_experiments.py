@@ -66,8 +66,11 @@ def test_ground_truth_validation():
         GroundTruth(mu=(1.0,), sigma=(1.0, 1.0))
     with pytest.raises(DataError):
         GroundTruth(mu=(), sigma=())
+    GroundTruth(mu=(1.0,), sigma=(0.0,))
     with pytest.raises(DataError):
-        GroundTruth(mu=(1.0,), sigma=(0.0,))
+        GroundTruth(mu=(1.0,), sigma=(-1.0,))
+    with pytest.raises(DataError):
+        GroundTruth(mu=(1.0,), sigma=(math.nan,))
 
 
 def test_generate_synthetic_equal_spacing():
