@@ -18,6 +18,12 @@ whose output checks fail (exit 1) is recorded like any other, and counts
 in ``failed`` and against ``correct_runs``; the script stops only when a
 run could not be made (exit 2) or printed no result line.
 
+For each end-to-end metric, ``gate`` states the rule that a claimed gain
+must clear.  ``parent_spread`` is the parent's quartile spread (q3 - q1),
+and ``median_gap`` is the change's median minus the parent's, signed so
+that positive is better.  ``clears`` is true when the change won at
+least 9 in 10 of the pairs and ``median_gap`` exceeds ``parent_spread``.
+
 perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
 and a UNI fit that moves to the variance face makes two or three of
 them.  So the record also gives ``per_learn_uni``: the UNI marginal calls
@@ -99,13 +105,20 @@ def main(argv=None) -> int:
                 acc["correct_runs"] += bool(result["correct"])
                 print(f"{workload} pair {pair} {side}: correct {result['correct']}", file=sys.stderr)
         record.update({k: info[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy")})
-        wins = {}
+        wins, gate = {}, {}
         for name, direction in better.items():
             sign = 1 if direction == "higher" else -1
-            wins[name] = sum(
-                sign * (c - p) > 0 for p, c in zip(values["parent"][name], values["change"][name])
-            )
-        entry = {"change_wins": wins}
+            parent, change = values["parent"][name], values["change"][name]
+            wins[name] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            q = quartiles(parent)
+            spread = q["q3"] - q["q1"]
+            gap = sign * (quartiles(change)["median"] - q["median"])
+            gate[name] = {
+                "parent_spread": spread,
+                "median_gap": gap,
+                "clears": 10 * wins[name] >= 9 * args.pairs and gap > spread,
+            }
+        entry = {"change_wins": wins, "gate": gate}
         for side in SIDES:
             traced = run(dirs[side], workload, args.seed, seconds, 1)[1]
             fits = traced["prior_uni.learn_uni.calls"]

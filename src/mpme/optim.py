@@ -15,11 +15,14 @@ simplex search hands it the list of Python floats it computes with,
 which spares an array per evaluation and the numpy scalars read from it.
 Its centroid is one pass over the simplex's columns, each summed from
 0.0 in vertex order and divided by the dimension, so it has the bits of
-the array mean over the vertices.
+the array mean over the vertices.  Its convergence test stops at the
+first coordinate gap too wide to pass, and decides as ``max`` over all
+gaps would.
 
 ``maximize`` owns the floating-point policy of a search: numpy reports
 no error inside it, as ``maximize`` itself ranks -inf last and raises on
-NaN.  Both fits map log coordinates back through ``exp_clipped``.
+NaN.  The UNI fit maps log coordinates back through ``exp_clipped``;
+``prior_nix._natural`` clips to the same ``_LOG_CLIP`` inline.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
-from operator import add, sub
+from itertools import chain, repeat
+from operator import add, le, sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,11 +134,10 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
     converged = False
     for iterations in range(_MAX_ITERS + 1):
         best = simplex[0]
-        diameter = max(map(abs, map(sub, chain.from_iterable(simplex[1:]), best * dim)))
+        gaps = map(abs, map(sub, chain.from_iterable(simplex[1:]), best * dim))
         # The values are sorted, so the ends are finite only if all are.
         finite = math.isfinite(values[0]) and math.isfinite(values[-1])
-        spread = values[-1] - values[0] if finite else math.inf
-        if diameter < _X_TOL or spread < _F_TOL:
+        if _max_below(gaps, _X_TOL) or (finite and values[-1] - values[0] < _F_TOL):
             converged = True
             break
         if iterations == _MAX_ITERS:
@@ -179,6 +181,16 @@ def _nelder_mead(neg_f: Callable, x0: np.ndarray):
         simplex.insert(k, new)
         values.insert(k, f_new)
     return np.array(simplex[0]), values[0], iterations, converged
+
+
+def _max_below(gaps, tol: float) -> bool:
+    """``max(gaps) < tol``, decided at the first gap of at least ``tol``.
+
+    ``max`` keeps a NaN that comes first and passes over one that comes
+    later, so a NaN first gap decides False and a later one is ignored.
+    """
+    gaps = iter(gaps)
+    return next(gaps) < tol and not any(map(le, repeat(tol), gaps))
 
 
 def _stable_sort(simplex: list, values: list):

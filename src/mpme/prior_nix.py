@@ -104,22 +104,27 @@ class _NixData:
     ``size_index``.  The data takes one of two forms.  When every
     population has the same size, as in every synthetic and bootstrap
     trial, ``n``, ``half_n``, ``half_n_log_pi``, ``sizes``, ``half_sizes``
-    and ``lgamma_half_sizes`` are numpy scalars and ``size_index`` is
-    ``()``, so the size terms are scalar operations that broadcast.
-    Otherwise ``sizes`` holds the distinct sizes and ``size_index`` gathers
-    each population's terms from them.  ``xbar``, ``var`` and ``scatter``
-    are arrays in both forms.
+    and ``lgamma_half_sizes`` are Python floats, with the bits of the numpy
+    values they were converted from, and ``size_index`` is ``()``; so the
+    size terms are float arithmetic whose results broadcast.  Otherwise
+    ``sizes`` holds the distinct sizes and ``size_index`` gathers each
+    population's terms from them.  ``xbar``, ``var`` and ``scatter`` are
+    arrays in both forms, and ``buffers`` holds two arrays of their shape
+    for the kernel to work in, so one instance serves one evaluation at a
+    time.
     """
 
     __slots__ = ("n", "xbar", "var", "scatter", "half_n", "half_n_log_pi",
-                 "sizes", "half_sizes", "lgamma_half_sizes", "size_index")
+                 "sizes", "half_sizes", "lgamma_half_sizes", "size_index", "buffers")
 
     def __init__(self, stats_list: Sequence[SufficientStats]):
         n, xbar, var = _stats_arrays(stats_list)
         self.xbar, self.var = xbar, var
         self.scatter = (n - 1.0) * var
-        if (n == n[0]).all():
-            n = n[0]
+        self.buffers = (np.empty_like(xbar), np.empty_like(xbar))
+        equal = (n == n[0]).all()
+        if equal:
+            n = float(n[0])
             self.sizes, self.size_index = n, ()
         else:
             self.sizes, self.size_index = np.unique(n, return_inverse=True)
@@ -128,6 +133,8 @@ class _NixData:
         self.half_n_log_pi = self.half_n * _LOG_PI
         self.half_sizes = 0.5 * self.sizes
         self.lgamma_half_sizes = _sp.gammaln(self.half_sizes)
+        if equal:
+            self.lgamma_half_sizes = float(self.lgamma_half_sizes)
 
 
 def _nix_log_marginal(data: _NixData, mu0, kappa0, nu0, sigma0_sq) -> float:
@@ -151,22 +158,44 @@ def _nix_log_marginal(data: _NixData, mu0, kappa0, nu0, sigma0_sq) -> float:
     """
     prior_ss = nu0 * sigma0_sq
     ratio = data.sizes / kappa0
-    # Gathering is exact and the terms keep their left-to-right order, so
-    # every population's term has the bits it has when evaluated on its own.
-    size_terms = (
-        data.lgamma_half_sizes
-        - _sp.betaln(0.5 * nu0, data.half_sizes)
-        - 0.5 * np.log1p(ratio)
-    )[data.size_index]
-    between = data.n * (mu0 - data.xbar) ** 2 / (1.0 + ratio)[data.size_index]
-    a = data.scatter + between
-    terms = (
-        size_terms
-        - 0.5 * nu0 * np.log1p(a / prior_ss)
-        - data.half_n * np.log(prior_ss + a)
-        - data.half_n_log_pi
-    )
-    return float(np.add.reduce(terms))
+    # Every population's term has the bits it has when evaluated on its
+    # own: gathering is exact, each operation runs in the order of the
+    # closed form, and a commuted + or * rounds alike.  With one size the
+    # size terms are floats, but log1p and betaln stay numpy's and scipy's:
+    # math.log1p rounds some ratios differently.
+    if isinstance(ratio, float):
+        size_terms = (
+            data.lgamma_half_sizes
+            - float(_sp.betaln(0.5 * nu0, data.half_sizes))
+            - 0.5 * float(np.log1p(ratio))
+        )
+        shrink = 1.0 + ratio
+    else:
+        size_terms = (
+            data.lgamma_half_sizes
+            - _sp.betaln(0.5 * nu0, data.half_sizes)
+            - 0.5 * np.log1p(ratio)
+        )[data.size_index]
+        shrink = (1.0 + ratio)[data.size_index]
+    a, t = data.buffers
+    # a = scatter + n (mu0 - xbar)^2 / shrink
+    np.subtract(mu0, data.xbar, out=a)
+    np.square(a, out=a)
+    np.multiply(a, data.n, out=a)
+    np.divide(a, shrink, out=a)
+    np.add(a, data.scatter, out=a)
+    # t = size_terms - (nu0/2) log1p(a / prior_ss)
+    np.divide(a, prior_ss, out=t)
+    np.log1p(t, out=t)
+    np.multiply(t, 0.5 * nu0, out=t)
+    np.subtract(size_terms, t, out=t)
+    # t -= (n/2) log(prior_ss + a), then (n/2) log pi
+    np.add(a, prior_ss, out=a)
+    np.log(a, out=a)
+    np.multiply(a, data.half_n, out=a)
+    np.subtract(t, a, out=t)
+    np.subtract(t, data.half_n_log_pi, out=t)
+    return float(np.add.reduce(t))
 
 
 def nix_log_marginal_likelihood(

@@ -10,8 +10,9 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 # A stand-in for perfbench/run.py: it prints an info line and a result
-# line that give every metric the value 1.0, and exits with CODE.  A run
-# with exit code 1 failed its output checks, as perfbench reports it.
+# line that give trials_per_s the value TPS and every other metric 1.0,
+# and exits with CODE.  A run with exit code 1 failed its output checks,
+# as perfbench reports it.
 _FAKE_RUN = """
 import json, sys
 spec = json.load(open("BENCHMARK.json"))
@@ -20,16 +21,18 @@ names = [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
 print(json.dumps({"nproc": 2, "cpu_model": "x", "python": "3", "numpy": "1", "scipy": "1"}))
 if CODE != 2:
     print(json.dumps({"correct": CODE == 0, "attempted": 4, "failed": 1 if CODE else 0,
-                      "metrics": {n: {"value": 1.0, "unit": ""} for n in names}}))
+                      "metrics": {n: {"value": TPS if n == "trials_per_s" else 1.0, "unit": ""}
+                                  for n in names}}))
 sys.exit(CODE)
 """
 
 
-def _checkout(tmp_path, name, code):
+def _checkout(tmp_path, name, code, trials_per_s=1.0):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    (root / "perfbench" / "run.py").write_text(_FAKE_RUN.replace("CODE", str(code)))
+    run = _FAKE_RUN.replace("CODE", str(code)).replace("TPS", repr(trials_per_s))
+    (root / "perfbench" / "run.py").write_text(run)
     return root
 
 
@@ -76,3 +79,18 @@ def test_the_cli_and_data_generation_layers_are_recorded(tmp_path):
     entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 1)
     for side in ("parent", "change"):
         assert entry[side]["traced"] == dict.fromkeys(names, 1.0)
+
+
+def test_a_change_better_on_every_pair_clears_the_gate(tmp_path):
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0),
+                  _checkout(tmp_path, "change", 0, trials_per_s=1.5), 10)
+    assert entry["change_wins"]["trials_per_s"] == 10
+    assert entry["gate"]["trials_per_s"] == {
+        "parent_spread": 0.0, "median_gap": 0.5, "clears": True,
+    }
+
+
+def test_a_tie_does_not_clear_the_gate(tmp_path):
+    entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 10)
+    for gate in entry["gate"].values():
+        assert gate == {"parent_spread": 0.0, "median_gap": 0.0, "clears": False}

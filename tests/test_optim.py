@@ -149,6 +149,40 @@ def test_converged_requires_all_restarts(monkeypatch):
     assert isinstance(res, OptimResult)
 
 
+_TINY = 0.5 * optim._X_TOL
+_WIDE = 2.0 * optim._X_TOL
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        [_TINY, 0.0, _TINY],
+        [_WIDE, _TINY, _TINY],
+        [_TINY, _WIDE, _TINY],
+        [_TINY, _TINY, _WIDE],
+        [_TINY, optim._X_TOL],
+        [_TINY, math.inf],
+        [-0.0, _TINY],
+        [_TINY, -0.0],
+        [math.nan, _TINY],
+        [_TINY, math.nan],
+        [_TINY, math.nan, _WIDE],
+    ],
+    ids=["tiny", "wide-first", "wide-middle", "wide-last", "at-tol", "inf", "neg-zero-first",
+         "neg-zero-last", "nan-first", "nan-after-tiny", "nan-then-wide"],
+)
+def test_convergence_decision_is_max_below_tol(gaps):
+    # max keeps a NaN that comes first and passes over a later one; the
+    # early exit must decide alike, which all(g < tol) does not.
+    assert optim._max_below(gaps, optim._X_TOL) == (max(gaps) < optim._X_TOL)
+
+
+def test_convergence_decision_stops_at_the_first_wide_gap():
+    gaps = iter([_TINY, _WIDE, math.nan])
+    assert not optim._max_below(gaps, optim._X_TOL)
+    assert math.isnan(next(gaps))
+
+
 def _reference_nelder_mead(neg_f, x0):
     # The array arrangement the float loop replaced; it must keep its bits.
     # Each point is handed to neg_f as a list of floats, as the float loop

@@ -353,7 +353,7 @@ def test_nix_data_holds_equal_sizes_as_scalars():
     data = _NixData(_equal_size_stats())
     assert data.size_index == ()
     for name in ("n", "half_n", "half_n_log_pi", "sizes", "half_sizes", "lgamma_half_sizes"):
-        assert isinstance(getattr(data, name), np.float64), name
+        assert type(getattr(data, name)) is float, name
     assert data.xbar.shape == data.var.shape == data.scatter.shape == (300,)
     mixed = _NixData(_mixed_size_stats())
     assert mixed.size_index.shape == mixed.n.shape == (301,)
@@ -395,6 +395,19 @@ def test_kernel_keeps_bits_on_equal_sizes_at_the_corners():
     got, want = _kernel_pair(_equal_size_stats(zero_var_at=3.0), 3.0, 1.0, 1e-300, 1e-300)
     assert math.isnan(got)
     assert_array_equal(got, want)
+
+
+def test_kernel_keeps_bits_of_numpy_log1p_on_equal_sizes():
+    # With one size the kernel takes log1p(n / kappa0) of a float.
+    # math.log1p rounds differently from np.log1p on some of these ratios,
+    # and on a few of them the difference reaches the value; only numpy's
+    # log1p keeps the bits of the per-population reference.
+    stats = [_stats(5, 3.0, 1.0)]
+    mismatched = [
+        kappa0 for kappa0 in np.logspace(-4.0, 4.0, 1000).tolist()
+        if np.not_equal(*_kernel_pair(stats, 3.0, kappa0, 1.0, 1.0))
+    ]
+    assert mismatched == []
 
 
 def test_log_marginal_likelihood_corner_is_quiet_under_raise():
