@@ -8,15 +8,20 @@ Usage, from anywhere:
 Each directory is a checkout holding ``BENCHMARK.json``, ``perfbench/``
 and ``src/``.  For every workload (all by default) the script runs
 ``perfbench/run.py --trace 0`` K times on each checkout, in pairs whose
-order alternates (parent first in even pairs), then one ``--trace 1`` run
-on each.  The record gives, per workload and side, every run's value and
-the quartiles of each end-to-end metric, the number of pairs in which the
-change read better on each metric, and from the traced run every
-per-layer metric that ``BENCHMARK.json`` names.  Runs are strictly
-sequential, so the two sides never compete for the processor.  A run
-whose output checks fail (exit 1) is recorded like any other, and counts
-in ``failed`` and against ``correct_runs``; the script stops only when a
-run could not be made (exit 2) or printed no result line.
+order alternates (parent first in even pairs); each pair then makes one
+``--trace 1`` run on each checkout, in the same order.  The record gives,
+per workload and side, every run's value and the quartiles of each
+end-to-end metric, the number of pairs in which the change read better on
+each metric, and every per-layer metric that ``BENCHMARK.json`` names:
+its value in each traced run under ``traced_runs`` and the median of
+those under ``traced``, so that one loaded run cannot decide a per-layer
+comparison.  A metric whose unit is ``count`` must repeat exactly across
+a side's traced runs; ``counts_differ`` lists those that did not.  Runs
+are strictly sequential, so the two sides never compete for the
+processor.  A run whose output checks fail (exit 1) is recorded like any
+other, and counts in ``failed`` and against ``correct_runs``; the script
+stops only when a run could not be made (exit 2) or printed no result
+line.
 
 For each end-to-end metric, ``gate`` states the rule that a claimed gain
 must clear.  ``parent_spread`` is the parent's quartile spread (q3 - q1),
@@ -30,8 +35,8 @@ them.  So the record also gives ``per_learn_uni``: the UNI marginal calls
 (each one quadrature) and the objective calls per ``learn_uni`` call.
 And ``per_uni_marginal`` gives the seconds of one UNI marginal
 evaluation: the marginal's and its quadrature's self times plus the
-integrand's time, over the marginal calls.  Both are null on a workload
-without UNI fits.
+integrand's time, over the marginal calls.  Both are taken from the
+traced medians, and both are null on a workload without UNI fits.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# Ratios to prior_uni.learn_uni.calls, from the same traced run.
+# Ratios to prior_uni.learn_uni.calls, from the traced medians.
 PER_LEARN_UNI = {"uni_marginals": "prior_uni.uni_log_marginal_likelihood.calls",
                  "objective_calls": "optim.objective.calls"}
 UNI_MARGINAL = ("prior_uni.uni_log_marginal_likelihood.self_s",
@@ -89,13 +94,16 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     per_layer = [m["name"] for m in spec["per_layer"]]
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
 
     record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs, "workloads": {}}
     for workload in workloads:
         values = {side: {name: [] for name in better} for side in SIDES}
+        traced = {side: {name: [] for name in per_layer} for side in SIDES}
         accounting = {side: {"attempted": 0, "failed": 0, "correct_runs": 0} for side in SIDES}
         for pair in range(args.pairs):
-            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
                 info, metrics, result = run(dirs[side], workload, args.seed, seconds, 0)
                 for name in better:
                     values[side][name].append(metrics[name])
@@ -104,6 +112,10 @@ def main(argv=None) -> int:
                 acc["failed"] += result["failed"]
                 acc["correct_runs"] += bool(result["correct"])
                 print(f"{workload} pair {pair} {side}: correct {result['correct']}", file=sys.stderr)
+            for side in order:
+                metrics = run(dirs[side], workload, args.seed, seconds, 1)[1]
+                for name in per_layer:
+                    traced[side][name].append(metrics[name])
         record.update({k: info[k] for k in ("nproc", "cpu_model", "python", "numpy", "scipy")})
         wins, gate = {}, {}
         for name, direction in better.items():
@@ -120,18 +132,21 @@ def main(argv=None) -> int:
             }
         entry = {"change_wins": wins, "gate": gate}
         for side in SIDES:
-            traced = run(dirs[side], workload, args.seed, seconds, 1)[1]
-            fits = traced["prior_uni.learn_uni.calls"]
-            marginals = traced["prior_uni.uni_log_marginal_likelihood.calls"]
+            runs = traced[side]
+            median = {name: statistics.median(v) for name, v in runs.items()}
+            fits = median["prior_uni.learn_uni.calls"]
+            marginals = median["prior_uni.uni_log_marginal_likelihood.calls"]
             entry[side] = {
                 "end_to_end": {name: {**quartiles(v), "runs": v} for name, v in values[side].items()},
-                "traced": {name: traced[name] for name in per_layer},
+                "traced": median,
+                "traced_runs": runs,
+                "counts_differ": [name for name in counts if len(set(runs[name])) > 1],
                 "per_learn_uni": {
-                    name: traced[counter] / fits if fits else None
+                    name: median[counter] / fits if fits else None
                     for name, counter in PER_LEARN_UNI.items()
                 },
                 "per_uni_marginal": {
-                    "s": sum(traced[name] for name in UNI_MARGINAL) / marginals if marginals else None
+                    "s": sum(median[name] for name in UNI_MARGINAL) / marginals if marginals else None
                 },
                 **accounting[side],
             }

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from operator import add, le, sub
 from typing import Callable, Sequence
@@ -262,6 +262,20 @@ def _newton(neg_f: Callable, x0: np.ndarray):
             return x, fx, iterations, True
 
 
+@lru_cache(maxsize=None)
+def _restart_steps(dim: int) -> tuple[np.ndarray, ...]:
+    """The fixed directions of restarts 1 to ``_RESTARTS`` in ``dim``
+    dimensions, drawn once and read-only; restart ``r`` draws from the
+    generator seeded ``2654435761 + r``."""
+    steps = tuple(
+        np.random.default_rng(2654435761 + r).standard_normal(dim)
+        for r in range(1, _RESTARTS + 1)
+    )
+    for step in steps:
+        step.flags.writeable = False
+    return steps
+
+
 @np.errstate(all="ignore")
 def maximize(
     objective: Callable[[Sequence[float]], float],
@@ -306,8 +320,7 @@ def maximize(
         # The first search scores x0 as its first vertex, and returns it
         # unless some point scores strictly better.
         x, v, iterations, converged = _nelder_mead(neg_f, x0)
-        for r in range(1, _RESTARTS + 1):
-            step = np.random.default_rng(2654435761 + r).standard_normal(len(x0))
+        for step in _restart_steps(len(x0)):
             start = x + _SIMPLEX_SCALE * step * np.maximum(1.0, np.abs(x))
             x_r, v_r, iters, conv = _nelder_mead(neg_f, start)
             iterations += iters

@@ -109,19 +109,29 @@ class _NixData:
     size terms are float arithmetic whose results broadcast.  Otherwise
     ``sizes`` holds the distinct sizes and ``size_index`` gathers each
     population's terms from them.  ``xbar``, ``var`` and ``scatter`` are
-    arrays in both forms, and ``buffers`` holds two arrays of their shape
-    for the kernel to work in, so one instance serves one evaluation at a
-    time.
+    arrays in both forms.
+
+    The kernel hands numpy arrays only.  ``n_``, ``half_n_``,
+    ``half_n_log_pi_`` and ``half_sizes_`` are those values as arrays,
+    0-d in the equal-size form and the arrays themselves otherwise; they
+    are built here and never written.  ``scratch`` holds six 0-d arrays,
+    ``(mu0, prior_ss, nu0 / 2, betaln, shrink, size_terms)``, and
+    ``buffers`` two arrays of the populations' shape.  The kernel writes
+    the scratch scalars at the start of every evaluation (the last three
+    in the equal-size form only) and the buffers during it, so one
+    instance serves one evaluation at a time.
     """
 
     __slots__ = ("n", "xbar", "var", "scatter", "half_n", "half_n_log_pi",
-                 "sizes", "half_sizes", "lgamma_half_sizes", "size_index", "buffers")
+                 "sizes", "half_sizes", "lgamma_half_sizes", "size_index",
+                 "n_", "half_n_", "half_n_log_pi_", "half_sizes_", "scratch", "buffers")
 
     def __init__(self, stats_list: Sequence[SufficientStats]):
         n, xbar, var = _stats_arrays(stats_list)
         self.xbar, self.var = xbar, var
         self.scatter = (n - 1.0) * var
         self.buffers = (np.empty_like(xbar), np.empty_like(xbar))
+        self.scratch = tuple(np.zeros(()) for _ in range(6))
         equal = (n == n[0]).all()
         if equal:
             n = float(n[0])
@@ -135,6 +145,9 @@ class _NixData:
         self.lgamma_half_sizes = _sp.gammaln(self.half_sizes)
         if equal:
             self.lgamma_half_sizes = float(self.lgamma_half_sizes)
+        self.n_, self.half_n_, self.half_n_log_pi_, self.half_sizes_ = (
+            np.asarray(v) for v in (n, self.half_n, self.half_n_log_pi, self.half_sizes)
+        )
 
 
 def _nix_log_marginal(data: _NixData, mu0, kappa0, nu0, sigma0_sq) -> float:
@@ -151,12 +164,24 @@ def _nix_log_marginal(data: _NixData, mu0, kappa0, nu0, sigma0_sq) -> float:
     and the (nu0/2) log ratio through log1p.  This keeps the value exact
     in the flat large-kappa0 / large-nu0 regime the optimizer explores.
 
+    On a few dozen populations the cost of a ufunc call is numpy's
+    dispatch, not its arithmetic, and the dispatch costs more for a Python
+    float operand than for a 0-d float64 array, and more for a keyword
+    ``out=`` than for a positional output.  So every scalar operand is one
+    of ``data``'s 0-d arrays, written once per evaluation, and every output
+    is positional.  IEEE ``+ - * /`` round a 0-d operand exactly as the
+    float it holds, and scipy's betaln runs the same loop on both, so the
+    value keeps its bits.
+
     prior_ss can underflow to 0 while the optimizer probes the
     sigma0_sq -> 0 corner; the resulting -inf (or NaN at a = 0) is the
     honest value there and is handled by the caller, which also decides
     how numpy reports the division by zero.
     """
-    prior_ss = nu0 * sigma0_sq
+    mu0_, prior_ss_, half_nu0_, beta_, shrink, size_terms = data.scratch
+    mu0_[()] = mu0
+    prior_ss_[()] = nu0 * sigma0_sq
+    half_nu0_[()] = 0.5 * nu0
     ratio = data.sizes / kappa0
     # Every population's term has the bits it has when evaluated on its
     # own: gathering is exact, each operation runs in the order of the
@@ -164,37 +189,36 @@ def _nix_log_marginal(data: _NixData, mu0, kappa0, nu0, sigma0_sq) -> float:
     # size terms are floats, but log1p and betaln stay numpy's and scipy's:
     # math.log1p rounds some ratios differently.
     if isinstance(ratio, float):
-        size_terms = (
-            data.lgamma_half_sizes
-            - float(_sp.betaln(0.5 * nu0, data.half_sizes))
-            - 0.5 * float(np.log1p(ratio))
+        _sp.betaln(half_nu0_, data.half_sizes_, beta_)
+        size_terms[()] = (
+            data.lgamma_half_sizes - float(beta_) - 0.5 * float(np.log1p(ratio))
         )
-        shrink = 1.0 + ratio
+        shrink[()] = 1.0 + ratio
     else:
         size_terms = (
             data.lgamma_half_sizes
-            - _sp.betaln(0.5 * nu0, data.half_sizes)
+            - _sp.betaln(half_nu0_, data.half_sizes)
             - 0.5 * np.log1p(ratio)
         )[data.size_index]
         shrink = (1.0 + ratio)[data.size_index]
     a, t = data.buffers
     # a = scatter + n (mu0 - xbar)^2 / shrink
-    np.subtract(mu0, data.xbar, out=a)
-    np.square(a, out=a)
-    np.multiply(a, data.n, out=a)
-    np.divide(a, shrink, out=a)
-    np.add(a, data.scatter, out=a)
+    np.subtract(mu0_, data.xbar, a)
+    np.square(a, a)
+    np.multiply(a, data.n_, a)
+    np.divide(a, shrink, a)
+    np.add(a, data.scatter, a)
     # t = size_terms - (nu0/2) log1p(a / prior_ss)
-    np.divide(a, prior_ss, out=t)
-    np.log1p(t, out=t)
-    np.multiply(t, 0.5 * nu0, out=t)
-    np.subtract(size_terms, t, out=t)
+    np.divide(a, prior_ss_, t)
+    np.log1p(t, t)
+    np.multiply(t, half_nu0_, t)
+    np.subtract(size_terms, t, t)
     # t -= (n/2) log(prior_ss + a), then (n/2) log pi
-    np.add(a, prior_ss, out=a)
-    np.log(a, out=a)
-    np.multiply(a, data.half_n, out=a)
-    np.subtract(t, a, out=t)
-    np.subtract(t, data.half_n_log_pi, out=t)
+    np.add(a, prior_ss_, a)
+    np.log(a, a)
+    np.multiply(a, data.half_n_, a)
+    np.subtract(t, a, t)
+    np.subtract(t, data.half_n_log_pi_, t)
     return float(np.add.reduce(t))
 
 

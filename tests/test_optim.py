@@ -149,6 +149,18 @@ def test_converged_requires_all_restarts(monkeypatch):
     assert isinstance(res, OptimResult)
 
 
+def test_restart_steps_are_fresh_draws_and_read_only():
+    steps = optim._restart_steps(4)
+    assert len(steps) == optim._RESTARTS
+    for r, step in enumerate(steps, start=1):
+        assert np.array_equal(step, np.random.default_rng(2654435761 + r).standard_normal(4))
+        assert not step.flags.writeable
+        with pytest.raises(ValueError):
+            step[0] = 0.0
+    assert optim._restart_steps(4) is steps
+    assert [len(step) for step in optim._restart_steps(3)] == [3] * optim._RESTARTS
+
+
 _TINY = 0.5 * optim._X_TOL
 _WIDE = 2.0 * optim._X_TOL
 

@@ -397,6 +397,35 @@ def test_kernel_keeps_bits_on_equal_sizes_at_the_corners():
     assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("make_stats", [_equal_size_stats, _mixed_size_stats],
+                         ids=["equal", "mixed"])
+def test_kernel_scratch_carries_no_state_between_evaluations(make_stats):
+    # One instance evaluates a finite point, the prior_ss underflow corner
+    # (-inf), the a = 0 corner (NaN), extreme kappa0 and nu0, then the
+    # first point again; each value has the bits of a fresh instance and
+    # of the reference.
+    stats = make_stats(zero_var_at=3.0)
+    data = _NixData(stats)
+    points = [
+        (3.0, 0.37, 12.5, 0.8),
+        (-40.0, 1.0, 1e-300, 1e-300),
+        (3.0, 1.0, 1e-300, 1e-300),
+        (-40.0, math.exp(700.0), math.exp(-700.0), 0.8),
+        (3.0, math.exp(-700.0), math.exp(700.0), 0.8),
+        (3.0, 0.37, 12.5, 0.8),
+    ]
+    values = []
+    for hyper in points:
+        with np.errstate(all="ignore"):
+            got = _nix_log_marginal(data, *hyper)
+        fresh, want = _kernel_pair(stats, *hyper)
+        assert_array_equal(got, fresh)
+        assert_array_equal(got, want)
+        values.append(got)
+    assert math.isfinite(values[0]) and values[1] == -math.inf and math.isnan(values[2])
+    assert values[-1] == values[0]
+
+
 def test_kernel_keeps_bits_of_numpy_log1p_on_equal_sizes():
     # With one size the kernel takes log1p(n / kappa0) of a float.
     # math.log1p rounds differently from np.log1p on some of these ratios,
