@@ -24,10 +24,19 @@ stops only when a run could not be made (exit 2) or printed no result
 line.
 
 For each end-to-end metric, ``gate`` states the rule that a claimed gain
-must clear.  ``parent_spread`` is the parent's quartile spread (q3 - q1),
-and ``median_gap`` is the change's median minus the parent's, signed so
-that positive is better.  ``clears`` is true when the change won at
-least 9 in 10 of the pairs and ``median_gap`` exceeds ``parent_spread``.
+must clear, and the rule that every other metric must keep.
+``parent_spread`` is the parent's quartile spread (q3 - q1), and
+``median_gap`` is the change's median minus the parent's, signed so that
+positive is better.  ``clears`` is true when the change won at least 9 in
+10 of the pairs and ``median_gap`` exceeds ``parent_spread``.  ``bound``
+is the metric's bound in ``BENCHMARK.json``, and ``worse_by`` is the
+change's median against the parent's, relative to the parent's and signed
+so that positive is worse (null if the parent's median is zero and the
+change's is not).  ``within_bound`` is true when ``worse_by`` is at most
+``bound``.  ``unresolved`` is true when the parent's quartile spread,
+relative to its median, exceeds ``bound``, unless every change run reads
+better than every parent run: the runs then spread too widely to tell a
+change within the bound from one past it.
 
 perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
 and a UNI fit that moves to the variance face makes two or three of
@@ -93,6 +102,7 @@ def main(argv=None) -> int:
     seconds = args.seconds or spec["run_seconds"]
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     per_layer = [m["name"] for m in spec["per_layer"]]
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
 
@@ -125,10 +135,17 @@ def main(argv=None) -> int:
             q = quartiles(parent)
             spread = q["q3"] - q["q1"]
             gap = sign * (quartiles(change)["median"] - q["median"])
+            scale = abs(q["median"])
+            worse_by = -gap / scale if scale else (0.0 if gap == 0 else None)
+            all_better = min(sign * c for c in change) > max(sign * p for p in parent)
             gate[name] = {
                 "parent_spread": spread,
                 "median_gap": gap,
                 "clears": 10 * wins[name] >= 9 * args.pairs and gap > spread,
+                "bound": bounds[name],
+                "worse_by": worse_by,
+                "within_bound": worse_by is not None and worse_by <= bounds[name],
+                "unresolved": (spread > bounds[name] * scale) and not all_better,
             }
         entry = {"change_wins": wins, "gate": gate}
         for side in SIDES:

@@ -76,6 +76,11 @@ _MAX_REJECTIONS = 20
 # A log search coordinate is clipped to +-_LOG_CLIP before exp, in range.
 _LOG_CLIP = 700.0
 
+# Newton's method reduces through the ufuncs' own ``reduce``: the loops of
+# ``ndarray.all/max`` without their Python wrappers, with the same results.
+_and_reduce = np.logical_and.reduce
+_max_reduce = np.maximum.reduce
+
 
 def exp_clipped(z) -> float:
     return math.exp(min(max(z, -_LOG_CLIP), _LOG_CLIP))
@@ -220,7 +225,11 @@ def _newton(neg_f: Callable, x0: np.ndarray):
         fx, grad, hess = neg_f(x)
         if fx != fx:  # NaN; _check_value raises, naming the point
             _check_value(fx, x)
-        ok = math.isfinite(fx) and bool(np.isfinite(grad).all()) and bool(np.isfinite(hess).all())
+        ok = (
+            math.isfinite(fx)
+            and bool(_and_reduce(np.isfinite(grad), axis=None))
+            and bool(_and_reduce(np.isfinite(hess), axis=None))
+        )
         return fx, grad, hess, ok
 
     x = x0
@@ -231,7 +240,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
     damping = _DAMPING
     iterations = 0
     while True:
-        if float(np.abs(grad).max()) < _GRAD_TOL:
+        if float(_max_reduce(np.abs(grad), axis=None)) < _GRAD_TOL:
             return x, fx, iterations, True
         if iterations == _MAX_ITERS:
             return x, fx, iterations, False
@@ -241,12 +250,13 @@ def _newton(neg_f: Callable, x0: np.ndarray):
             # When |lambda_min(A)| dwarfs lambda, the shifted smallest
             # eigenvalue rounds to zero and the step overflows.
             step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
-            if not np.isfinite(step).all():
+            if not _and_reduce(np.isfinite(step), axis=None):
                 raise NumericalError(f"Newton step is not finite at point {_point_text(x)}")
             if -0.5 * float(grad @ step) <= _REL_DECREASE * (f_start - fx):
                 return x, fx, iterations, True
-            step *= min(1.0, _MAX_STEP / float(np.abs(step).max()))
-            f_new, grad_new, hess_new, ok = evaluate(x + step)
+            step *= min(1.0, _MAX_STEP / float(_max_reduce(np.abs(step), axis=None)))
+            x_new = x + step
+            f_new, grad_new, hess_new, ok = evaluate(x_new)
             if ok and f_new < fx:
                 break
             damping *= 10.0
@@ -257,7 +267,7 @@ def _newton(neg_f: Callable, x0: np.ndarray):
         damping = max(0.1 * damping, _MIN_DAMPING)
         iterations += 1
         decrease = fx - f_new
-        x, fx, grad, hess = x + step, f_new, grad_new, hess_new
+        x, fx, grad, hess = x_new, f_new, grad_new, hess_new
         if decrease <= _REL_DECREASE * (f_start - fx):
             return x, fx, iterations, True
 

@@ -44,6 +44,25 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * _LOG_2PI
 
+# The marginal's arrays have a few hundred elements, where numpy's
+# per-call overhead outweighs the arithmetic.  So reductions are the
+# ufuncs' own ``reduce`` (the loops of ``ndarray.sum/any/max`` without
+# their Python wrappers), intermediates go into preallocated outputs, and
+# fixed-shape matrices are built from flat lists; each value keeps the
+# bits of the plain expressions.
+_add_reduce = np.add.reduce
+_or_reduce = np.logical_or.reduce
+_max_reduce = np.maximum.reduce
+# Constant operands are 0-d arrays, which numpy takes faster than Python
+# floats and rounds alike.
+_NEG_INF = np.array(-np.inf)
+_HALF = np.array(0.5)
+_NEG_HALF = np.array(-0.5)
+_LOG_2PI_0D = np.array(_LOG_2PI)
+_LOG_SQRT_2PI_0D = np.array(_LOG_SQRT_2PI)
+# The node numbers of the 9-point scan of _log_sigma_integrals.
+_SCAN = np.arange(9.0)
+
 
 @dataclass(frozen=True)
 class UniHyperparams:
@@ -73,12 +92,14 @@ class _UniData:
     the statistics and scatter, the per-population columns that
     ``_log_mu_integral`` reads (sqrt n, the halved log n, and the halved
     degrees of freedom and scatter), each of shape (P, 1), and the
-    constants of the E rows of ``_log_sigma_integrals``.  ``learn_uni``
-    builds it once per fit.
+    constants of the E rows of ``_log_sigma_integrals``: s, its positive
+    entries, s + 1 and the normalizing log.  ``learn_uni`` builds it once
+    per fit.
     """
 
     __slots__ = ("n", "xbar", "var", "scatter", "root_n", "half_log_n",
-                 "neg_half_dof", "half_scatter", "e_s", "e_log_norm")
+                 "neg_half_dof", "half_scatter", "e_s", "e_s_positive",
+                 "e_s_plus_one", "e_log_norm")
 
     def __init__(self, stats_list: Sequence[SufficientStats]):
         n, xbar, var = _stats_arrays(stats_list)
@@ -91,25 +112,37 @@ class _UniData:
         # Two E rows per population, one per edge of the mean side.
         n_rows = np.concatenate([n, n])
         self.e_s = 0.5 * n_rows - 1.0
+        self.e_s_positive = self.e_s > 0
+        self.e_s_plus_one = self.e_s + 1.0
         self.e_log_norm = (-0.5 * n_rows * _LOG_2PI)[:, None]
 
 
-def _log_mu_integral(t, data: _UniData, a, b, decay):
+def _mean_side(data: _UniData, a, b):
+    """The mean side [a, b] as ``_log_mu_integral`` takes it: the columns
+    a - xbar_i and b - xbar_i, of shape (P, 1), and the width b - a as a
+    0-d array.  A marginal forms them once for all of its
+    ``_log_mu_integral`` calls."""
+    return (a - data.xbar)[:, None], (b - data.xbar)[:, None], np.array(b - a)
+
+
+def _log_mu_integral(t, data: _UniData, side, decay):
     """log L_i(e^t), the Gaussian likelihood of population i integrated
     over mu in [a, b] at sigma^2 = e^t, with the standardized box edges
     lo, hi and log(Phi(hi) - Phi(lo)) it is built from.  ``t`` is 2-d and
-    broadcasts against the (P, 1) columns of ``data``; ``decay`` is e^-t,
-    which the caller may share with other rows.
+    broadcasts against the (P, 1) columns of ``data``; ``side`` is
+    ``_mean_side(data, a, b)``; ``decay`` is e^-t, which the caller may
+    share with other rows.
     """
-    k = data.root_n / np.exp(0.5 * t)
-    hi = (b - data.xbar)[:, None] * k
-    lo = (a - data.xbar)[:, None] * k
+    a_off, b_off, width = side
+    k = data.root_n / np.exp(_HALF * t)
+    hi = b_off * k
+    lo = a_off * k
     # The width goes in separately: forming hi - lo from the rounded
     # endpoints costs ~1e-16/(b-a) in relative terms, which for sliver
     # boxes turns into node-dependent noise that stalls the quadrature.
-    log_phi_diff = log_normal_cdf_diff(lo, hi, (b - a) * k)
+    log_phi_diff = log_normal_cdf_diff(lo, hi, width * k)
     log_l = (
-        data.neg_half_dof * (_LOG_2PI + t)
+        data.neg_half_dof * (_LOG_2PI_0D + t)
         - data.half_log_n
         - data.half_scatter * decay
         + log_phi_diff
@@ -123,15 +156,13 @@ def _log_l_slope(data: _UniData, sigma_sq, lo, hi, log_phi_diff):
     where D = Phi(hi) - Phi(lo).  ``lo``, ``hi`` and ``log_phi_diff`` have
     one row per population, like the columns of ``data``.  See
     ``_face_log_marginal``."""
-    r_hi = np.exp(-0.5 * hi * hi - _LOG_SQRT_2PI - log_phi_diff)
-    r_lo = np.exp(-0.5 * lo * lo - _LOG_SQRT_2PI - log_phi_diff)
+    r_hi = np.exp(_NEG_HALF * hi * hi - _LOG_SQRT_2PI_0D - log_phi_diff)
+    r_lo = np.exp(_NEG_HALF * lo * lo - _LOG_SQRT_2PI_0D - log_phi_diff)
     d1 = -(r_hi * hi - r_lo * lo) / (2.0 * sigma_sq)
     l1 = data.neg_half_dof / sigma_sq + data.half_scatter / (sigma_sq * sigma_sq) + d1
     return l1, d1, r_lo, r_hi
 
 
-# Far boxes overflow q and take the log of zero on the way to -inf.
-@np.errstate(divide="ignore", over="ignore")
 def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     """Per-population log of the sigma^2 integral I_i over [c, d], and
     what its first and second derivatives in (a, b, c, d) need.
@@ -177,6 +208,19 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     rounding is a fixed multiple of ulp(log c)), and that error is
     identical for every population, so it would show up as a correlated
     nat-level artifact in the total that the optimizer then chases.
+
+    A learn_uni fit evaluates this a dozen times or more, on arrays of a
+    few hundred elements, where numpy's per-call overhead outweighs the
+    arithmetic.  So the integrand writes its 5P rows into one array, each
+    block through explicit outputs, and shifts and exponentiates them in
+    place; the scan is linspace's own arithmetic on a constant row, and
+    the mean side's columns are formed once per marginal.  Every value
+    keeps the bits of the plain expressions.  The integrand returns one
+    (5P, K) array, and the quadrature goes through the module's
+    ``integrate_adaptive``.
+
+    Far boxes overflow q and take the log of zero on the way to -inf;
+    the caller holds numpy's error state (``uni_log_marginal_likelihood``).
     """
     t_lo = math.log(hyper.c)
     dt = math.log1p((hyper.d - hyper.c) / hyper.c)
@@ -186,26 +230,39 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
             f"variance side [{hyper.c!r}, {hyper.d!r}] spans more than the float range"
         )
     t_hi = t_lo + dt
+    t_lo_0d = np.array(t_lo)
     n, xbar, scatter = data.n, data.xbar, data.scatter
     p = len(n)
     a, b = hyper.a, hyper.b
+    side = _mean_side(data, a, b)
 
     # The E rows: row k is population k % P with mu at a (k < P) or at b.
-    q = (0.5 * (scatter + n * (xbar - np.array([[a], [b]])) ** 2)).ravel()
-    s, log_norm = data.e_s, data.e_log_norm
-    s_col, q_col = s[:, None], q[:, None]
+    q = (_HALF * (scatter + n * (xbar - np.array((a, b))[:, None]) ** 2)).ravel()
+    s_col, q_col, log_norm = data.e_s[:, None], q[:, None], data.e_log_norm
 
-    def log_g(t, decay):
-        return log_norm - s_col * t - q_col * decay
+    def log_g(t, decay, out, scratch):
+        # log_norm - s t - q e^-t, into out; scratch takes q e^-t.
+        np.multiply(s_col, t, out)
+        np.subtract(log_norm, out, out)
+        np.multiply(q_col, decay, scratch)
+        return np.subtract(out, scratch, out)
 
     # Shift f_i by its per-population peak; the un-truncated maximizer of
     # the sigma^2 profile sits at sigma^2 = S, clipped into [c, d].  The
-    # scan is 9 points and that point as a tenth column.  linspace returns
-    # both ends exactly, so the scan's first and ninth columns are the
-    # integrand at sigma^2 = c and at sigma^2 = d.
+    # scan is 9 points and that point as a tenth column.  The 9 points
+    # are np.linspace(t_lo, t_hi, 9), formed by linspace's own arithmetic,
+    # which returns both ends exactly, so the scan's first and ninth
+    # columns are the integrand at sigma^2 = c and at sigma^2 = d.
     t_scan = np.empty((p, 10))
-    t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
-    t_scan[:, 9] = np.log(np.clip(data.var, hyper.c, hyper.d))
+    step = (t_hi - t_lo) / 8
+    if step == 0:
+        t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
+    else:
+        row = t_scan[:, :9]
+        np.multiply(_SCAN, step, row)
+        row += t_lo_0d
+        row[:, 8] = t_hi
+    np.log(np.minimum(np.maximum(data.var, hyper.c), hyper.d), t_scan[:, 9])
     # log g_i is concave in t and peaks at log(q/s), clipped into the
     # interval: at the right end when s = 0, at the left end when q = 0.
     # s = q = 0 (n = 2, S = 0, mean on the edge) is flat; any end will do.
@@ -213,34 +270,45 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     # call takes both peaks and, as its last two columns, the corners of
     # the box at sigma^2 = c and d.
     t_peaks = np.empty((2 * p, 4))
-    t_peaks[:, 0] = np.log(np.divide(q, s, out=np.full_like(q, np.inf), where=s > 0))
-    t_peaks[:, 1] = np.log(q / (s + 1.0))
+    q_over_s = np.empty(2 * p)
+    q_over_s.fill(np.inf)
+    np.log(np.divide(q, data.e_s, out=q_over_s, where=data.e_s_positive), t_peaks[:, 0])
+    np.log(q / data.e_s_plus_one, t_peaks[:, 1])
     t_peaks[:, 2] = t_lo
     t_peaks[:, 3] = t_hi
-    np.clip(t_peaks, t_lo, t_hi, out=t_peaks)
-    log_peaks = log_g(t_peaks, np.exp(-t_peaks))
+    np.maximum(t_peaks, t_lo_0d, out=t_peaks)
+    np.minimum(t_peaks, t_hi, out=t_peaks)
+    decay_peaks = np.exp(-t_peaks)
+    log_peaks = log_g(t_peaks, decay_peaks, np.empty((2 * p, 4)), decay_peaks)
     e_shifts = [log_peaks[:, 0], log_peaks[:, 1] - t_peaks[:, 1]]
     # Set by the integrand's first call, from the scan.
     shifts = ends = None
 
     def integrand(u):
         nonlocal shifts, ends
-        t = (u + t_lo)[None, :]
+        k = len(u)
+        t = (u + t_lo_0d)[None, :]
         decay = np.exp(-t)
-        log_e = log_g(t, decay)
+        # The f rows, the E rows and the F rows, log g - t; the F rows
+        # hold q e^-t until then.
+        out = np.empty((5 * p, k))
+        log_e, log_e_over_var = out[p:3 * p], out[3 * p:]
+        log_g(t, decay, log_e, log_e_over_var)
+        np.subtract(log_e, t, log_e_over_var)
         if shifts is None:
-            k = len(u)
             t_first = np.empty((p, k + 10))
             t_first[:, :k] = t
             t_first[:, k:] = t_scan
-            first = _log_mu_integral(t_first, data, a, b, np.exp(-t_first))
-            shifts = np.concatenate([(first[0][:, k:] + t_scan).max(axis=1), *e_shifts])
+            first = _log_mu_integral(t_first, data, side, np.exp(-t_first))
+            shifts = np.concatenate([_max_reduce(first[0][:, k:] + t_scan, axis=1), *e_shifts])
             shifts = np.where(np.isfinite(shifts), shifts, 0.0)[:, None]
             ends = tuple(v[:, k::8] for v in first)
-            log_f = first[0][:, :k] + t
+            log_mu = first[0][:, :k]
         else:
-            log_f = _log_mu_integral(t, data, a, b, decay)[0] + t
-        return np.exp(np.concatenate([log_f, log_e, log_e - t]) - shifts)
+            log_mu = _log_mu_integral(t, data, side, decay)[0]
+        np.add(log_mu, t, out[:p])
+        np.subtract(out, shifts, out)
+        return np.exp(out, out)
 
     value, _err = integrate_adaptive(integrand, 0.0, dt)
     log_all = shifts[:, 0] + np.log(value)
@@ -296,13 +364,13 @@ def _face_log_marginal(data: _UniData, a, b, c):
     underflow to zero.
     """
     t = np.array([[math.log(c)]])
-    at_c = _log_mu_integral(t, data, a, b, np.exp(-t))
+    at_c = _log_mu_integral(t, data, _mean_side(data, a, b), np.exp(-t))
     log_l, lo, hi, log_phi_diff = (v[:, 0] for v in at_c)
     n, scatter = data.n, data.scatter
     p = len(n)
-    if np.any(np.isneginf(log_l)):
+    if _or_reduce(log_l == _NEG_INF):
         return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
-    value = float(np.sum(log_l - math.log(b - a)))
+    value = float(_add_reduce(log_l - math.log(b - a)))
     powers = _powers_in_range((c, 3), (b - a, 2))
     if powers is None:
         return value, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
@@ -312,24 +380,25 @@ def _face_log_marginal(data: _UniData, a, b, c):
     l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c_cubed + d2 - d1 * d1
     k = np.sqrt(n / c)
     grad = np.array([
-        p / (b - a) - float(np.sum(r_lo * k)),
-        float(np.sum(r_hi * k)) - p / (b - a),
-        float(np.sum(l1)),
+        p / (b - a) - float(_add_reduce(r_lo * k)),
+        float(_add_reduce(r_hi * k)) - p / (b - a),
+        float(_add_reduce(l1)),
     ])
     box = p / width_sq
     # r_b z_b - r_a z_a - 1, shared by the (a, c) and (b, c) entries
     pull = r_hi * hi - r_lo * lo - 1.0
-    hac = -float(np.sum(k * r_lo * (lo * lo + pull))) / (2.0 * c)
-    hbc = float(np.sum(k * r_hi * (hi * hi + pull))) / (2.0 * c)
-    hab = float(np.sum(k * k * r_lo * r_hi)) - box
-    hess = np.array([
-        [float(np.sum(k * k * (lo * r_lo - r_lo * r_lo))) + box, hab, hac],
-        [hab, box - float(np.sum(k * k * (hi * r_hi + r_hi * r_hi))), hbc],
-        [hac, hbc, float(np.sum(l2))],
-    ])
-    return value, grad, hess, float(np.sum(l2 + l1 * l1)) / 24.0
+    hac = -float(_add_reduce(k * r_lo * (lo * lo + pull))) / (2.0 * c)
+    hbc = float(_add_reduce(k * r_hi * (hi * hi + pull))) / (2.0 * c)
+    hab = float(_add_reduce(k * k * r_lo * r_hi)) - box
+    haa = float(_add_reduce(k * k * (lo * r_lo - r_lo * r_lo))) + box
+    hbb = box - float(_add_reduce(k * k * (hi * r_hi + r_hi * r_hi)))
+    hess = np.array([haa, hab, hac, hab, hbb, hbc, hac, hbc, float(_add_reduce(l2))]).reshape(3, 3)
+    return value, grad, hess, float(_add_reduce(l2 + l1 * l1)) / 24.0
 
 
+# Far boxes overflow q and take the log of zero on the way to -inf, and
+# below c of about 1.5e-154 the square of c in the (c, c) slope underflows.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def uni_log_marginal_likelihood(
     stats_list: Sequence[SufficientStats] | _UniData,
     hyper: UniHyperparams,
@@ -376,7 +445,10 @@ def uni_log_marginal_likelihood(
     I_i, which is run on both paths, so ``hessian`` only chooses the
     return shape.  At a -inf value the gradient and the Hessian are NaN,
     and so are they when the square of a side leaves the float range, by
-    overflow or by underflow to zero.
+    overflow or by underflow to zero.  Below c of about 1.5e-154 the
+    square of c underflows to zero in the slope of L_i at c, and the
+    (c, c) entry is NaN.  Neither path warns: numpy reports no error
+    inside the marginal.
 
     On the variance face c == d the prior on sigma^2 is a point mass and
     the value is the d -> c limit, sum_i log L_i(c) - P log(b-a), which
@@ -408,9 +480,9 @@ def uni_log_marginal_likelihood(
     )
     mean_side, var_side = hyper.b - hyper.a, hyper.d - hyper.c
     log_box = math.log(mean_side) + math.log(var_side)
-    if (log_int == -np.inf).any():
+    if _or_reduce(log_int == _NEG_INF):
         return (-math.inf, np.full(4, math.nan), np.full((4, 4), math.nan)) if hessian else -math.inf
-    value = float((log_int - log_box).sum())
+    value = float(_add_reduce(log_int - log_box))
     if not hessian:
         return value
     squares = _powers_in_range((mean_side, 2), (var_side, 2))
@@ -422,30 +494,34 @@ def uni_log_marginal_likelihood(
     e_a, e_b, f_a, f_b = np.exp(log_edges - log_int)
     l_ends = np.exp(log_l - log_int[:, None])
     # grad I_i / I_i, one column per population
-    pulls = np.stack([-e_a, e_b, -l_ends[:, 0], l_ends[:, 1]])
-    grad = pulls.sum(axis=1) + np.array(
+    pulls = np.empty((4, p))
+    np.negative(e_a, pulls[0])
+    pulls[1] = e_b
+    np.negative(l_ends[:, 0], pulls[2])
+    pulls[3] = l_ends[:, 1]
+    grad = _add_reduce(pulls, axis=1) + np.array(
         [p / mean_side, -(p / mean_side), p / var_side, -(p / var_side)]
     )
-    (c_ac, c_ad), (c_bc, c_bd) = np.exp(log_corners - log_int[:, None]).sum(axis=1).tolist()
+    (c_ac, c_ad), (c_bc, c_bd) = _add_reduce(np.exp(log_corners - log_int[:, None]), axis=1).tolist()
     slopes = _log_l_slope(data, np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff)[0]
-    rise_c, rise_d = (slopes * l_ends).sum(axis=0).tolist()
-    h_aa = -float((n * (xbar - hyper.a) * f_a).sum())
-    h_bb = float((n * (xbar - hyper.b) * f_b).sum())
+    rise_c, rise_d = _add_reduce(slopes * l_ends, axis=0).tolist()
+    h_aa = -float(_add_reduce(n * (xbar - hyper.a) * f_a))
+    h_bb = float(_add_reduce(n * (xbar - hyper.b) * f_b))
     # P B: the second derivatives of -P log(b - a) - P log(d - c)
     ab_in, ab_out = p * (1.0 / mean_sq), p * (-1.0 / mean_sq)
     cd_in, cd_out = p * (1.0 / var_sq), p * (-1.0 / var_sq)
     h_sum = np.array([
-        [h_aa, 0.0, c_ac, -c_ad],
-        [0.0, h_bb, -c_bc, c_bd],
-        [c_ac, -c_bc, -rise_c, 0.0],
-        [-c_ad, c_bd, 0.0, rise_d],
-    ])
+        h_aa, 0.0, c_ac, -c_ad,
+        0.0, h_bb, -c_bc, c_bd,
+        c_ac, -c_bc, -rise_c, 0.0,
+        -c_ad, c_bd, 0.0, rise_d,
+    ]).reshape(4, 4)
     box = np.array([
-        [ab_in, ab_out, 0.0, 0.0],
-        [ab_out, ab_in, 0.0, 0.0],
-        [0.0, 0.0, cd_in, cd_out],
-        [0.0, 0.0, cd_out, cd_in],
-    ])
+        ab_in, ab_out, 0.0, 0.0,
+        ab_out, ab_in, 0.0, 0.0,
+        0.0, 0.0, cd_in, cd_out,
+        0.0, 0.0, cd_out, cd_in,
+    ]).reshape(4, 4)
     return value, grad, h_sum - pulls @ pulls.T + box
 
 
@@ -541,7 +617,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         raise DataError("learn_uni needs at least 2 populations")
     data = _UniData(stats_list)
     n, xbar, var = data.n, data.xbar, data.var
-    if not np.any(data.scatter > 0):
+    if not _or_reduce(data.scatter > 0):
         raise DegeneratePriorError(
             "every population has zero scatter, so the likelihood grows "
             "without bound as the variance prior collapses onto zero; no "
@@ -549,12 +625,12 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         )
 
     se = np.sqrt(var / n)
-    span = float(xbar.max() - xbar.min())
+    span = float(_max_reduce(xbar) - np.minimum.reduce(xbar))
     # The floors are multiples of the data's own scales, so they move with
     # its units: the largest sample variance is positive, as some
     # population has scatter, and so is its square root.
-    var_max = float(var.max())
-    pad = max(float(np.median(se)), 1e-9 * max(math.sqrt(var_max), float(np.abs(xbar).max())))
+    var_max = float(_max_reduce(var))
+    pad = max(float(np.median(se)), 1e-9 * max(math.sqrt(var_max), float(_max_reduce(np.abs(xbar)))))
     w0 = max(2.0 * pad, 0.5 * span)
     v0 = max(float(np.median(var)), pad * pad, 1e-12 * var_max)
     c0 = v0 / 2.5
@@ -573,7 +649,10 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     depth = _FACE_DEPTH * v0
 
     def box(z):
-        # The search point, in centred and scaled coordinates, as a box.
+        # The search point, in centred and scaled coordinates, as a box:
+        # from Newton's array or the tuple of a result, as floats.
+        if isinstance(z, np.ndarray):
+            z = z.tolist()
         return _box_from_point((init[0] + w0 * z[0], *(x + y for x, y in zip(init[1:], z[1:]))))
 
     # The best interior value so far; +inf turns the hand-over off.
@@ -583,18 +662,22 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         # The chain rule to the search coordinates: jac holds the
         # derivatives of (a, b, c[, d]) in them.  Each of the last
         # coordinates is the log of a side or of c, whose second
-        # derivative equals its first.
+        # derivative equals its first.  The diagonal is added as a whole
+        # matrix, which turns each -0.0 entry into +0.0.
         g = jac.T @ grad
-        return value, g, jac.T @ hess @ jac + np.diag([0.0, *g[1:]])
+        k = len(g)
+        diag = np.zeros((k, k))
+        diag.flat[k + 1::k + 1] = g[1:]
+        return value, g, jac.T @ hess @ jac + diag
 
     def jacobian(a, b, c, d):
         half = 0.5 * (b - a)
         return np.array([
-            [w0, -half, 0.0, 0.0],
-            [w0, half, 0.0, 0.0],
-            [0.0, 0.0, c, 0.0],
-            [0.0, 0.0, c, d - c],
-        ])
+            w0, -half, 0.0, 0.0,
+            w0, half, 0.0, 0.0,
+            0.0, 0.0, c, 0.0,
+            0.0, 0.0, c, d - c,
+        ]).reshape(4, 4)
 
     def interior(z):
         nonlocal best

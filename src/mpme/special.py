@@ -31,6 +31,14 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 _MAX_SUBDIVISIONS = 200
 
+# Reductions called as the ufuncs' own ``reduce``: the same loops and the
+# same pairwise summation as ``ndarray.sum/any/all/max``, without the
+# Python wrappers those methods go through.
+_add_reduce = np.add.reduce
+_or_reduce = np.logical_or.reduce
+_and_reduce = np.logical_and.reduce
+_max_reduce = np.maximum.reduce
+
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1], symmetric).
 _XGK_HALF = (
@@ -67,6 +75,14 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array(list(_WG_HALF) + list(reversed(_WG_HALF[:-1])))
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Constant operands as 0-d arrays, which numpy takes faster than Python
+# floats and rounds alike.
+_REL_TOL_0D = np.array(_REL_TOL)
+_ABS_TOL_0D = np.array(_ABS_TOL)
+_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
+_NEG_INF = np.array(-np.inf)
+_NARROW_H_SQ = np.array(2.4e-7)
 
 
 def _gk15(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -74,13 +90,18 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray):
 
     Returns per-interval Kronrod estimates and |K15 - G7| error estimates,
     each of shape ``(components, intervals)``.
+
+    The two weighted sums stay ``y @ _WGK`` and ``y[:, :, _GAUSS_IDX] @
+    _WG``.  The fancy index stores the Gauss nodes in its outermost axis,
+    and each alternative (a contiguous copy, ``np.take``, a strided view,
+    one flattened matmul) rounds some sums differently.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    half = _HALF * (b - a)
+    mid = _HALF * (a + b)
     x = mid[:, None] + half[:, None] * _XGK
     y = np.asarray(f(x.reshape(-1)), dtype=float)
     y = y.reshape(-1, len(a), 15)
-    if not np.isfinite(y).all():
+    if not _and_reduce(np.isfinite(y), axis=None):
         raise QuadratureError("integrand returned a non-finite value")
     k15 = (y @ _WGK) * half
     g7 = (y[:, :, _GAUSS_IDX] @ _WG) * half
@@ -111,6 +132,17 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
     QuadratureError
         If the budget of 200 subdivisions is exhausted first; the exception
         carries the best estimate and its error bound.
+
+    Notes
+    -----
+    The loop runs a few times per call on arrays of a few hundred
+    elements, where numpy's per-call overhead outweighs the arithmetic.
+    So it reduces through the ufuncs' own ``reduce`` (``np.add.reduce``
+    and not ``ndarray.sum``: the same loop, without a Python wrapper) and
+    takes its constants as 0-d arrays; every value keeps its bits.  The
+    GK15 rule's weighted sums are another matter: the Gauss sum gathers
+    its nodes with a fancy index, and every cheaper gather rounds some
+    sums differently, so ``_gk15`` keeps it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DataError(f"invalid integration interval [{lo!r}, {hi!r}]")
@@ -118,21 +150,21 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
     b = np.array([hi])
     est, err = _gk15(f, a, b)
     splits_left = _MAX_SUBDIVISIONS
-    width = hi - lo
+    width = np.array(hi - lo)
     while True:
-        total = est.sum(axis=1)
-        total_err = err.sum(axis=1)
-        tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
+        total = _add_reduce(est, axis=1)
+        total_err = _add_reduce(err, axis=1)
+        tol = np.maximum(_ABS_TOL_0D, _REL_TOL_0D * np.abs(total))
         pending = total_err > tol
-        if not pending.any():
+        if not _or_reduce(pending):
             return total, total_err
         # Split every interval whose error exceeds its width-proportional
         # share of the tolerance for some still-unconverged component.
         err_pending = err[pending]
         share = (b - a) / width
-        split = (err_pending > tol[pending, None] * share).any(axis=0)
-        if not split.any():
-            split[np.argmax(err_pending.max(axis=0))] = True
+        split = _or_reduce(err_pending > tol[pending, None] * share, axis=0)
+        if not _or_reduce(split):
+            split[np.argmax(_max_reduce(err_pending, axis=0))] = True
         n_split = np.count_nonzero(split)
         if n_split > splits_left:
             raise QuadratureError(
@@ -144,7 +176,7 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
         splits_left -= n_split
         keep = ~split
         a_split, b_split = a[split], b[split]
-        mid = 0.5 * (a_split + b_split)
+        mid = _HALF * (a_split + b_split)
         new_a = np.concatenate([a_split, mid])
         new_b = np.concatenate([mid, b_split])
         new_est, new_err = _gk15(f, new_a, new_b)
@@ -183,26 +215,39 @@ def log_normal_cdf_diff(lo, hi, width):
     1e-16 / (hi - lo); a caller that knows ``x - y`` exactly supplies
     q*(x - y) and keeps the expansion fully accurate however narrow the
     interval.
+
+    A call works on a few hundred elements, where numpy's per-call
+    overhead outweighs the arithmetic.  So the log-space difference runs
+    through one buffer with explicit outputs, the -inf entries are set by
+    ``np.putmask`` from a 0-d -inf, and the test for narrow intervals is
+    the ufunc's own ``reduce``; each value keeps the bits of the plain
+    expressions.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         # lo = -inf, hi = inf sums to NaN, which is not > 0: not reflected.
-        flip = (lo + hi) > 0
+        flip = (lo + hi) > _ZERO
         low = np.where(flip, -hi, lo)
         high = np.where(flip, -lo, hi)
         log_hi = _sp.log_ndtr(high)
         log_lo = _sp.log_ndtr(low)
-        out = log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0)))
+        # log_hi + log1p(-exp(min(log_lo - log_hi, 0))), in place.
+        out = np.subtract(log_lo, log_hi)
+        np.minimum(out, _ZERO, out=out)
+        np.exp(out, out)
+        np.negative(out, out)
+        np.log1p(out, out)
+        np.add(log_hi, out, out)
         # log_ndtr(high) = -inf means even the larger CDF is an exact zero,
         # so the difference is too; the log-space subtraction above gives
         # nan for these.  Such a high is below -1e154; for lo <= hi so is
         # zm, whose square overflows, so no narrow element below overrides it.
-        out[(high <= low) | (log_hi == -np.inf)] = -np.inf
+        np.putmask(out, (high <= low) | (log_hi == _NEG_INF), _NEG_INF)
         h_sq = width * width
-        if (h_sq < 2.4e-7).any():
+        if _or_reduce(h_sq < _NARROW_H_SQ, axis=None):
             zm = 0.5 * (high + low)
             zm_sq = zm * zm
-            narrow = (width > 0) & (h_sq * (zm_sq + 1.0) < 2.4e-7)
-            if narrow.any():
+            narrow = (width > 0) & (h_sq * (zm_sq + 1.0) < _NARROW_H_SQ)
+            if _or_reduce(narrow, axis=None):
                 # Elementwise, so the narrow elements alone give the same bits.
                 h, h_sq, zm_sq = width[narrow], h_sq[narrow], zm_sq[narrow]
                 series = h_sq * (zm_sq - 1.0) / 24.0 + h**4 * (

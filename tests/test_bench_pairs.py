@@ -13,8 +13,9 @@ _spec.loader.exec_module(bench_pairs)
 # line that give trials_per_s the value TPS and every other metric 1.0,
 # and exits with CODE.  A run with exit code 1 failed its output checks,
 # as perfbench reports it.  Its k-th traced run gives each metric named in
-# TRACED the k-th value listed for it.  Every run appends the checkout's
-# name and its --trace to runs.log beside the checkout.
+# TRACED the k-th value listed for it, and its k-th untraced run does the
+# same for E2E.  Every run appends the checkout's name and its --trace to
+# runs.log beside the checkout.
 _FAKE_RUN = """
 import json, os, sys
 spec = json.load(open("BENCHMARK.json"))
@@ -22,12 +23,11 @@ trace = sys.argv[sys.argv.index("--trace") + 1] == "1"
 with open(os.path.join("..", "runs.log"), "a+") as log:
     log.seek(0)
     me = os.path.basename(os.getcwd())
-    k = log.read().split().count(me + ":1")
+    k = log.read().split().count(f"{me}:{int(trace)}")
     log.write(f"{me}:{int(trace)} ")
 names = [m["name"] for m in spec["per_layer" if trace else "end_to_end"]]
 values = {n: TPS if n == "trials_per_s" else 1.0 for n in names}
-if trace:
-    values.update({n: v[k] for n, v in TRACED.items()})
+values.update({n: v[k] for n, v in (TRACED if trace else E2E).items()})
 print(json.dumps({"nproc": 2, "cpu_model": "x", "python": "3", "numpy": "1", "scipy": "1"}))
 if CODE != 2:
     print(json.dumps({"correct": CODE == 0, "attempted": 4, "failed": 1 if CODE else 0,
@@ -36,12 +36,12 @@ sys.exit(CODE)
 """
 
 
-def _checkout(tmp_path, name, code, trials_per_s=1.0, traced=None):
+def _checkout(tmp_path, name, code, trials_per_s=1.0, traced=None, end_to_end=None):
     root = tmp_path / name
     (root / "perfbench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     run = (_FAKE_RUN.replace("CODE", str(code)).replace("TPS", repr(trials_per_s))
-           .replace("TRACED", repr(traced or {})))
+           .replace("TRACED", repr(traced or {})).replace("E2E", repr(end_to_end or {})))
     (root / "perfbench" / "run.py").write_text(run)
     return root
 
@@ -97,13 +97,45 @@ def test_a_change_better_on_every_pair_clears_the_gate(tmp_path):
     assert entry["change_wins"]["trials_per_s"] == 10
     assert entry["gate"]["trials_per_s"] == {
         "parent_spread": 0.0, "median_gap": 0.5, "clears": True,
+        "bound": 0.25, "worse_by": -0.5, "within_bound": True, "unresolved": False,
     }
 
 
 def test_a_tie_does_not_clear_the_gate(tmp_path):
     entry = _main(tmp_path, _checkout(tmp_path, "parent", 0), _checkout(tmp_path, "change", 0), 10)
-    for gate in entry["gate"].values():
-        assert gate == {"parent_spread": 0.0, "median_gap": 0.0, "clears": False}
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert entry["gate"].keys() == bounds.keys()
+    for name, gate in entry["gate"].items():
+        assert gate == {"parent_spread": 0.0, "median_gap": 0.0, "clears": False,
+                        "bound": bounds[name], "worse_by": 0.0, "within_bound": True,
+                        "unresolved": False}
+
+
+def test_a_metric_worse_past_its_bound_is_named(tmp_path):
+    # trials_per_s is higher-better with a bound of 0.25: 0.7 against 1.0
+    # is 30% worse, past it; 0.8 is 20% worse, within it.
+    for tps, within in ((0.7, False), (0.8, True)):
+        entry = _main(tmp_path, _checkout(tmp_path, f"parent-{tps}", 0),
+                      _checkout(tmp_path, f"change-{tps}", 0, trials_per_s=tps), 2)
+        gate = entry["gate"]["trials_per_s"]
+        assert gate["worse_by"] == pytest.approx(1.0 - tps)
+        assert (gate["within_bound"], gate["unresolved"], gate["clears"]) == (within, False, False)
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(tmp_path):
+    # setup_s (lower is better, bound 0.25) reads 1 or 2 s on the parent:
+    # quartiles 1, 1.5 and 2, a spread of 2/3 of the median.  A change at
+    # 1 s reads better in the median but not in every run, so the metric
+    # is unresolved; at 0.5 s every change run beats every parent run.
+    parent = _checkout(tmp_path, "parent", 0, end_to_end={"setup_s": [1.0, 2.0, 1.0, 2.0]})
+    for setup_s, unresolved in ((1.0, True), (0.5, False)):
+        change = _checkout(tmp_path, f"change-{setup_s}", 0, end_to_end={"setup_s": [setup_s] * 4})
+        (tmp_path / "runs.log").unlink(missing_ok=True)
+        gate = _main(tmp_path, parent, change, 4)["gate"]["setup_s"]
+        assert gate["parent_spread"] == 1.0
+        assert gate["worse_by"] == pytest.approx((setup_s - 1.5) / 1.5)
+        assert (gate["within_bound"], gate["unresolved"]) == (True, unresolved)
 
 
 def test_each_pair_makes_one_traced_run_per_side_in_its_order(tmp_path):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpme import prior_nix
+from mpme import prior_nix, prior_uni
 from mpme.core import PopulationSample, sufficient_stats
 from mpme.experiments import SyntheticConfig, generate_synthetic
 from mpme.optim import maximize
@@ -23,17 +23,17 @@ from mpme.prior_nix import learn_nix
 from mpme.prior_uni import learn_uni, uni_log_marginal_likelihood
 
 
-def example1_stats(seed):
-    """Trial 0 of example 1 (P = 20 populations of n = 5) at ``seed``."""
+def example1_stats(seed, trial=0):
+    """Trial ``trial`` of example 1 (P = 20 populations of n = 5) at ``seed``."""
     cfg = SyntheticConfig(
         populations=20,
         samples_per_population=5,
         mu_range=(9.5, 10.5),
         sigma_range=(0.95, 1.05),
-        trials=1,
+        trials=trial + 1,
         seed=seed,
     )
-    _, samples = generate_synthetic(cfg, 0)
+    _, samples = generate_synthetic(cfg, trial)
     return [sufficient_stats(s) for s in samples]
 
 
@@ -154,39 +154,54 @@ def test_maximize_golden():
 
 
 # The number of evaluations and the SHA-256 of their float-hex lines, one
-# "point... value" line per evaluation in the order the objective received
-# them: from maximize on bumpy, and from learn_nix on trial 0 of the
-# criterion-6 data (example 1, seed 2026).
+# line per evaluation in the order the objective received them: from
+# maximize on bumpy, from learn_nix on trial 0 of the criterion-6 data
+# (example 1, seed 2026), and from learn_uni on its trials 0, which stays
+# interior, and 4, which moves to the variance face.  A line holds the
+# point and the value, and for learn_uni the gradient and the Hessian too,
+# over every maximize call of the fit.  An evaluation that hands the search
+# over to the face returns nothing, so its line holds its point alone.
 GOLDEN_CALL_SEQUENCES = {
     "bumpy": (426, "79f82e5c77d1132a8ba8dab63bab2ab95780685d6efa5edc5054558e53d502ff"),
     "learn_nix": (717, "b7c56964992ebf9070d5cfb9902cb38de10e08c9cfa65ddfe2f1450d7484d7f3"),
+    "learn_uni trial 0": (5, "178773140693d13807bfcf2233300d3a6a6f5ac99cb38565dfdcaeb9396d7280"),
+    "learn_uni trial 4": (18, "3951e636e755fc0149a15288acfd5f758b3e7974f5ffdeb7ea37f1f4cf7ab58d"),
 }
 
 
 def recording(objective, lines):
-    """``objective``, appending each point and value it sees to ``lines``."""
+    """``objective``, appending each point it sees, and what it returned
+    there, to ``lines``."""
 
     def recorded(x):
-        value = objective(x)
-        lines.append(" ".join(float(t).hex() for t in (*x, value)))
-        return value
+        point = [float(t).hex() for t in x]
+        try:
+            result = objective(x)
+        except prior_uni._FaceReached:
+            lines.append(" ".join(point))
+            raise
+        returned = result if isinstance(result, tuple) else (result,)
+        lines.append(" ".join(point + [float(t).hex() for v in returned for t in np.ravel(v)]))
+        return result
 
     return recorded
 
 
 def test_maximize_call_sequences_golden(monkeypatch):
-    bumpy_lines = []
-    maximize(recording(bumpy, bumpy_lines), [-1.2, 1.0, 0.8])
-    nix_lines = []
-    monkeypatch.setattr(
-        prior_nix,
-        "maximize",
-        lambda objective, init, **kw: maximize(recording(objective, nix_lines), init, **kw),
-    )
+    lines = {name: [] for name in GOLDEN_CALL_SEQUENCES}
+
+    def recorded_maximize(name):
+        return lambda objective, init, **kw: maximize(recording(objective, lines[name]), init, **kw)
+
+    maximize(recording(bumpy, lines["bumpy"]), [-1.2, 1.0, 0.8])
+    monkeypatch.setattr(prior_nix, "maximize", recorded_maximize("learn_nix"))
     learn_nix(example1_stats(2026))
+    for trial in (0, 4):
+        monkeypatch.setattr(prior_uni, "maximize", recorded_maximize(f"learn_uni trial {trial}"))
+        learn_uni(example1_stats(2026, trial))
     got = {
-        name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
-        for name, lines in (("bumpy", bumpy_lines), ("learn_nix", nix_lines))
+        name: (len(recorded), hashlib.sha256("\n".join(recorded).encode()).hexdigest())
+        for name, recorded in lines.items()
     }
     assert got == GOLDEN_CALL_SEQUENCES
 

@@ -148,6 +148,22 @@ def test_log_marginal_likelihood_zero_warns_neg_inf():
     assert lml == -math.inf
 
 
+def test_derivatives_at_a_tiny_c_do_not_warn():
+    # Below c of about 1.5e-154 the square of c underflows to zero in the
+    # slope of L_i at c, so the (c, c) entry is NaN; the derivative path is
+    # as silent as the value path, and the value keeps its bits.
+    stats = [_stats(5, 0.1, 1.0), _stats(5, -0.2, 0.9), _stats(3, 0.4, 1.3)]
+    hyper = UniHyperparams(a=-0.5, b=0.5, c=1e-200, d=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = uni_log_marginal_likelihood(stats, hyper)
+        got, grad, hess = uni_log_marginal_likelihood(stats, hyper, hessian=True)
+    assert got == value and math.isfinite(value)
+    assert np.isfinite(grad).all()
+    assert np.isnan(hess[2, 2])
+    assert np.isfinite(np.delete(hess.ravel(), 10)).all()
+
+
 @pytest.mark.parametrize("mirror", [False, True], ids=["right", "left"])
 @pytest.mark.parametrize("far", [1e150, 1e154, 1e160, 1e200])
 def test_box_past_the_overflow_of_q_is_neg_inf(far, mirror):
