@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DataError, NumericalError
+from .special import _and_reduce, _max_reduce
 
 __all__ = ["OptimResult", "exp_clipped", "maximize"]
 
@@ -75,11 +76,6 @@ _MAX_REJECTIONS = 20
 
 # A log search coordinate is clipped to +-_LOG_CLIP before exp, in range.
 _LOG_CLIP = 700.0
-
-# Newton's method reduces through the ufuncs' own ``reduce``: the loops of
-# ``ndarray.all/max`` without their Python wrappers, with the same results.
-_and_reduce = np.logical_and.reduce
-_max_reduce = np.maximum.reduce
 
 
 def exp_clipped(z) -> float:

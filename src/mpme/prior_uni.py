@@ -32,7 +32,16 @@ from .core import (
 )
 from .optim import exp_clipped, maximize
 from .prior_nix import _stats_arrays
-from .special import integrate_adaptive, log_normal_cdf_diff
+from .special import (
+    _HALF,
+    _LOG_SQRT_2PI,
+    _NEG_INF,
+    _add_reduce,
+    _max_reduce,
+    _or_reduce,
+    integrate_adaptive,
+    log_normal_cdf_diff,
+)
 
 __all__ = [
     "UniHyperparams",
@@ -41,25 +50,14 @@ __all__ = [
     "uni_map",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * _LOG_2PI
-
 # The marginal's arrays have a few hundred elements, where numpy's
-# per-call overhead outweighs the arithmetic.  So reductions are the
-# ufuncs' own ``reduce`` (the loops of ``ndarray.sum/any/max`` without
-# their Python wrappers), intermediates go into preallocated outputs, and
-# fixed-shape matrices are built from flat lists; each value keeps the
-# bits of the plain expressions.
-_add_reduce = np.add.reduce
-_or_reduce = np.logical_or.reduce
-_max_reduce = np.maximum.reduce
-# Constant operands are 0-d arrays, which numpy takes faster than Python
-# floats and rounds alike.
-_NEG_INF = np.array(-np.inf)
-_HALF = np.array(0.5)
+# per-call overhead outweighs the arithmetic.  So it reduces through the
+# ufuncs' own ``reduce`` and takes constants as 0-d arrays (see
+# ``special``), writes intermediates into preallocated outputs, and builds
+# fixed-shape matrices from flat lists; each value keeps the bits of the
+# plain expressions.
+_LOG_2PI = np.array(math.log(2.0 * math.pi))
 _NEG_HALF = np.array(-0.5)
-_LOG_2PI_0D = np.array(_LOG_2PI)
-_LOG_SQRT_2PI_0D = np.array(_LOG_SQRT_2PI)
 # The node numbers of the 9-point scan of _log_sigma_integrals.
 _SCAN = np.arange(9.0)
 
@@ -142,7 +140,7 @@ def _log_mu_integral(t, data: _UniData, side, decay):
     # boxes turns into node-dependent noise that stalls the quadrature.
     log_phi_diff = log_normal_cdf_diff(lo, hi, width * k)
     log_l = (
-        data.neg_half_dof * (_LOG_2PI_0D + t)
+        data.neg_half_dof * (_LOG_2PI + t)
         - data.half_log_n
         - data.half_scatter * decay
         + log_phi_diff
@@ -156,8 +154,8 @@ def _log_l_slope(data: _UniData, sigma_sq, lo, hi, log_phi_diff):
     where D = Phi(hi) - Phi(lo).  ``lo``, ``hi`` and ``log_phi_diff`` have
     one row per population, like the columns of ``data``.  See
     ``_face_log_marginal``."""
-    r_hi = np.exp(_NEG_HALF * hi * hi - _LOG_SQRT_2PI_0D - log_phi_diff)
-    r_lo = np.exp(_NEG_HALF * lo * lo - _LOG_SQRT_2PI_0D - log_phi_diff)
+    r_hi = np.exp(_NEG_HALF * hi * hi - _LOG_SQRT_2PI - log_phi_diff)
+    r_lo = np.exp(_NEG_HALF * lo * lo - _LOG_SQRT_2PI - log_phi_diff)
     d1 = -(r_hi * hi - r_lo * lo) / (2.0 * sigma_sq)
     l1 = data.neg_half_dof / sigma_sq + data.half_scatter / (sigma_sq * sigma_sq) + d1
     return l1, d1, r_lo, r_hi
@@ -253,15 +251,16 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     # are np.linspace(t_lo, t_hi, 9), formed by linspace's own arithmetic,
     # which returns both ends exactly, so the scan's first and ninth
     # columns are the integrand at sigma^2 = c and at sigma^2 = d.
+    # linspace divides before it multiplies only when the step rounds to
+    # zero, which differs from this only for a subnormal t_hi - t_lo, and
+    # that cannot occur: t_lo = log c is 0 or at least 1.1e-16 in
+    # magnitude, and dt is at least 1.1e-16, so t_hi - t_lo is 0 or far
+    # above the subnormal range.  At 0 both give t_lo throughout.
     t_scan = np.empty((p, 10))
-    step = (t_hi - t_lo) / 8
-    if step == 0:
-        t_scan[:, :9] = np.linspace(t_lo, t_hi, 9)
-    else:
-        row = t_scan[:, :9]
-        np.multiply(_SCAN, step, row)
-        row += t_lo_0d
-        row[:, 8] = t_hi
+    row = t_scan[:, :9]
+    np.multiply(_SCAN, (t_hi - t_lo) / 8, row)
+    row += t_lo_0d
+    row[:, 8] = t_hi
     np.log(np.minimum(np.maximum(data.var, hyper.c), hyper.d), t_scan[:, 9])
     # log g_i is concave in t and peaks at log(q/s), clipped into the
     # interval: at the right end when s = 0, at the left end when q = 0.
@@ -396,9 +395,8 @@ def _face_log_marginal(data: _UniData, a, b, c):
     return value, grad, hess, float(_add_reduce(l2 + l1 * l1)) / 24.0
 
 
-# Far boxes overflow q and take the log of zero on the way to -inf, and
-# below c of about 1.5e-154 the square of c in the (c, c) slope underflows.
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+# Far boxes overflow q and take the log of zero on the way to -inf.
+@np.errstate(divide="ignore", over="ignore")
 def uni_log_marginal_likelihood(
     stats_list: Sequence[SufficientStats] | _UniData,
     hyper: UniHyperparams,
@@ -447,8 +445,8 @@ def uni_log_marginal_likelihood(
     and so are they when the square of a side leaves the float range, by
     overflow or by underflow to zero.  Below c of about 1.5e-154 the
     square of c underflows to zero in the slope of L_i at c, and the
-    (c, c) entry is NaN.  Neither path warns: numpy reports no error
-    inside the marginal.
+    (c, c) entry is NaN.  Neither path warns in these cases, but numpy
+    still reports an invalid operation anywhere else in the marginal.
 
     On the variance face c == d the prior on sigma^2 is a point mass and
     the value is the d -> c limit, sum_i log L_i(c) - P log(b-a), which
@@ -503,8 +501,11 @@ def uni_log_marginal_likelihood(
         [p / mean_side, -(p / mean_side), p / var_side, -(p / var_side)]
     )
     (c_ac, c_ad), (c_bc, c_bd) = _add_reduce(np.exp(log_corners - log_int[:, None]), axis=1).tolist()
-    slopes = _log_l_slope(data, np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff)[0]
-    rise_c, rise_d = _add_reduce(slopes * l_ends, axis=0).tolist()
+    # Below c of about 1.5e-154 the square of c underflows to zero in the
+    # slope, which is then infinite, and its product with L_i(c) is NaN.
+    with np.errstate(invalid="ignore"):
+        slopes = _log_l_slope(data, np.array([hyper.c, hyper.d]), lo, hi, log_phi_diff)[0]
+        rise_c, rise_d = _add_reduce(slopes * l_ends, axis=0).tolist()
     h_aa = -float(_add_reduce(n * (xbar - hyper.a) * f_a))
     h_bb = float(_add_reduce(n * (xbar - hyper.b) * f_b))
     # P B: the second derivatives of -P log(b - a) - P log(d - c)
@@ -617,7 +618,7 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         raise DataError("learn_uni needs at least 2 populations")
     data = _UniData(stats_list)
     n, xbar, var = data.n, data.xbar, data.var
-    if not _or_reduce(data.scatter > 0):
+    if not np.any(data.scatter > 0):
         raise DegeneratePriorError(
             "every population has zero scatter, so the likelihood grows "
             "without bound as the variance prior collapses onto zero; no "
@@ -625,12 +626,12 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
         )
 
     se = np.sqrt(var / n)
-    span = float(_max_reduce(xbar) - np.minimum.reduce(xbar))
+    span = float(xbar.max() - xbar.min())
     # The floors are multiples of the data's own scales, so they move with
     # its units: the largest sample variance is positive, as some
     # population has scatter, and so is its square root.
-    var_max = float(_max_reduce(var))
-    pad = max(float(np.median(se)), 1e-9 * max(math.sqrt(var_max), float(_max_reduce(np.abs(xbar)))))
+    var_max = float(var.max())
+    pad = max(float(np.median(se)), 1e-9 * max(math.sqrt(var_max), float(np.abs(xbar).max())))
     w0 = max(2.0 * pad, 0.5 * span)
     v0 = max(float(np.median(var)), pad * pad, 1e-12 * var_max)
     c0 = v0 / 2.5

@@ -25,19 +25,26 @@ __all__ = [
 ]
 
 
-# Tolerances and budget of integrate_adaptive.  _MAX_SUBDIVISIONS caps the
-# number of interval bisections; exceeding it raises QuadratureError.
-_REL_TOL = 1e-9
-_ABS_TOL = 1e-12
-_MAX_SUBDIVISIONS = 200
-
-# Reductions called as the ufuncs' own ``reduce``: the same loops and the
-# same pairwise summation as ``ndarray.sum/any/all/max``, without the
-# Python wrappers those methods go through.
+# The quadrature, the UNI marginal and Newton's method work on arrays of a
+# few hundred elements or fewer, where numpy's per-call overhead outweighs
+# the arithmetic.  So they reduce through the ufuncs' own ``reduce`` (the
+# same loops and the same pairwise summation as ``ndarray.sum/any/all/max``,
+# without the Python wrappers those methods go through) and take constant
+# operands as 0-d arrays, which numpy takes faster than Python floats and
+# rounds alike.  ``prior_uni`` and ``optim`` import these from here.
 _add_reduce = np.add.reduce
 _or_reduce = np.logical_or.reduce
 _and_reduce = np.logical_and.reduce
 _max_reduce = np.maximum.reduce
+_ZERO = np.array(0.0)
+_HALF = np.array(0.5)
+_NEG_INF = np.array(-np.inf)
+
+# Tolerances and budget of integrate_adaptive.  _MAX_SUBDIVISIONS caps the
+# number of interval bisections; exceeding it raises QuadratureError.
+_REL_TOL = np.array(1e-9)
+_ABS_TOL = np.array(1e-12)
+_MAX_SUBDIVISIONS = 200
 
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1], symmetric).
@@ -74,14 +81,7 @@ _WGK = np.array(list(_WGK_HALF) + list(reversed(_WGK_HALF[:-1])))
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.array(list(_WG_HALF) + list(reversed(_WG_HALF[:-1])))
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# Constant operands as 0-d arrays, which numpy takes faster than Python
-# floats and rounds alike.
-_REL_TOL_0D = np.array(_REL_TOL)
-_ABS_TOL_0D = np.array(_ABS_TOL)
-_ZERO = np.array(0.0)
-_HALF = np.array(0.5)
-_NEG_INF = np.array(-np.inf)
+_LOG_SQRT_2PI = np.array(0.5 * math.log(2.0 * math.pi))
 _NARROW_H_SQ = np.array(2.4e-7)
 
 
@@ -154,7 +154,7 @@ def integrate_adaptive(f: Callable, lo: float, hi: float):
     while True:
         total = _add_reduce(est, axis=1)
         total_err = _add_reduce(err, axis=1)
-        tol = np.maximum(_ABS_TOL_0D, _REL_TOL_0D * np.abs(total))
+        tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         pending = total_err > tol
         if not _or_reduce(pending):
             return total, total_err
