@@ -38,10 +38,11 @@ relative to its median, exceeds ``bound``, unless every change run reads
 better than every parent run: the runs then spread too widely to tell a
 change within the bound from one past it.
 
-perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits,
-and a UNI fit that moves to the variance face makes two or three of
-them.  So the record also gives ``per_learn_uni``: the UNI marginal calls
-(each one quadrature) and the objective calls per ``learn_uni`` call.
+perfbench's ``optim.*_per_fit`` metrics count ``maximize`` calls as fits;
+each ``learn_uni`` makes one, so on ``synth-uni`` they read per fit.  The
+record also gives ``per_learn_uni``: the UNI marginal calls (each one
+quadrature) and the objective calls per ``learn_uni`` call, which differ
+by the closed-form evaluations on the variance face and the corner.
 And ``per_uni_marginal`` gives the seconds of one UNI marginal
 evaluation: the marginal's and its quadrature's self times plus the
 integrand's time, over the marginal calls.  Both are taken from the

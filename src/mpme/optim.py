@@ -5,7 +5,9 @@ The UNI marginal likelihood returns its exact gradient and Hessian, so
 its fit runs a deterministic damped Newton method: the Hessian is shifted
 until it is safely positive definite, and the shift grows after a step
 that fails to improve the value (Nocedal & Wright, Numerical
-Optimization, 2006, sec. 3.4).  The NIX fit still uses a simplex
+Optimization, 2006, sec. 3.4).  Lower bounds on chosen coordinates, the
+UNI box's faces, are kept by projection with an active set (Bertsekas,
+SIAM J. Control Optim. 20:221, 1982).  The NIX fit still uses a simplex
 search with deterministic restarts, whose reflection, expansion,
 contraction and shrink coefficients are 1, 2, 0.5 and 0.5 (Nelder &
 Mead, Computer Journal 7:308, 1965).
@@ -201,9 +203,10 @@ def _stable_sort(simplex: list, values: list):
     return [simplex[k] for k in order], [values[k] for k in order]
 
 
-def _newton(neg_f: Callable, x0: np.ndarray):
+def _newton(neg_f: Callable, x0: np.ndarray, lower: np.ndarray):
     """Minimize ``neg_f``, which returns ``(value, gradient, Hessian)`` as a
-    float and two float arrays, from ``x0``; returns (x, fx, iterations,
+    float and two float arrays, from ``x0`` subject to ``x >= lower``
+    (-inf where a coordinate is free); returns (x, fx, iterations,
     converged).
 
     Each step solves (A + mu I) s = -g, with A the Hessian and
@@ -215,6 +218,15 @@ def _newton(neg_f: Callable, x0: np.ndarray):
     does not exceed lambda_min(A) a rejected step would be tried again
     unchanged, so lambda grows tenfold until it does.  A step that is not
     finite raises ``NumericalError``.
+
+    The bounds are kept by a projected Newton method with an active set
+    (Bertsekas, SIAM J. Control Optim. 20:221, 1982).  A coordinate is
+    active when it lies on its bound and its gradient pushes it outward;
+    it stays there, and the others take the Newton step on their own
+    block of g and A.  The trial point is projected onto the bounds, so a
+    step that crosses a bound ends on it.  The search stops when every
+    component of x - P(x - g), with P the projection onto the bounds, is
+    below _GRAD_TOL in absolute value.
     """
 
     def evaluate(x):
@@ -236,22 +248,27 @@ def _newton(neg_f: Callable, x0: np.ndarray):
     damping = _DAMPING
     iterations = 0
     while True:
-        if float(_max_reduce(np.abs(grad), axis=None)) < _GRAD_TOL:
+        gap = x - lower
+        outward = grad > 0
+        projected = float(_max_reduce(np.abs(np.where(outward, np.minimum(grad, gap), grad))))
+        if projected < _GRAD_TOL:
             return x, fx, iterations, True
         if iterations == _MAX_ITERS:
             return x, fx, iterations, False
-        eig, vec = np.linalg.eigh(hess)
-        along = vec.T @ grad
+        free = ~(outward & (gap == 0.0))
+        eig, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+        along = vec.T @ grad[free]
         for _ in range(_MAX_REJECTIONS):
             # When |lambda_min(A)| dwarfs lambda, the shifted smallest
             # eigenvalue rounds to zero and the step overflows.
             step = -(vec @ (along / (eig + max(0.0, damping - eig[0]))))
             if not _and_reduce(np.isfinite(step), axis=None):
                 raise NumericalError(f"Newton step is not finite at point {_point_text(x)}")
-            if -0.5 * float(grad @ step) <= _REL_DECREASE * (f_start - fx):
+            if -0.5 * float(grad[free] @ step) <= _REL_DECREASE * (f_start - fx):
                 return x, fx, iterations, True
-            step *= min(1.0, _MAX_STEP / float(_max_reduce(np.abs(step), axis=None)))
-            x_new = x + step
+            step *= min(1.0, _MAX_STEP / float(_max_reduce(np.abs(step))))
+            x_new = x.copy()
+            x_new[free] = np.maximum(x[free] + step, lower[free])
             f_new, grad_new, hess_new, ok = evaluate(x_new)
             if ok and f_new < fx:
                 break
@@ -288,11 +305,15 @@ def maximize(
     init: Sequence[float],
     *,
     hessian: bool = False,
+    lower: Sequence[float] | None = None,
 ) -> OptimResult:
     """Maximize a scalar objective.
 
     With ``hessian=True`` the objective returns ``(value, gradient,
-    Hessian)`` and the search is one deterministic run of Newton's method.
+    Hessian)`` and the search is one deterministic run of Newton's method,
+    which keeps each coordinate at or above its entry of ``lower`` (-inf,
+    or ``lower`` None, leaves it free; the init point must satisfy the
+    bounds).
     Otherwise it is Nelder-Mead plus restarts: restart ``r`` starts from
     the best point found so far, displaced by a fixed pseudo-random
     direction (seeded only by ``r``), so the whole search is deterministic.
@@ -317,7 +338,10 @@ def maximize(
             value, grad, hess = objective(x)
             return -float(value), -np.asarray(grad, dtype=float), -np.asarray(hess, dtype=float)
 
-        x, v, iterations, converged = _newton(neg_f_derivs, x0)
+        bounds = np.full(len(x0), -np.inf) if lower is None else np.asarray(lower, dtype=float)
+        if bounds.shape != x0.shape or not np.all(x0 >= bounds):
+            raise DataError(f"init point {init!r} is outside the lower bounds {lower!r}")
+        x, v, iterations, converged = _newton(neg_f_derivs, x0, bounds)
     else:
 
         def neg_f(x):

@@ -12,6 +12,13 @@ integrated over sigma^2 (and, for the second derivatives, over sigma^2
 divided by sigma^2), which rides along as extra rows; the c and d
 derivatives are the integrand and its slope at the ends of the sigma^2
 interval, and the mixed ones the likelihood at the box's corners.
+
+A side of the box may collapse to a point: a = b is the mean face and
+c = d the variance face.  The marginal there is the limit of the
+interior's, in closed form on the variance face and at the corner where
+both sides collapse, and by one quadrature in sigma^2 on the mean face.
+``learn_uni`` searches in squared widths, in which each face is a bound
+of Newton's method.
 """
 
 from __future__ import annotations
@@ -60,14 +67,17 @@ _LOG_2PI = np.array(math.log(2.0 * math.pi))
 _NEG_HALF = np.array(-0.5)
 # The node numbers of the 9-point scan of _log_sigma_integrals.
 _SCAN = np.arange(9.0)
+# The smallest normal float.
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
 class UniHyperparams:
     """Box prior bounds: mu in [a, b], sigma^2 in [c, d].
 
-    ``c == d`` is the variance face of the box: the prior on sigma^2 is a
-    point mass at c.  The mean side stays a proper interval, ``a < b``.
+    ``a == b`` is the mean face of the box and ``c == d`` its variance
+    face: the prior on that side is a point mass.  Both at once is the
+    corner, a point mass at (a, c).
     """
 
     a: float
@@ -79,8 +89,8 @@ class UniHyperparams:
         for name in ("a", "b", "c", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} = {getattr(self, name)!r}, need finite")
-        if not self.a < self.b:
-            raise DataError(f"need a < b, got a = {self.a!r}, b = {self.b!r}")
+        if not self.a <= self.b:
+            raise DataError(f"need a <= b, got a = {self.a!r}, b = {self.b!r}")
         if not 0 < self.c <= self.d:
             raise DataError(f"need 0 < c <= d, got c = {self.c!r}, d = {self.d!r}")
 
@@ -161,6 +171,18 @@ def _log_l_slope(data: _UniData, sigma_sq, lo, hi, log_phi_diff):
     return l1, d1, r_lo, r_hi
 
 
+def _log_variance_side(hyper: UniHyperparams):
+    """log(c) and the length log1p((d - c)/c) of the variance side in
+    log(sigma^2); see ``_log_sigma_integrals``."""
+    dt = math.log1p((hyper.d - hyper.c) / hyper.c)
+    if not math.isfinite(dt):
+        # (d - c)/c overflows when d/c passes the float range.
+        raise NumericalError(
+            f"variance side [{hyper.c!r}, {hyper.d!r}] spans more than the float range"
+        )
+    return math.log(hyper.c), dt
+
+
 def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     """Per-population log of the sigma^2 integral I_i over [c, d], and
     what its first and second derivatives in (a, b, c, d) need.
@@ -220,13 +242,7 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     Far boxes overflow q and take the log of zero on the way to -inf;
     the caller holds numpy's error state (``uni_log_marginal_likelihood``).
     """
-    t_lo = math.log(hyper.c)
-    dt = math.log1p((hyper.d - hyper.c) / hyper.c)
-    if not math.isfinite(dt):
-        # (d - c)/c overflows when d/c passes the float range.
-        raise NumericalError(
-            f"variance side [{hyper.c!r}, {hyper.d!r}] spans more than the float range"
-        )
+    t_lo, dt = _log_variance_side(hyper)
     t_hi = t_lo + dt
     t_lo_0d = np.array(t_lo)
     n, xbar, scatter = data.n, data.xbar, data.scatter
@@ -315,12 +331,127 @@ def _log_sigma_integrals(data: _UniData, hyper: UniHyperparams):
     return log_all[:p], log_all[p:].reshape(4, p), log_corners, ends
 
 
+# A face's coordinates lifted to (a, b, c, d): the shared coordinate of a
+# collapsed side splits in halves, and the side's block of the Hessian
+# gains 2K times _SPLIT, K being the face's curvature coefficient.
+_MEAN_LIFT = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_VARIANCE_LIFT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
+_CORNER_LIFT = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, 0.5]])
+_SPLIT = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _log_mean_face_integrals(data: _UniData, hyper: UniHyperparams):
+    """Per-population log E_i(m), log F_i(m) and log G_i(m), shape (3, P),
+    on the mean face a = b = m, and log l_i(m, sigma^2) at sigma^2 = c and
+    d, shape (P, 2).
+
+    E, F and G integrate the likelihood, the likelihood over sigma^2 and
+    the likelihood over sigma^4, with mu at m, over [c, d]: in
+    t = log(sigma^2) the rows g_i(t) e^(-k t), k = 0, 1, 2, with g_i as
+    in ``_log_sigma_integrals``.  Each row is shifted by its maximum, at
+    log(q_i / (s_i + k)) clipped into the interval, and all 3P rows share
+    one adaptive quadrature over the same u = t - log(c) as there.
+    """
+    t_lo, dt = _log_variance_side(hyper)
+    p = len(data.n)
+    q = np.tile(_HALF * (data.scatter + data.n * (data.xbar - hyper.a) ** 2), 3)[:, None]
+    power = (data.e_s[:p] + np.arange(3.0)[:, None]).reshape(-1, 1)
+    log_norm = np.tile(data.e_log_norm[:p], (3, 1))
+
+    def log_rows(t):
+        return log_norm - power * t - q * np.exp(-t)
+
+    # The rows peak where power = q e^-t; a row with power 0 (n = 2, k = 0)
+    # rises throughout, and q = 0 puts the peak at the left end.
+    with np.errstate(divide="ignore"):
+        peaks = np.log(np.divide(q, power, out=np.full_like(q, np.inf), where=power > 0))
+    shifts = log_rows(np.clip(peaks, t_lo, t_lo + dt))
+    shifts[~np.isfinite(shifts)] = 0.0
+    value, _err = integrate_adaptive(lambda u: np.exp(log_rows(u + t_lo) - shifts), 0.0, dt)
+    log_ends = log_rows(np.array([t_lo, t_lo + dt]))[p:2 * p]
+    return (shifts[:, 0] + np.log(value)).reshape(3, p), log_ends
+
+
+def _mean_face_log_marginal(data: _UniData, hyper: UniHyperparams):
+    """The marginal on the mean face a = b = m of ``hyper``, its gradient
+    and Hessian in (m, c, d), and the coefficient K_mu of its rise off the
+    face.
+
+    The value is sum_i log E_i(m) - P log(d - c).  With x_i = n_i (xbar_i
+    - m), E_i' = x_i F_i and E_i'' = x_i^2 G_i - n_i F_i are the first two
+    derivatives of E_i in m, and the c and d derivatives are those of the
+    interior with E_i for I_i and the likelihood l_i(m, .) for L_i.  A box
+    of width w centred on m has the marginal F + K_mu w^2 + O(w^4), with
+    F the face value and K_mu = sum_i E_i'' / (24 E_i).  Returns (value,
+    grad, hess, K_mu); at a -inf value, or where (d - c)^2 leaves the
+    float range, the gradient, the Hessian and K_mu are NaN.
+    """
+    (log_e, log_f, log_g), log_ends = _log_mean_face_integrals(data, hyper)
+    p = len(data.n)
+    c, d = hyper.c, hyper.d
+    if _or_reduce(log_e == _NEG_INF):
+        return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
+    value = float(_add_reduce(log_e) - p * math.log(d - c))
+    squares = _powers_in_range((d - c, 2))
+    if squares is None:
+        return value, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
+    n = data.n
+    x = n * (data.xbar - hyper.a)
+    f_e, g_e = np.exp(log_f - log_e), np.exp(log_g - log_e)
+    l_c, l_d = np.exp(log_ends - log_e[:, None]).T
+    pull = x * f_e
+    bend = x * x * g_e - n * f_e
+    q = 0.5 * (data.scatter + x * (data.xbar - hyper.a))
+    slope_c = (q / c - 0.5 * n) / c
+    slope_d = (q / d - 0.5 * n) / d
+    g_m = float(_add_reduce(pull))
+    h_mc = float(_add_reduce((pull - x / c) * l_c))
+    h_md = float(_add_reduce((x / d - pull) * l_d))
+    box = p / squares[0]
+    h_cc = box - float(_add_reduce((slope_c + l_c) * l_c))
+    h_dd = box + float(_add_reduce((slope_d - l_d) * l_d))
+    h_cd = float(_add_reduce(l_c * l_d)) - box
+    grad = np.array([g_m, p / (d - c) - float(_add_reduce(l_c)), float(_add_reduce(l_d)) - p / (d - c)])
+    hess = np.array([
+        float(_add_reduce(bend - pull * pull)), h_mc, h_md,
+        h_mc, h_cc, h_cd,
+        h_md, h_cd, h_dd,
+    ]).reshape(3, 3)
+    return value, grad, hess, float(_add_reduce(bend)) / 24.0
+
+
+def _corner_log_marginal(data: _UniData, m, c):
+    """The marginal at the corner a = b = m, c = d: the Gaussian log
+    likelihood sum_i log l_i(m, c), in closed form, with its gradient and
+    Hessian in (a, b, c, d) as ``uni_log_marginal_likelihood`` gives them
+    on a face: each side's two derivatives are half of the likelihood's
+    derivative in m or in c, and each side adds its +-2K terms, with the
+    point mass standing for the other side's integral."""
+    n = data.n
+    x = n * (data.xbar - m)
+    # q_i / c, and the log likelihood's derivatives in m and in c, per
+    # population; dividing by c one factor at a time keeps them in range.
+    q_c = 0.5 * (data.scatter + x * (data.xbar - m)) / c
+    value = float(_add_reduce(-0.5 * n * (_LOG_2PI + math.log(c)) - q_c))
+    l_m = x / c
+    l_c = (q_c - 0.5 * n) / c
+    l_mm = -n / c
+    l_cc = (0.5 * n - 2.0 * q_c) / c / c
+    grad = np.array([float(_add_reduce(l_m)), float(_add_reduce(l_c))])
+    h_mc = float(_add_reduce(-l_m / c))
+    hess = np.array([float(_add_reduce(l_mm)), h_mc, h_mc, float(_add_reduce(l_cc))]).reshape(2, 2)
+    hess = _CORNER_LIFT @ hess @ _CORNER_LIFT.T
+    hess[:2, :2] += float(_add_reduce(l_mm + l_m * l_m)) / 12.0 * _SPLIT
+    hess[2:, 2:] += float(_add_reduce(l_cc + l_c * l_c)) / 12.0 * _SPLIT
+    return value, _CORNER_LIFT @ grad, hess
+
+
 def _powers_in_range(*pairs):
     """``base ** exponent`` for each ``(base, exponent)`` pair, or None if
     one leaves the float range: a float power raises ``OverflowError``
     above it and rounds to zero below it, and the derivatives divide by
-    these powers.  c^3 underflows before the c * c that the face
-    derivatives also divide by, so it stands for both."""
+    these powers.  The face passes c^3 only for its overflow, which comes
+    before that of the c * c it also divides by."""
     try:
         powers = [base**exponent for base, exponent in pairs]
     except OverflowError:
@@ -328,7 +459,7 @@ def _powers_in_range(*pairs):
     return None if 0.0 in powers else powers
 
 
-# Its callers include learn_uni's face test, which runs outside maximize.
+# ``verify`` calls it outside the public marginal's error state.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _face_log_marginal(data: _UniData, a, b, c):
     """The marginal on the variance face c = d, its gradient and Hessian in
@@ -359,8 +490,8 @@ def _face_log_marginal(data: _UniData, a, b, c):
     coordinates moves the value by O(w^4) only, so K <= 0 keeps the face
     and K > 0 means a proper box beats it.  Returns (value, grad, hess, K);
     at a -inf value the gradient, the Hessian and K are NaN, and so are
-    they when c^3 or (b - a)^2 leaves the float range, by overflow or by
-    underflow to zero.
+    they when c^3 overflows or (b - a)^2 leaves the float range, by
+    overflow or by underflow to zero.
     """
     t = np.array([[math.log(c)]])
     at_c = _log_mu_integral(t, data, _mean_side(data, a, b), np.exp(-t))
@@ -370,13 +501,17 @@ def _face_log_marginal(data: _UniData, a, b, c):
     if _or_reduce(log_l == _NEG_INF):
         return -math.inf, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
     value = float(_add_reduce(log_l - math.log(b - a)))
-    powers = _powers_in_range((c, 3), (b - a, 2))
+    powers = _powers_in_range((max(c, 1.0), 3), (b - a, 2))
     if powers is None:
         return value, np.full(3, math.nan), np.full((3, 3), math.nan), math.nan
-    c_cubed, width_sq = powers
+    width_sq = powers[1]
+    # c^3 leaves the normal range below c of about 2.8e-103 and is zero
+    # below 1.7e-108; there the scatter term divides by c three times.
+    c_cubed = c**3
+    scatter_term = scatter / c_cubed if c_cubed >= _MIN_NORMAL else scatter / c / c / c
     l1, d1, r_lo, r_hi = (v[:, 0] for v in _log_l_slope(data, c, *at_c[1:]))
     d2 = (r_hi * hi * (3.0 - hi * hi) - r_lo * lo * (3.0 - lo * lo)) / (4.0 * c * c)
-    l2 = 0.5 * (n - 1.0) / (c * c) - scatter / c_cubed + d2 - d1 * d1
+    l2 = 0.5 * (n - 1.0) / (c * c) - scatter_term + d2 - d1 * d1
     k = np.sqrt(n / c)
     grad = np.array([
         p / (b - a) - float(_add_reduce(r_lo * k)),
@@ -393,6 +528,29 @@ def _face_log_marginal(data: _UniData, a, b, c):
     hbb = box - float(_add_reduce(k * k * (hi * r_hi + r_hi * r_hi)))
     hess = np.array([haa, hab, hac, hab, hbb, hbc, hac, hbc, float(_add_reduce(l2))]).reshape(3, 3)
     return value, grad, hess, float(_add_reduce(l2 + l1 * l1)) / 24.0
+
+
+def _mean_face(data: _UniData, hyper: UniHyperparams):
+    """``_mean_face_log_marginal`` in (a, b, c, d), as
+    ``uni_log_marginal_likelihood`` gives it."""
+    value, (gm, gc, gd), face_hess, curvature = _mean_face_log_marginal(data, hyper)
+    hess = _MEAN_LIFT @ face_hess @ _MEAN_LIFT.T
+    hess[:2, :2] += 2.0 * curvature * _SPLIT
+    return value, np.array([0.5 * gm, 0.5 * gm, gc, gd]), hess
+
+
+def _variance_face(data: _UniData, hyper: UniHyperparams):
+    """The marginal on the variance face c == d, or at the corner when a ==
+    b as well, with its gradient and Hessian in (a, b, c, d) as
+    ``uni_log_marginal_likelihood`` gives them; it needs no quadrature."""
+    if hyper.a == hyper.b:
+        return _corner_log_marginal(data, hyper.a, hyper.c)
+    value, (ga, gb, gc), face_hess, curvature = _face_log_marginal(
+        data, hyper.a, hyper.b, hyper.c
+    )
+    hess = _VARIANCE_LIFT @ face_hess @ _VARIANCE_LIFT.T
+    hess[2:, 2:] += 2.0 * curvature * _SPLIT
+    return value, np.array([ga, gb, 0.5 * gc, 0.5 * gc]), hess
 
 
 # Far boxes overflow q and take the log of zero on the way to -inf.
@@ -455,7 +613,14 @@ def uni_log_marginal_likelihood(
     with F the face value and K the coefficient of ``_face_log_marginal``,
     so the c and d derivatives are each half of F's derivative in c, and
     the (c, c), (d, d) and (c, d) entries are F''/4 + 2K, F''/4 + 2K and
-    F''/4 - 2K.
+    F''/4 - 2K.  The mean face a == b mirrors it: the value is the b -> a
+    limit, sum_i log E_i(a) - P log(d-c), from one quadrature of the E, F
+    and G rows at mu = a (G_i integrates the likelihood over sigma^4), and
+    the a and b derivatives are each half of the face value's derivative
+    in m = a, with the coefficient K_mu of ``_mean_face_log_marginal`` in
+    the (a, b) block.  At the corner a == b, c == d the value is the
+    Gaussian log likelihood at (a, c), and each side takes the face's
+    convention.
 
     Raises
     ------
@@ -463,16 +628,10 @@ def uni_log_marginal_likelihood(
         If adaptive quadrature fails to converge; carries partial results.
     """
     data = stats_list if isinstance(stats_list, _UniData) else _UniData(stats_list)
-    if hyper.c == hyper.d:
-        value, (ga, gb, gc), face_hess, curvature = _face_log_marginal(
-            data, hyper.a, hyper.b, hyper.c
-        )
-        if not hessian:
-            return value
-        lift = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
-        hess = lift @ face_hess @ lift.T
-        hess[2:, 2:] += 2.0 * curvature * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return value, np.array([ga, gb, 0.5 * gc, 0.5 * gc]), hess
+    if hyper.a == hyper.b or hyper.c == hyper.d:
+        face = _variance_face if hyper.c == hyper.d else _mean_face
+        value, grad, hess = face(data, hyper)
+        return (value, grad, hess) if hessian else value
     log_int, log_edges, log_corners, (log_l, lo, hi, log_phi_diff) = _log_sigma_integrals(
         data, hyper
     )
@@ -526,75 +685,91 @@ def uni_log_marginal_likelihood(
     return value, grad, h_sum - pulls @ pulls.T + box
 
 
-# The interior search hands over to the variance face c = d at the first
-# new best point whose variance side d - c is below this fraction of its
-# data scale.
-_FACE_DEPTH = 1e-1
+# A side whose squared width, in the search's units, is below this is
+# evaluated on its face, as the face value plus its first-order rise; the
+# uni-gradient suite of ``verify`` checks both sides of the switch.
+_FACE_BELOW = 1e-6
 
 
-class _FaceReached(Exception):
-    """Raised by the interior objective at the point where the search hands
-    over to the variance face."""
+def _searched(value, grad, hess, box: UniHyperparams, m_scale, sides):
+    """The marginal's value, gradient and Hessian in (a, b, c, d), at
+    ``box``, taken to the search coordinates (m / m_scale, s_mu, l,
+    s_sigma) by the chain rule.  ``sides`` holds, for the mean and the
+    variance side, the triple (r, k, s) with r = w or u the side's width
+    coordinate and r^2 = k s; r = 0 is the side's face.
 
-    def __init__(self, z):
-        super().__init__()
-        self.z = z
-
-
-def _box_from_point(z) -> tuple[float, float, float, float]:
-    # A mean width below one ulp of the anchor collapses in float
-    # arithmetic; map it to the closest representable proper interval so
-    # the objective stays defined however deep the optimizer rides a flat
-    # width ridge.  A point without a fourth coordinate is on the face c = d.
-    m = float(z[0])
-    w = exp_clipped(z[1])
-    a, b = m - 0.5 * w, m + 0.5 * w
-    if b <= a:
-        b = math.nextafter(a, math.inf)
-    c = exp_clipped(z[2])
-    d = c + exp_clipped(z[3]) if len(z) == 4 else c
-    return a, b, c, d
+    First to (m, w, l, u), with a, b = m -+ w/2 and c, d = e^(l -+ u),
+    whose second derivatives in l and u add c g_c + d g_d to the (l, l)
+    and (u, u) entries and d g_d - c g_c to (l, u).  Then to s = r^2 / k.
+    Inside the box r = sqrt(k s) adds g_r (-k^2 / (4 r^3)) to the (s, s)
+    entry.  On a face the marginal is even in r, so its derivative in s
+    is k/2 times its second derivative in r, and that rise is added to the
+    value; the second derivatives in s are left at zero there.
+    """
+    c, d = box.c, box.d
+    jac = np.array([
+        1.0, -0.5, 0.0, 0.0,
+        1.0, 0.5, 0.0, 0.0,
+        0.0, 0.0, c, -c,
+        0.0, 0.0, d, d,
+    ]).reshape(4, 4)
+    g = jac.T @ grad
+    h = jac.T @ hess @ jac
+    h[2:, 2:] += np.array([[g[2], g[3]], [g[3], g[2]]])
+    scale = np.array([m_scale, 0.0, 1.0, 0.0])
+    extra = np.zeros(4)
+    rise = np.zeros(4)
+    for i, (r, k, s) in zip((1, 3), sides):
+        if r == 0.0:
+            rise[i] = 0.5 * k * h[i, i]
+            # Where the derivatives leave the float range the value stays
+            # the face's, and the step is rejected on its derivatives.
+            if math.isfinite(rise[i]):
+                value += rise[i] * s
+        else:
+            scale[i] = 0.5 * k / r
+            extra[i] = -g[i] * k * k / (4.0 * r * r * r)
+    return value, scale * g + rise, scale[:, None] * h * scale + np.diag(extra)
 
 
 def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     """Learn the box bounds by type-II maximum likelihood.
 
-    Optimizes over (m, log w, log c, log(d - c)) with a = m - w/2 and
-    b = m + w/2, which keeps a < b and 0 < c < d unconditionally.  The
-    maximizing box is typically much narrower than the spread of the
+    The maximizing box is typically much narrower than the spread of the
     sample means (clamping noisy means toward the consensus is what makes
     the box prior useful), so the search starts from a standard-error
     sized box at the median rather than one spanning the data; a spanning
     start has to ride a nearly flat width ridge for many steps.  The
-    floors that keep that box proper when most populations have no
-    scatter are multiples of the data's own scales, so the start box
-    scales with the data's units.
+    start's variance side is [v0/5, 2 v0], with v0 the median sample
+    variance.  It reaches further below v0 than above it: the likelihood
+    often has two maxima joined by a ridge, one on the variance face near
+    v0 and a wide box reaching far below it, and a start centred on v0
+    lies near the saddle between them.  From [v0/2.5, 2.5 v0], 2 of the
+    200 trials of example 1 at seed 2026 end on the face 0.13 and 0.23
+    nats below the wide box.  The floors that keep the start box proper
+    when most populations have no scatter are multiples of the data's own
+    scales, so the start box scales with the data's units.
+
+    The search runs over (m, s_mu, l, s_sigma), with a, b = m -+ w/2,
+    s_mu = (w / w0)^2, c, d = e^(l -+ u) and s_sigma = (u / u0)^2, where
+    w0 and e^(l0 -+ u0) are the start box's sides; m is centred on the
+    start and scaled by w0, and l centred on l0.  A change of units
+    x -> s x + t moves the starting point with the data, so the search
+    takes the same steps and the learned box moves with the data.  The
+    marginal is an average over the box, so it is even in w and in u, and
+    smooth in their squares.  So each face of the box, a = b or c = d, is
+    the bound s = 0, and the derivative there is the face's curvature
+    coefficient.  Below s = 1e-6 a side is evaluated on its face, as the
+    face value plus that derivative times s; ``verify``'s uni-gradient
+    suite checks the switch.
 
     The search is Newton's method on the exact gradient and Hessian,
-    damped where the Hessian is not safely negative definite (see
-    ``optim``), in centred, scaled coordinates: (m - m_init) / w_init, and
-    the three logs minus their starting values.  A change of units
-    x -> s x + t moves the starting point with the data, so the search
-    takes the same steps and the learned box moves with the data.  On the
-    200 trials of example 1 at seed 2026 a fit takes 12.5 quadrature-backed
-    marginal evaluations and 4.0 on the face.
-
-    For many draws the type-II likelihood has no interior maximizer in the
-    variance side: it increases toward its value on the face c = d, where
-    the prior on sigma^2 is a point mass, and approaches it like (d - c)^2,
-    a ridge that a local search would ride for many steps.  So at the
-    first point that beats every earlier one with d - c below 1e-1 of its
-    data scale, the search moves to the face and maximizes its closed-form
-    value over (m, log w, log c), from that point, by the same method.
-    The face is kept, and the returned box has c == d, if the (d - c)^2
-    coefficient of the marginal of a box centred on the face optimum is
-    not positive.  Otherwise a proper box beats the face, and the interior
-    search resumes once from the centred box of height 1e-1 of the data
-    scale.
-
-    The returned box is the point where the search stopped.  Its mean
-    side can be narrow: the likelihood may rise toward the mean face
-    a = b, and the search stops on that ridge by its tolerances.
+    damped where the Hessian is not safely negative definite, with the
+    two bounds kept by an active set (see ``optim``).  A fit whose
+    likelihood rises toward a face ends exactly on it, with a == b or
+    c == d.  On the 200 trials of example 1 at seed 2026 a fit takes 4.4
+    quadrature-backed marginal evaluations and 5.8 on the variance face
+    or the corner, which need no quadrature.
 
     If every population has positive scatter the likelihood is bounded:
     each population's average over the box is at most its maximum
@@ -634,91 +809,48 @@ def learn_uni(stats_list: Sequence[SufficientStats]) -> UniHyperparams:
     pad = max(float(np.median(se)), 1e-9 * max(math.sqrt(var_max), float(np.abs(xbar).max())))
     w0 = max(2.0 * pad, 0.5 * span)
     v0 = max(float(np.median(var)), pad * pad, 1e-12 * var_max)
-    c0 = v0 / 2.5
-    d0 = v0 * 2.5
+    c0, d0 = v0 / 5.0, 2.0 * v0
     if c0 == 0.0:
         # Only a largest sample variance deep in the subnormal range gets here.
         raise NumericalError(
             f"the start box's variance side underflows: largest sample variance {var_max!r}"
         )
-    init = [
-        float(np.median(xbar)),
-        math.log(w0),
-        math.log(c0),
-        math.log(d0 - c0),
-    ]
-    depth = _FACE_DEPTH * v0
+    m0 = float(np.median(xbar))
+    l0 = 0.5 * (math.log(c0) + math.log(d0))
+    u0 = 0.5 * (math.log(d0) - math.log(c0))
+    k_mu, k_sigma = w0 * w0, u0 * u0
 
     def box(z):
-        # The search point, in centred and scaled coordinates, as a box:
-        # from Newton's array or the tuple of a result, as floats.
-        if isinstance(z, np.ndarray):
-            z = z.tolist()
-        return _box_from_point((init[0] + w0 * z[0], *(x + y for x, y in zip(init[1:], z[1:]))))
+        # The search point as a box, with its sides' width coordinates w
+        # and u; 0 is the face.
+        s_mu, s_sigma = float(z[1]), float(z[3])
+        w = 0.0 if s_mu < _FACE_BELOW else math.sqrt(k_mu * s_mu)
+        u = 0.0 if s_sigma < _FACE_BELOW else math.sqrt(k_sigma * s_sigma)
+        m, l = m0 + w0 * float(z[0]), l0 + float(z[2])
+        return UniHyperparams(m - 0.5 * w, m + 0.5 * w, exp_clipped(l - u), exp_clipped(l + u)), w, u
 
-    # The best interior value so far; +inf turns the hand-over off.
-    best = -math.inf
+    # The variance face and the corner go through a private helper, never
+    # the public marginal, so every public marginal evaluation runs one
+    # quadrature.
+    def objective(z):
+        hyper, w, u = box(z)
+        if hyper.c == hyper.d:
+            value, grad, hess = _variance_face(data, hyper)
+        else:
+            value, grad, hess = uni_log_marginal_likelihood(data, hyper, hessian=True)
+        sides = ((w, k_mu, float(z[1])), (u, k_sigma, float(z[3])))
+        return _searched(value, grad, hess, hyper, w0, sides)
 
-    def searched(value, grad, hess, jac):
-        # The chain rule to the search coordinates: jac holds the
-        # derivatives of (a, b, c[, d]) in them.  Each of the last
-        # coordinates is the log of a side or of c, whose second
-        # derivative equals its first.  The diagonal is added as a whole
-        # matrix, which turns each -0.0 entry into +0.0.
-        g = jac.T @ grad
-        k = len(g)
-        diag = np.zeros((k, k))
-        diag.flat[k + 1::k + 1] = g[1:]
-        return value, g, jac.T @ hess @ jac + diag
-
-    def jacobian(a, b, c, d):
-        half = 0.5 * (b - a)
-        return np.array([
-            w0, -half, 0.0, 0.0,
-            w0, half, 0.0, 0.0,
-            0.0, 0.0, c, 0.0,
-            0.0, 0.0, c, d - c,
-        ]).reshape(4, 4)
-
-    def interior(z):
-        nonlocal best
-        a, b, c, d = box(z)
-        value, grad, hess = uni_log_marginal_likelihood(
-            data, UniHyperparams(a=a, b=b, c=c, d=d), hessian=True
-        )
-        if d - c < depth and value > best:
-            raise _FaceReached(z)
-        best = max(best, value)
-        return searched(value, grad, hess, jacobian(a, b, c, d))
-
-    # The face value goes through the private helper, never the public
-    # marginal, so every public marginal evaluation runs one quadrature.
-    def face(z):
-        a, b, c, _ = box(z)
-        value, grad, hess, _ = _face_log_marginal(data, a, b, c)
-        return searched(value, grad, hess, jacobian(a, b, c, c)[:3, :3])
-
-    try:
-        result = maximize(interior, [0.0] * 4, hessian=True)
-    except _FaceReached as reached:
-        result = maximize(face, reached.z[:3], hessian=True)
-        a, b, c, _ = box(result.point)
-        if _face_log_marginal(data, a, b, c)[3] > 0.0:
-            # A proper box beats the face: resume the interior search
-            # once, from the box of height `depth` centred on the face
-            # optimum.
-            h = min(depth, c)
-            start = [*result.point[:2], math.log(c - 0.5 * h) - init[2], math.log(h) - init[3]]
-            best = math.inf
-            result = maximize(interior, start, hessian=True)
-    stop = box(result.point)
+    bounds = [-math.inf, 0.0, -math.inf, 0.0]
+    result = maximize(objective, [0.0, 1.0, 0.0, 1.0], hessian=True, lower=bounds)
+    stop = box(result.point)[0]
     if not result.converged:
         raise OptimizationError(
-            f"learn_uni did not converge at box (a, b, c, d) = {stop!r}",
-            best_point=stop,
+            f"learn_uni did not converge at box (a, b, c, d) = {(stop.a, stop.b, stop.c, stop.d)!r}",
+            best_point=(stop.a, stop.b, stop.c, stop.d),
             best_objective=result.objective,
         )
-    return UniHyperparams(*stop)
+    return stop
 
 
 def uni_map(

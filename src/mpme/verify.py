@@ -449,27 +449,36 @@ def _ridders(f, h: float, steps: int = 10, shrink: float = 1.4) -> float:
     return best
 
 
+# The largest error of the face model at learn_uni's switch, relative to
+# the face's rise there; see suite_uni_gradient.
+_SWITCH_TOL = 1e-2
+
+
 def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> SuiteResult:
     """Closed-form gradient and Hessian of the UNI marginal vs central
-    differences, on each case's box and on the variance face c = d at the
-    box's c.
+    differences, on each case's box and on its two faces: the variance
+    face c = d at the box's c, and the mean face a = b at the box's
+    centre m.
 
     Each partial derivative is compared with a five-point central
     difference of the value, and each column of the Hessian with a
     five-point central difference of the closed-form gradient.  The step
     is 1e-3 of b - a for a and b, and 1e-3 of min(d - c, c) for c and d.
-    On the face the coordinates are (a, b, c): the derivative in c is the
-    sum of the marginal's c and d derivatives there, the Hessian is the
-    marginal's 4 x 4 Hessian with its c and d rows and columns summed,
-    and the step in c, which moves c and d together, is 1e-3 of c.  The
-    face's second-order coefficient K, with which the marginal of the box
-    [c - w/2, c + w/2] leaves the face value F as F + K w^2, is compared
-    with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2), a central difference in
-    w with the O(w^2) term removed, extrapolated to w = 0 by ``_ridders``
-    from w = 1e-2 c.  No one fixed step serves every case: at 1e-3 c the
+    On the variance face the coordinates are (a, b, c): the derivative in
+    c is the sum of the marginal's c and d derivatives there, the Hessian
+    is the marginal's 4 x 4 Hessian with its c and d rows and columns
+    summed, and the step in c, which moves c and d together, is 1e-3 of
+    c.  On the mean face they are (m, c, d) in the same way, with a and b
+    moving together and a step in m of 1e-3 of b - a.  Each face's
+    second-order coefficient, K or K_mu, with which the marginal of the
+    box widened to w about the face leaves the face value F as F + K w^2,
+    is compared with (16 (G(w) - F) - (G(2w) - F)) / (12 w^2), a central
+    difference in w with the O(w^2) term removed, extrapolated to w = 0 by
+    ``_ridders`` from w = 1e-2 c for the variance side and 1e-2 sqrt(c)
+    for the mean side.  No one fixed step serves every case: at 1e-3 c the
     rise K w^2 of a narrow box is near the rounding of the marginal, and
     at 1e-2 c the far box's higher-order terms remain.  The error of a
-    case is the largest relative error of the five checks: for a gradient,
+    case is the largest relative error of these checks: for a gradient,
     the largest component difference over the largest component.  For a
     Hessian, entry (i, j) is first scaled by side_i side_j, so that entries
     in a and in c weigh alike, and the largest difference is taken over
@@ -478,8 +487,22 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
     narrow box: there the differences of the gradient carry noise of about
     1e-9 P / 1e-3, which grows as the step shrinks, not the Hessian's
     error.
+
+    The suite also checks ``learn_uni``'s switch to the face model, with
+    the search's squared widths s taken as w^2 / c and u^2, u the half
+    log-width of the variance side.  At s = ``prior_uni._FACE_BELOW`` the
+    interior marginal must match the face value plus its rise to within
+    1e-2 of the rise, on each side.  A switch 1e3 times higher fails this
+    on the higher-order terms, and one 1e6 times lower on the marginal's
+    rounding.
     """
-    from .prior_uni import _UniData, _face_log_marginal, uni_log_marginal_likelihood
+    from .prior_uni import (
+        _FACE_BELOW,
+        _UniData,
+        _face_log_marginal,
+        _mean_face_log_marginal,
+        uni_log_marginal_likelihood,
+    )
 
     def marginal(data, *box, **derivs):
         return uni_log_marginal_likelihood(data, UniHyperparams(*box), **derivs)
@@ -498,10 +521,33 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
             columns.append(_five_point(moved, 1e-3 * side))
         return np.array(columns).T
 
-    # The face in (a, b, c) from the box in (a, b, c, d): d moves with c.
+    def face_errors(data, fold, face_box, sides, curvature, widened, step):
+        """The relative errors of a face's gradient, Hessian and curvature
+        coefficient; ``fold`` maps (a, b, c, d) to the face's coordinates,
+        ``widened(w)`` is the box widened to w about the face."""
+        value, grad, hess = marginal(data, *face_box, hessian=True)
+
+        def point(x):
+            return marginal(data, *(face_box + fold.T @ x), hessian=True)
+
+        rel_grad = rel_error(fold @ grad, differences(lambda x: point(x)[0], sides))
+        numeric_hess = differences(lambda x: fold @ point(x)[1], sides)
+        scale = np.outer(sides, sides)
+        rel_hess = rel_error(fold @ hess @ fold.T * scale, numeric_hess * scale, len(data.n))
+
+        def rise(w):
+            up = [marginal(data, *widened(v)) - value for v in (w, 2.0 * w)]
+            return (16.0 * up[0] - up[1]) / (12.0 * w * w)
+
+        numeric = _ridders(rise, step)
+        return value, fold @ grad, rel_grad, rel_hess, abs(curvature - numeric) / abs(numeric)
+
+    # The variance face in (a, b, c) and the mean face in (m, c, d), from
+    # the box in (a, b, c, d): d moves with c, and a with b.
     fold = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    mean_fold = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = switch_worst = 0.0
     lines = []
     for k in range(cases):
         kind = k % len(_GRADIENT_KINDS)
@@ -517,39 +563,42 @@ def suite_uni_gradient(cases: int = 24, seed: int = 19, tol: float = 1e-6) -> Su
         scale = np.outer(sides, sides)
         rel_hess = rel_error(hess * scale, numeric_hess * scale, len(stats))
 
-        a, b, c = hyper.a, hyper.b, hyper.c
-        face_box = np.array([a, b, c, c])
-        face_sides = np.array([b - a, b - a, c])
-        face, face_grad, face_hess = marginal(data, *face_box, hessian=True)
-
-        def face_point(x):
-            return marginal(data, *(face_box + fold.T @ x), hessian=True)
-
-        rel_face = rel_error(
-            fold @ face_grad, differences(lambda x: face_point(x)[0], face_sides)
-        )
-        numeric_face_hess = differences(lambda x: fold @ face_point(x)[1], face_sides)
-        scale = np.outer(face_sides, face_sides)
-        rel_face_hess = rel_error(
-            fold @ face_hess @ fold.T * scale, numeric_face_hess * scale, len(stats)
-        )
-
+        a, b, c, d = box.tolist()
+        m = 0.5 * (a + b)
         curvature = _face_log_marginal(data, a, b, c)[3]
+        face, face_grad, rel_face, rel_face_hess, rel_k = face_errors(
+            data, fold, np.array([a, b, c, c]), np.array([b - a, b - a, c]), curvature,
+            lambda w: (a, b, c - 0.5 * w, c + 0.5 * w), 1e-2 * c,
+        )
+        mean_curvature = _mean_face_log_marginal(data, UniHyperparams(m, m, c, d))[3]
+        mean, _, rel_mean, rel_mean_hess, rel_k_mu = face_errors(
+            data, mean_fold, np.array([m, m, c, d]), np.array([b - a, height, height]),
+            mean_curvature, lambda w: (m - 0.5 * w, m + 0.5 * w, c, d), 1e-2 * math.sqrt(c),
+        )
 
-        def face_difference(w):
-            rise = [marginal(data, a, b, c - 0.5 * v, c + 0.5 * v) - face for v in (w, 2.0 * w)]
-            return (16.0 * rise[0] - rise[1]) / (12.0 * w * w)
+        # The switch: w^2 = s c on the mean face, and u^2 = s on the
+        # variance face, where the rise in u^2 is 4 K c^2 + c F'/2.
+        w, u = math.sqrt(_FACE_BELOW * c), math.sqrt(_FACE_BELOW)
+        rise_mu = mean_curvature * w * w
+        rise_sigma = (4.0 * curvature * c * c + 0.5 * c * face_grad[2]) * u * u
+        switch = _worst(
+            abs(marginal(data, m - 0.5 * w, m + 0.5 * w, c, d) - mean - rise_mu) / abs(rise_mu),
+            abs(marginal(data, a, b, c * math.exp(-u), c * math.exp(u)) - face - rise_sigma)
+            / abs(rise_sigma),
+        )
 
-        numeric_curvature = _ridders(face_difference, 1e-2 * c)
-        rel_k = abs(curvature - numeric_curvature) / abs(numeric_curvature)
-
-        worst = _worst(worst, rel, rel_hess, rel_face, rel_face_hess, rel_k)
+        worst = _worst(worst, rel, rel_hess, rel_face, rel_face_hess, rel_k,
+                       rel_mean, rel_mean_hess, rel_k_mu)
+        switch_worst = _worst(switch_worst, switch)
         lines.append(
             f"case {k:2d} ({_GRADIENT_KINDS[kind]}): grad=({', '.join(f'{g:.9e}' for g in grad)}) "
             f"rel={rel:.2e} hess rel={rel_hess:.2e}; face grad rel={rel_face:.2e} "
-            f"hess rel={rel_face_hess:.2e}, K={curvature:.9e} rel={rel_k:.2e}"
+            f"hess rel={rel_face_hess:.2e}, K={curvature:.9e} rel={rel_k:.2e}; "
+            f"mean face grad rel={rel_mean:.2e} hess rel={rel_mean_hess:.2e}, "
+            f"K_mu={mean_curvature:.9e} rel={rel_k_mu:.2e}; switch={switch:.2e}"
         )
-    return SuiteResult("uni-gradient", worst <= tol, cases, worst, tol, lines)
+    passed = worst <= tol and switch_worst <= _SWITCH_TOL
+    return SuiteResult("uni-gradient", passed, cases, worst, tol, lines)
 
 
 def suite_map_argmax(cases: int = 20, seed: int = 13, tol: float = 1.0) -> SuiteResult:

@@ -262,13 +262,11 @@ _BOOTSTRAP = ["--subsample", "2", "--trials", "4"]
 @pytest.mark.parametrize(
     "scale, args, message",
     [
-        # UNI: a side's square or c^3 passes the float range, or at 1e-140
+        # UNI: a side's square passes the float range, or at 1e-140
         # underflows to zero, so Newton cannot take a step from the start box.
-        (1e52, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
         (1e80, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
         (1e150, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
         (1e-140, ["estimate", "--prior", "uni"], "learn_uni did not converge at box"),
-        (1e52, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
         (1e80, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
         (1e150, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,uni"], "4 of 4 trials failed"),
         # NIX: the posterior scatter overflows in nix_map.
@@ -277,9 +275,8 @@ _BOOTSTRAP = ["--subsample", "2", "--trials", "4"]
         # The squared variance errors overflow in error_report.
         (1e80, ["bootstrap", *_BOOTSTRAP, "--methods", "sample,nix"], "squared error overflows"),
     ],
-    ids=["uni-1e52", "uni-1e80", "uni-1e150", "uni-1e-140", "bootstrap-uni-1e52",
-         "bootstrap-uni-1e80", "bootstrap-uni-1e150", "nix-1e150", "bootstrap-nix-1e150",
-         "bootstrap-nix-1e80"],
+    ids=["uni-1e80", "uni-1e150", "uni-1e-140", "bootstrap-uni-1e80", "bootstrap-uni-1e150",
+         "nix-1e150", "bootstrap-nix-1e150", "bootstrap-nix-1e80"],
 )
 def test_overflow_at_extreme_scale_exits_3(tmp_path, capsys, scale, args, message):
     command, *rest = args
@@ -298,6 +295,23 @@ def test_uni_box_moves_with_the_data_at_small_scale(tmp_path, capsys):
     unit, small = boxes[1.0], boxes[1e-20]
     for key, power in (("a", 1), ("b", 1), ("c", 2), ("d", 2)):
         assert small[key] == pytest.approx(1e-20**power * unit[key], rel=1e-9), key
+
+
+def test_uni_fits_where_the_face_cube_overflows(tmp_path, capsys):
+    # At 1e52 c^3 passes the float range on the variance face, but the fit
+    # ends at the corner a == b, c == d, whose closed form divides by c
+    # one factor at a time: estimate returns the unit-scale box, scaled,
+    # and every bootstrap trial fits.
+    boxes = {}
+    for scale in (1.0, 1e52):
+        assert cli_main(["estimate", "--input", _scaled_csv(tmp_path, scale), "--prior", "uni"]) == 0
+        boxes[scale] = json.loads(capsys.readouterr().out)["hyperparameters"]
+    unit, large = boxes[1.0], boxes[1e52]
+    for key, power in (("a", 1), ("b", 1), ("c", 2), ("d", 2)):
+        assert large[key] == pytest.approx(1e52**power * unit[key], rel=1e-9), key
+    args = ["bootstrap", "--input", _scaled_csv(tmp_path, 1e52), *_BOOTSTRAP, "--methods", "sample,uni"]
+    assert cli_main(args) == 0
+    assert json.loads(capsys.readouterr().out)["failed_trials"] == 0
 
 
 def test_synth_sample_only_report(capsys):

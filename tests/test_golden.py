@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,12 +112,16 @@ GOLDEN_NIX_WIDE = [
 # Hessian, whose F rows join the same quadrature; the previous box was
 # (9.28460141422056, 10.335480080836472, 0.40352070444326,
 # 1.8407837792401167), where the gradient in (a, b, c, d) was about 1e-6
-# against about 1e-8 now, and the value 2e-13 nats lower.
+# against about 1e-8 then, and the value 2e-13 nats lower.  Re-recorded
+# again when the search moved to squared side widths, with the box's
+# faces as bounds, from the start box [v0/5, 2 v0]; the previous box was
+# (9.28460138327436, 10.335480072416935, 0.4035206078310297,
+# 1.8407840143856058).
 GOLDEN_UNI_EXAMPLE1 = [
-    "9.28460138327436",
-    "10.335480072416935",
-    "0.4035206078310297",
-    "1.8407840143856058",
+    "9.284601383284604",
+    "10.335480072439639",
+    "0.40352060770909903",
+    "1.84078401361013",
 ]
 
 GOLDEN_MAXIMIZE = {
@@ -157,15 +162,15 @@ def test_maximize_golden():
 # line per evaluation in the order the objective received them: from
 # maximize on bumpy, from learn_nix on trial 0 of the criterion-6 data
 # (example 1, seed 2026), and from learn_uni on its trials 0, which stays
-# interior, and 4, which moves to the variance face.  A line holds the
-# point and the value, and for learn_uni the gradient and the Hessian too,
-# over every maximize call of the fit.  An evaluation that hands the search
-# over to the face returns nothing, so its line holds its point alone.
+# interior, and 4, which ends on the variance face.  A line holds the
+# point and the value, and for learn_uni the gradient and the Hessian too.
+# The learn_uni entries were re-recorded when the box's faces became
+# bounds of the search; they were (5, 1787731...) and (18, 3951e63...).
 GOLDEN_CALL_SEQUENCES = {
     "bumpy": (426, "79f82e5c77d1132a8ba8dab63bab2ab95780685d6efa5edc5054558e53d502ff"),
     "learn_nix": (717, "b7c56964992ebf9070d5cfb9902cb38de10e08c9cfa65ddfe2f1450d7484d7f3"),
-    "learn_uni trial 0": (5, "178773140693d13807bfcf2233300d3a6a6f5ac99cb38565dfdcaeb9396d7280"),
-    "learn_uni trial 4": (18, "3951e636e755fc0149a15288acfd5f758b3e7974f5ffdeb7ea37f1f4cf7ab58d"),
+    "learn_uni trial 0": (5, "13857460387997a57cff4bdabf5d66bd69fd0b1b20d42d8c0cb542ae5162db15"),
+    "learn_uni trial 4": (8, "b6f546791457b19ab77862a9ab359d7c204290cf83f211aa05389f472925784d"),
 }
 
 
@@ -174,14 +179,10 @@ def recording(objective, lines):
     there, to ``lines``."""
 
     def recorded(x):
-        point = [float(t).hex() for t in x]
-        try:
-            result = objective(x)
-        except prior_uni._FaceReached:
-            lines.append(" ".join(point))
-            raise
+        result = objective(x)
         returned = result if isinstance(result, tuple) else (result,)
-        lines.append(" ".join(point + [float(t).hex() for v in returned for t in np.ravel(v)]))
+        lines.append(" ".join([float(t).hex() for t in x]
+                              + [float(t).hex() for v in returned for t in np.ravel(v)]))
         return result
 
     return recorded
@@ -209,7 +210,9 @@ def test_maximize_call_sequences_golden(monkeypatch):
 @pytest.fixture(scope="module")
 def criterion6_fits():
     """The box learn_uni returns on each of the 200 trials of the
-    criterion-6 data, with its log marginal likelihood."""
+    criterion-6 data, with its log marginal likelihood, the trials'
+    statistics, and the number of public marginal evaluations (each one
+    quadrature) and closed-form face evaluations over all the fits."""
     cfg = SyntheticConfig(
         populations=20,
         samples_per_population=5,
@@ -218,21 +221,37 @@ def criterion6_fits():
         trials=200,
         seed=2026,
     )
-    out = []
-    for t in range(cfg.trials):
-        stats = [sufficient_stats(s) for s in generate_synthetic(cfg, t)[1]]
-        hyper = learn_uni(stats)
-        out.append((hyper, uni_log_marginal_likelihood(stats, hyper)))
-    return out
+    counts = {"marginals": 0, "faces": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    stats, fits = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prior_uni, "uni_log_marginal_likelihood",
+                      counted("marginals", prior_uni.uni_log_marginal_likelihood))
+        patch.setattr(prior_uni, "_variance_face", counted("faces", prior_uni._variance_face))
+        for t in range(cfg.trials):
+            stats.append([sufficient_stats(s) for s in generate_synthetic(cfg, t)[1]])
+            fits.append(learn_uni(stats[-1]))
+    return SimpleNamespace(
+        stats=stats,
+        fits=[(hyper, uni_log_marginal_likelihood(row, hyper)) for row, hyper in zip(stats, fits)],
+        **counts,
+    )
 
 
 def test_learn_uni_criterion6_boxes_golden(criterion6_fits):
-    # Recorded as float hex before the marginal's quadrature was trimmed
-    # for speed; every box and its value must keep its bits.  A change to
-    # the estimator that is meant to move results re-records this file.
+    # Recorded as float hex; every box and its value must keep its bits.
+    # A change to the estimator that is meant to move results re-records
+    # this file.
     recorded = json.loads((Path(__file__).parent / "data" / "uni_criterion6_boxes.json").read_text())
     for t, ((hyper, value), box, loglik) in enumerate(
-        zip(criterion6_fits, recorded["boxes"], recorded["loglik"], strict=True)
+        zip(criterion6_fits.fits, recorded["boxes"], recorded["loglik"], strict=True)
     ):
         assert [hyper.a, hyper.b, hyper.c, hyper.d] == [float.fromhex(h) for h in box], t
         assert value == float.fromhex(loglik), t
@@ -244,5 +263,33 @@ def test_learn_uni_reaches_earlier_solvers_loglik(criterion6_fits):
     # recorded before learn_uni moved to Newton's method.  No trial may
     # lose more than 1e-6 nats.
     floor = json.loads((Path(__file__).parent / "data" / "uni_loglik_floor.json").read_text())
-    for t, ((_, got), want) in enumerate(zip(criterion6_fits, floor["loglik"], strict=True)):
+    for t, ((_, got), want) in enumerate(zip(criterion6_fits.fits, floor["loglik"], strict=True)):
         assert got >= want - 1e-6, (t, got, want)
+
+
+def test_learn_uni_criterion6_fits_end_exactly_on_their_faces(criterion6_fits):
+    # A fit whose likelihood rises toward a face ends on it: no side is
+    # left a sliver, below 1e-3 of the span of the means or of the median
+    # sample variance, short of its face.
+    faces = 0
+    for t, (row, (hyper, _)) in enumerate(zip(criterion6_fits.stats, criterion6_fits.fits)):
+        means = [s.mean for s in row]
+        span, v0 = max(means) - min(means), float(np.median([s.var_unbiased for s in row]))
+        assert not 0.0 < hyper.b - hyper.a < 1e-3 * span, t
+        assert not 0.0 < hyper.d - hyper.c < 1e-3 * v0, t
+        faces += hyper.a == hyper.b or hyper.c == hyper.d
+    assert faces == GOLDEN_CRITERION6_FACE_FITS
+
+
+# Over the 200 fits of the criterion-6 data: the public marginal
+# evaluations, each one quadrature, and the closed-form evaluations on the
+# variance face or the corner.  The face hand-over, before the faces
+# became bounds of the search, took 2,505 and 799.  A search that rides
+# toward a face again raises the first.
+GOLDEN_CRITERION6_EVALUATIONS = {"marginals": 877, "faces": 1161}
+GOLDEN_CRITERION6_FACE_FITS = 131
+
+
+def test_learn_uni_criterion6_evaluation_counts(criterion6_fits):
+    got = {"marginals": criterion6_fits.marginals, "faces": criterion6_fits.faces}
+    assert got == GOLDEN_CRITERION6_EVALUATIONS

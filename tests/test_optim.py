@@ -467,3 +467,44 @@ def test_newton_stops_when_no_step_decreases(monkeypatch):
     assert res.converged and res.iterations == 0
     assert res.point == (0.0,) and res.objective == 0.0
     assert calls == [0.0, 1.0, 0.1, 0.01, 0.001, 0.0001]
+
+
+def _bounded_quadratic(target):
+    # -(x - target)^2 summed, with a coupling term that moves the free
+    # coordinate's optimum with the bounded one.
+    target = np.asarray(target, dtype=float)
+
+    def objective(x):
+        d = np.asarray(x) - target
+        value = -float(d @ d) - d[0] * d[1]
+        grad = -2.0 * d - d[::-1]
+        return value, grad, np.array([[-2.0, -1.0], [-1.0, -2.0]])
+
+    return objective
+
+
+def test_newton_lands_on_a_bound_and_holds_it():
+    # The unconstrained maximum has x1 = -1, below the bound 0: the first
+    # step crosses the bound and is projected onto it, and the search then
+    # maximizes x0 with x1 held there, where the gradient pushes outward.
+    res = maximize(_bounded_quadratic([1.0, -1.0]), [0.0, 2.0], hessian=True,
+                   lower=[-math.inf, 0.0])
+    assert res.converged and res.iterations <= 3
+    assert res.point[1] == 0.0
+    # With x1 = 0, x0 maximizes -(x0 - 1)^2 - (x0 - 1) (0 + 1): x0 = 0.5.
+    assert res.point[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_newton_leaves_a_bound_the_gradient_pushes_inward():
+    # Starting on the bound with the maximum inside: the bound is free,
+    # and one full Newton step lands on the maximum.
+    res = maximize(_bounded_quadratic([1.0, 2.0]), [0.0, 0.0], hessian=True,
+                   lower=[-math.inf, 0.0])
+    assert res.converged and res.iterations == 1
+    assert res.point == pytest.approx((1.0, 2.0), abs=1e-12)
+
+
+def test_newton_rejects_an_init_point_below_its_bounds():
+    with pytest.raises(DataError, match="outside the lower bounds"):
+        maximize(_bounded_quadratic([1.0, 2.0]), [0.0, -1.0], hessian=True,
+                 lower=[-math.inf, 0.0])

@@ -44,13 +44,11 @@ def _gaussian_loglik(stats, mu, sigma_sq):
 
 def test_hyperparams_validation():
     UniHyperparams(a=0.0, b=1.0, c=0.5, d=1.5)
-    # c == d is the variance face, a point-mass prior on sigma^2; the mean
-    # side must still be a proper interval.
+    # a == b and c == d are the faces of the box, a point-mass prior on mu
+    # or on sigma^2; both at once is the corner.
     UniHyperparams(a=0.0, b=1.0, c=0.5, d=0.5)
-    with pytest.raises(DataError):
-        UniHyperparams(a=1.0, b=1.0, c=0.5, d=1.5)
-    with pytest.raises(DataError):
-        UniHyperparams(a=1.0, b=1.0, c=0.5, d=0.5)
+    UniHyperparams(a=1.0, b=1.0, c=0.5, d=1.5)
+    UniHyperparams(a=1.0, b=1.0, c=0.5, d=0.5)
     with pytest.raises(DataError):
         UniHyperparams(a=2.0, b=1.0, c=0.5, d=1.5)
     with pytest.raises(DataError):
@@ -135,6 +133,54 @@ def test_face_marginal_is_the_limit_of_the_interior(stats):
         centred = UniHyperparams(a=a, b=b, c=c - 0.5 * w, d=c + 0.5 * w)
         near = uni_log_marginal_likelihood(stats, centred, hessian=True)[2]
         assert np.max(np.abs(near - hess)) <= 10.0 * w * np.max(np.abs(hess)), w
+
+
+_FACE_STATS = pytest.mark.parametrize(
+    "stats",
+    [
+        [_stats(5, 10.1, 1.2), _stats(4, 9.7, 0.8)],
+        [_stats(2, 9.5, 0.0), _stats(30, 10.2, 0.7), _stats(3, 12.0, 2.5)],
+    ],
+    ids=["box", "edge-and-far"],
+)
+
+
+@_FACE_STATS
+def test_mean_face_marginal_is_the_limit_of_the_interior(stats):
+    # On a == b the marginal is sum_i log E_i(a) - P log(d - c), from one
+    # quadrature; a box of width w centred on a leaves it by K_mu w^2.
+    m, c, d = 9.9, 0.8, 1.3
+    face, grad, hess = uni_log_marginal_likelihood(
+        stats, UniHyperparams(a=m, b=m, c=c, d=d), hessian=True
+    )
+    assert face == uni_log_marginal_likelihood(stats, UniHyperparams(a=m, b=m, c=c, d=d))
+    for w in (1e-5, 1e-7):
+        centred = UniHyperparams(a=m - 0.5 * w, b=m + 0.5 * w, c=c, d=d)
+        assert uni_log_marginal_likelihood(stats, centred) == pytest.approx(face, abs=1e-9)
+    # The a and b derivatives share the face value's derivative in m.
+    assert grad[0] == grad[1]
+    for w in (1e-4, 1e-5):
+        centred = UniHyperparams(a=m - 0.5 * w, b=m + 0.5 * w, c=c, d=d)
+        near = uni_log_marginal_likelihood(stats, centred, hessian=True)[2]
+        assert np.max(np.abs(near - hess)) <= 10.0 * w * np.max(np.abs(hess)), w
+
+
+@_FACE_STATS
+def test_corner_marginal_is_the_limit_of_both_faces(stats):
+    # At a == b, c == d the marginal is the Gaussian log likelihood at
+    # (a, c); each face that opens one side leaves it linearly in w.
+    m, c = 9.9, 0.9
+    value, _grad, hess = uni_log_marginal_likelihood(
+        stats, UniHyperparams(a=m, b=m, c=c, d=c), hessian=True
+    )
+    assert value == pytest.approx(sum(_gaussian_loglik(s, m, c) for s in stats), rel=1e-14)
+    for w in (1e-4, 1e-5):
+        for box in (
+            UniHyperparams(a=m - 0.5 * w, b=m + 0.5 * w, c=c, d=c),
+            UniHyperparams(a=m, b=m, c=c - 0.5 * w, d=c + 0.5 * w),
+        ):
+            near = uni_log_marginal_likelihood(stats, box, hessian=True)[2]
+            assert np.max(np.abs(near - hess)) <= 10.0 * w * np.max(np.abs(hess)), (w, box)
 
 
 def test_log_marginal_likelihood_zero_warns_neg_inf():
@@ -388,9 +434,9 @@ def _synthetic_stats(cfg, trial):
 
 def test_learn_uni_returns_the_box_it_reached():
     # Every population has positive scatter, so the likelihood is bounded,
-    # yet the search ends with a mean side near 8e-7 of the span of the
-    # means.  The fit returns that box, not a wider one of lower value
-    # (-234.0236126 for a side of 1e-4 of the span).
+    # yet it rises toward the mean face a = b.  The fit ends exactly on
+    # it, not on a wider box of lower value (-234.0236126 for a side of
+    # 1e-4 of the span).
     cfg = SyntheticConfig(
         populations=50,
         samples_per_population=2,
@@ -401,14 +447,14 @@ def test_learn_uni_returns_the_box_it_reached():
     )
     stats = _synthetic_stats(cfg, 6)
     h = learn_uni(stats)
-    assert h.c < h.d
+    assert h.a == h.b and h.c < h.d
     assert uni_log_marginal_likelihood(stats, h) >= -234.0232
 
 
-def test_learn_uni_resumes_inside_when_the_face_loses(monkeypatch):
-    # The search reaches the variance face, but its (d - c)^2 coefficient
-    # is positive there, so the fit resumes inside and ends on a proper
-    # box.
+def test_learn_uni_leaves_the_variance_face_when_a_proper_box_beats_it(monkeypatch):
+    # An early Newton step crosses onto the variance face, whose value is
+    # far below the proper box's; the step is rejected there, and the fit
+    # ends on a proper box.
     cfg = SyntheticConfig(
         populations=3,
         samples_per_population=5,
@@ -418,19 +464,23 @@ def test_learn_uni_resumes_inside_when_the_face_loses(monkeypatch):
         seed=7,
     )
     face_calls = []
-    face = prior_uni._face_log_marginal
+    face = prior_uni._variance_face
 
     def counted(*args):
         face_calls.append(args)
         return face(*args)
 
-    monkeypatch.setattr(prior_uni, "_face_log_marginal", counted)
-    h = learn_uni(_synthetic_stats(cfg, 0))
+    monkeypatch.setattr(prior_uni, "_variance_face", counted)
+    stats = _synthetic_stats(cfg, 0)
+    h = learn_uni(stats)
     assert face_calls
-    assert h.c < h.d
+    assert h.a < h.b and h.c < h.d
+    # The box the face hand-over reached, -32.7337428059 nats; this fit
+    # lies 3e-11 nats from it, along a flat direction in b.
     assert (h.a, h.b, h.c, h.d) == pytest.approx(
-        (-1.13711, 101.37747, 0.20308, 1.61442), abs=5e-6
+        (-1.13711, 101.37746, 0.20308, 1.61442), abs=5e-5
     )
+    assert uni_log_marginal_likelihood(stats, h) >= -32.7337428060
 
 
 def test_learn_uni_overflowing_step_is_a_numerical_error():
@@ -468,8 +518,8 @@ def test_variance_side_past_the_float_range_is_a_numerical_error(c, d):
         UniHyperparams(a=-1e52, b=1e52, c=1e104, d=1e104),
         # (d - c)^2 underflows to zero.
         UniHyperparams(a=-1e-140, b=1e-140, c=1e-281, d=1e-280),
-        # On the face, c^3 does.
-        UniHyperparams(a=-1e-55, b=1e-55, c=1e-110, d=1e-110),
+        # On the face, (b - a)^2 does.
+        UniHyperparams(a=-1e-170, b=1e-170, c=1e-110, d=1e-110),
     ],
     ids=["interior", "face", "interior-underflow", "face-underflow"],
 )
@@ -504,6 +554,37 @@ def test_learn_uni_box_moves_with_the_data_at_small_scale():
         assert got == pytest.approx(1e-20 * want, rel=1e-9)
     for got, want in ((small.c, unit.c), (small.d, unit.d)):
         assert got == pytest.approx(1e-40 * want, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-54, 1e-70])
+def test_learn_uni_box_moves_with_the_data_below_the_cube_underflow(scale):
+    # c^3 is zero below c of about 1.7e-108, where the face's second
+    # derivative in c once divided by it.
+    unit = learn_uni(_six_row_stats(1.0))
+    small = learn_uni(_six_row_stats(scale))
+    for got, want in ((small.a, unit.a), (small.b, unit.b)):
+        assert got == pytest.approx(scale * want, rel=1e-9)
+    for got, want in ((small.c, unit.c), (small.d, unit.d)):
+        assert got == pytest.approx(scale * scale * want, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-54, 1e-70])
+def test_face_derivatives_below_the_cube_underflow_scale_with_the_data(scale):
+    # Below the normal range of c^3 the face's (c, c) entry divides the
+    # scatter by c three times; every derivative then scales with the
+    # data: by 1/scale per mean coordinate and 1/scale^2 per variance one.
+    powers = np.array([1.0, 1.0, 2.0, 2.0])
+    unit = uni_log_marginal_likelihood(
+        _six_row_stats(1.0), UniHyperparams(a=1.5, b=2.5, c=0.6, d=0.6), hessian=True
+    )
+    small = uni_log_marginal_likelihood(
+        _six_row_stats(scale),
+        UniHyperparams(a=1.5 * scale, b=2.5 * scale, c=0.6 * scale**2, d=0.6 * scale**2),
+        hessian=True,
+    )
+    assert small[1] * scale**powers == pytest.approx(unit[1], rel=1e-9)
+    scaled = small[2] * scale ** np.add.outer(powers, powers)
+    assert np.max(np.abs(scaled - unit[2])) <= 1e-9 * np.max(np.abs(unit[2]))
 
 
 def test_learn_uni_mostly_zero_scatter_at_zero_means_has_a_start():

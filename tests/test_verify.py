@@ -267,6 +267,35 @@ def test_suite_uni_gradient_catches_a_wrong_face(monkeypatch, part):
     assert not suite_uni_gradient(cases=1).passed
 
 
+@pytest.mark.parametrize(
+    "part", [1, 3, 2], ids=["mean-face-gradient", "mean-face-curvature", "mean-face-hessian"]
+)
+def test_suite_uni_gradient_catches_a_wrong_mean_face(monkeypatch, part):
+    from mpme import prior_uni
+
+    real = prior_uni._mean_face_log_marginal
+
+    def off(*args):
+        out = list(real(*args))
+        out[part] = out[part] * (1.0 + 1e-5)
+        return tuple(out)
+
+    monkeypatch.setattr(prior_uni, "_mean_face_log_marginal", off)
+    assert not suite_uni_gradient(cases=1).passed
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 1e-12])
+def test_suite_uni_gradient_sets_learn_uni_face_threshold(monkeypatch, threshold):
+    # At learn_uni's switch, s = 1e-6, the face model and the interior
+    # agree; 1e3 times higher the model misses the higher-order terms, and
+    # 1e6 times lower the interior's rise sinks into its rounding.
+    from mpme import prior_uni
+
+    assert suite_uni_gradient(cases=6).passed
+    monkeypatch.setattr(prior_uni, "_FACE_BELOW", threshold)
+    assert not suite_uni_gradient(cases=6).passed
+
+
 # sha256 of what `mpme verify --suite NAME` printed before the UNI marginal
 # gained its gradient; the default suites must print the same bytes.  The
 # nix-likelihood suite (14 s) is left out: it runs no UNI code.
